@@ -97,7 +97,7 @@ CellResult RunCell(ikdp::SubmitMode mode, int n, int64_t stream_bytes,
   };
   std::vector<ikdp::StreamSpec> streams;
   for (int i = 0; i < n; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = std::string("s").append(std::to_string(i));
     if (src_fs->CreateFileInstant(name, stream_bytes,
                                   [&pattern, i](int64_t b) { return pattern(i, b); }) ==
         nullptr) {
@@ -134,7 +134,7 @@ CellResult RunCell(ikdp::SubmitMode mode, int n, int64_t stream_bytes,
 
   kernel.cache().FlushAllInstant();
   for (int i = 0; i < n; ++i) {
-    ikdp::Inode* ip = dst_fs->Lookup("d" + std::to_string(i));
+    ikdp::Inode* ip = dst_fs->Lookup(std::string("d").append(std::to_string(i)));
     if (ip == nullptr || ip->size != stream_bytes) {
       return cell;
     }

@@ -132,7 +132,7 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
   };
   std::vector<ikdp::StreamSpec> streams;
   for (int i = 0; i < n; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = std::string("s").append(std::to_string(i));
     if (src_fs->CreateFileInstant(name, stream_bytes,
                                   [&pattern, i](int64_t b) { return pattern(i, b); }) ==
         nullptr) {
@@ -219,7 +219,7 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
     kernel.cache().FlushAllInstant();
     bool ok = cell.ms.ok;
     for (int i = 0; i < n && ok; ++i) {
-      ikdp::Inode* ip = dst_fs->Lookup("d" + std::to_string(i));
+      ikdp::Inode* ip = dst_fs->Lookup(std::string("d").append(std::to_string(i)));
       if (ip == nullptr || ip->size != stream_bytes) {
         ok = false;
         break;

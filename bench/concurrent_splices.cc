@@ -45,17 +45,19 @@ Outcome RunConcurrent(int nsplices, bool shared_disks) {
   for (int i = 0; i < npairs; ++i) {
     disks.push_back(std::make_unique<DiskDriver>(&kernel.cpu(), &sim, Rz58Params()));
     disks.push_back(std::make_unique<DiskDriver>(&kernel.cpu(), &sim, Rz58Params()));
-    src_fs.push_back(kernel.MountFs(disks[disks.size() - 2].get(), "s" + std::to_string(i)));
-    dst_fs.push_back(kernel.MountFs(disks[disks.size() - 1].get(), "d" + std::to_string(i)));
+    src_fs.push_back(kernel.MountFs(disks[disks.size() - 2].get(), std::string("s").append(std::to_string(i))));
+    dst_fs.push_back(kernel.MountFs(disks[disks.size() - 1].get(), std::string("d").append(std::to_string(i))));
   }
   std::vector<SimTime> done(nsplices, -1);
   std::vector<int64_t> moved(nsplices, -1);
   for (int i = 0; i < nsplices; ++i) {
     const int pair = shared_disks ? 0 : i;
-    src_fs[pair]->CreateFileInstant("f" + std::to_string(i), kBytes, Fill);
+    src_fs[pair]->CreateFileInstant(std::string("f").append(std::to_string(i)), kBytes, Fill);
     kernel.Spawn("scp" + std::to_string(i), [&, i, pair](Process& p) -> Task<> {
-      const std::string src = "s" + std::to_string(pair) + ":f" + std::to_string(i);
-      const std::string dst = "d" + std::to_string(pair) + ":g" + std::to_string(i);
+      const std::string src =
+          std::string("s").append(std::to_string(pair)).append(":f").append(std::to_string(i));
+      const std::string dst =
+          std::string("d").append(std::to_string(pair)).append(":g").append(std::to_string(i));
       const int s = co_await kernel.Open(p, src, kOpenRead);
       const int d = co_await kernel.Open(p, dst, kOpenWrite | kOpenCreate);
       moved[i] = co_await kernel.Splice(p, s, d, kSpliceEof);

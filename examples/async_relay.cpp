@@ -53,7 +53,7 @@ Outcome RunRelay(bool use_ring) {
   RamDisk disk(&server.cpu(), 16 << 20);
   FileSystem* fs = server.MountFs(&disk, "media");
   for (int i = 0; i < kStreams; ++i) {
-    fs->CreateFileInstant("f" + std::to_string(i), kFileBytes,
+    fs->CreateFileInstant(std::string("f").append(std::to_string(i)), kFileBytes,
                           [i](int64_t j) { return Fill(i, j); });
   }
 

@@ -151,6 +151,15 @@ class BlockDevice {
   // without simulating the writes) and end-to-end verification.
   virtual void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) = 0;
   virtual std::vector<uint8_t> PeekBlock(int64_t blkno) const = 0;
+
+  // Drops a block's contents; the filesystem calls it for every block it
+  // frees, so the host memory a device holds tracks the live blocks rather
+  // than everything ever written.  A freed block's content is unspecified
+  // until the filesystem reallocates it; on the device, a discarded block
+  // reads back as zeros until it is next written.  Untimed like Poke/Peek:
+  // no request, no trace record, no stat, so discarding changes no
+  // simulated nanosecond.
+  virtual void Discard(int64_t blkno) = 0;
 };
 
 }  // namespace ikdp

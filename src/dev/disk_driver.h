@@ -9,7 +9,8 @@
 // The driver also owns the *contents* of the device, a sparse block store,
 // so files written through the simulator can be read back and verified
 // byte-for-byte.  Content moves at completion time; timing comes from the
-// DiskModel.
+// DiskModel.  Blocks never written and blocks the filesystem has freed
+// (Discard) take no store entry and read as zeros.
 
 #ifndef SRC_DEV_DISK_DRIVER_H_
 #define SRC_DEV_DISK_DRIVER_H_
@@ -46,6 +47,11 @@ class DiskDriver : public BlockDevice {
   // BlockDevice content access (untimed).
   void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
   std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
+  void Discard(int64_t blkno) override { store_.erase(blkno); }
+
+  // Blocks whose contents the store holds (never-written and discarded
+  // blocks read as zeros and take no entry).
+  size_t StoredBlocks() const { return store_.size(); }
 
   struct Stats {
     uint64_t requests = 0;

@@ -53,4 +53,9 @@ std::vector<uint8_t> RamDisk::PeekBlock(int64_t blkno) const {
   return std::vector<uint8_t>(core_.begin() + off, core_.begin() + off + kBlockSize);
 }
 
+void RamDisk::Discard(int64_t blkno) {
+  assert(blkno >= 0 && blkno < capacity_blocks_);
+  std::fill_n(core_.begin() + blkno * kBlockSize, kBlockSize, 0);
+}
+
 }  // namespace ikdp

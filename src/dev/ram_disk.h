@@ -37,6 +37,9 @@ class RamDisk : public BlockDevice {
   // BlockDevice content access (untimed).
   void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
   std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
+  // Zero-fills the block: the core is statically allocated, so there is no
+  // memory to give back, only the discard contract to keep.
+  void Discard(int64_t blkno) override;
 
   struct Stats {
     uint64_t reads = 0;

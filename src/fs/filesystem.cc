@@ -69,6 +69,7 @@ void FileSystem::FreeBlock(int64_t pbn) {
   assert(used_[static_cast<size_t>(pbn)]);
   used_[static_cast<size_t>(pbn)] = false;
   ++free_blocks_;
+  dev_->Discard(pbn);
 }
 
 void FileSystem::FreeInodeBlocks(Inode* ip) {

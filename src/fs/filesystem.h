@@ -75,12 +75,16 @@ class FileSystem {
   // Creates an empty file.  Returns nullptr if the name exists.
   Inode* Create(const std::string& fname);
   Inode* Lookup(const std::string& fname);
-  // Frees the file's blocks and directory entry.
+  // Frees the file's blocks and directory entry.  Freeing a block discards
+  // it on the device (BlockDevice::Discard): its content is unspecified
+  // until it is reallocated, and on the device it reads back as zeros.
   bool Remove(const std::string& fname);
 
-  // Frees the file's blocks and resets its size to zero (open O_TRUNC).
-  // Callers are responsible for not holding cached buffers of the freed
-  // blocks across reallocation (flush or use fresh names in experiments).
+  // Frees the file's blocks and resets its size to zero (open O_TRUNC),
+  // discarding them as Remove does.  Callers are responsible for not
+  // holding cached buffers of the freed blocks across reallocation (flush
+  // or use fresh names in experiments); a delayed write still pending for
+  // a freed block lands on the device after the discard.
   void Truncate(Inode* ip) { FreeInodeBlocks(ip); }
 
   // --- block mapping ---

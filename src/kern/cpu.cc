@@ -328,6 +328,13 @@ SuspendAndCall CpuSystem::Sleep(Process& p, const void* chan, int pri, bool inte
     p.sleep_channel_ = chan;
     p.sleep_interruptible_ = interruptible;
     p.priority_ = pri;
+    Process** link = SleepQueue(chan);
+    while (*link != nullptr && (*link)->pid() < p.pid()) {
+      link = &(*link)->sleep_next_;
+    }
+    IKDP_KRACE_COMMUTE(this, "CpuSystem::sleep_queues_");
+    p.sleep_next_ = *link;
+    *link = &p;
     if (trace_ != nullptr) {
       trace_->Record(sim_->Now(), TraceKind::kSleep, p.pid(), pri, p.name().c_str());
     }
@@ -369,20 +376,36 @@ void CpuSystem::PreemptCurrent(bool front) {
   RequestDispatch();
 }
 
+Process** CpuSystem::SleepQueue(const void* chan) {
+  // Fibonacci hashing: the top bits of the product spread neighbouring
+  // channels (adjacent buffer headers) over different queues.
+  const uint64_t h = reinterpret_cast<uintptr_t>(chan) * 0x9E3779B97F4A7C15ull;
+  return &sleep_queues_[h >> (64 - kSleepQueueBits)];
+}
+
+void CpuSystem::Unsleep(Process** link) {
+  Process* p = *link;
+  IKDP_KRACE_COMMUTE(this, "CpuSystem::sleep_queues_");
+  *link = p->sleep_next_;
+  p->sleep_next_ = nullptr;
+  p->sleep_channel_ = nullptr;
+  p->state_ = ProcState::kRunnable;
+}
+
 void CpuSystem::Wakeup(const void* chan) {
-  bool woke = false;
   int woken = 0;
-  for (const auto& proc : processes_) {
-    Process* p = proc.get();
-    if (p->state_ == ProcState::kSleeping && p->sleep_channel_ == chan) {
-      ++woken;
-      p->state_ = ProcState::kRunnable;
-      p->sleep_channel_ = nullptr;
-      Enqueue(p, /*front=*/false);
-      woke = true;
+  Process** link = SleepQueue(chan);
+  while (*link != nullptr) {
+    Process* p = *link;
+    if (p->sleep_channel_ != chan) {
+      link = &p->sleep_next_;
+      continue;
     }
+    Unsleep(link);
+    Enqueue(p, /*front=*/false);
+    ++woken;
   }
-  if (!woke) {
+  if (woken == 0) {
     return;
   }
   if (trace_ != nullptr) {
@@ -400,8 +423,11 @@ void CpuSystem::Post(Process& p, int sig) {
   p.pending_signals_.insert(sig);
   ++p.stats_.signals_taken;
   if (p.state_ == ProcState::kSleeping && p.sleep_interruptible_) {
-    p.state_ = ProcState::kRunnable;
-    p.sleep_channel_ = nullptr;
+    Process** link = SleepQueue(p.sleep_channel_);
+    while (*link != &p) {
+      link = &(*link)->sleep_next_;
+    }
+    Unsleep(link);
     Enqueue(&p, /*front=*/false);
     if (current_ != nullptr && burst_.active &&
         run_queue_.front()->priority_ < current_->priority_) {

@@ -24,6 +24,7 @@
 #ifndef SRC_KERN_CPU_H_
 #define SRC_KERN_CPU_H_
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -90,8 +91,10 @@ class CpuSystem {
 
   // --- callable from any context ---
 
-  // Makes every process sleeping on `chan` runnable.  May preempt the
-  // running process if a woken sleeper has a stronger priority.
+  // Makes every process sleeping on `chan` runnable, in ascending pid order.
+  // Costs one walk of `chan`'s sleep queue, whatever the process history.
+  // May preempt the running process if a woken sleeper has a stronger
+  // priority.
   IKDP_CTX_ANY void Wakeup(const void* chan);
 
   // Posts a signal; wakes the process if it is in an interruptible sleep.
@@ -258,10 +261,25 @@ class CpuSystem {
   // Resumes the process coroutine (first dispatch starts the body).
   void Activate(Process* p);
 
+  // The sleep queue `chan` hashes to.
+  Process** SleepQueue(const void* chan);
+  // Unlinks the sleeper at `*link` from its sleep queue and marks it
+  // runnable (the caller enqueues it).
+  void Unsleep(Process** link);
+
   Simulator* sim_;
   CostConfig costs_;
 
   std::vector<std::unique_ptr<Process>> processes_;
+  // 4.3BSD slpque: sleeping processes hashed by wait channel, each queue
+  // linked through Process::sleep_next_ in ascending pid order.  Wakeup()
+  // walks one queue of live sleepers, not every process ever spawned.  Pid
+  // order fixes the wake order, and with it the run-queue FIFO ties among
+  // the woken, that the Table 1/2 schedules were produced with.
+  // Linked by process-context sleeps, unlinked by Wakeup() and Post() from
+  // any context: the same tie-break argument as run_queue_, so COMMUTE.
+  static constexpr int kSleepQueueBits = 6;
+  std::array<Process*, size_t{1} << kSleepQueueBits> sleep_queues_ IKDP_GUARDED_BY(any) = {};
   // Mutated by process-context sleeps AND by Wakeup() from interrupt and
   // softclock handlers.  Priority order dominates dispatch; the only
   // same-timestamp sensitivity is FIFO order among simultaneous

@@ -146,6 +146,9 @@ class Process {
   bool kop_charge_ = false;
   const void* sleep_channel_ = nullptr;
   bool sleep_interruptible_ = false;
+  // Next process in this one's sleep queue (4.3BSD p_link); see
+  // CpuSystem::sleep_queues_.
+  Process* sleep_next_ = nullptr;
 
   std::set<int> pending_signals_;
   std::map<int, std::function<void()>> handler_;

@@ -248,7 +248,7 @@ std::string RenderSpanSections(const KspanCollector& collector,
       out += ",";
     }
     first = false;
-    out += "\"" + JsonEscape(name) + "\":" + std::to_string(n);
+    out.append("\"").append(JsonEscape(name)).append("\":").append(std::to_string(n));
   }
   out += "}},\n\"attribution\":[";
   first = true;

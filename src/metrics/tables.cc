@@ -95,7 +95,7 @@ void PrintTable2(std::ostream& os, const std::vector<Table2Row>& rows) {
   os << "Table 2: Mean Throughput Measurements (copying "
      << (rows.empty() ? 8 : rows[0].cp.config.file_bytes >> 20) << " MB file)\n\n";
   std::snprintf(line, sizeof(line), "  %-5s | %-21s | %-21s | %-15s | ok\n", "Disk",
-                "SCP KB/s (paper)", "CP KB/s  (paper)", "%%-impr (paper)");
+                "SCP KB/s (paper)", "CP KB/s  (paper)", "%-impr (paper)");
   os << line;
   os << "  ------+-----------------------+-----------------------+-----------------+---\n";
   for (const Table2Row& r : rows) {

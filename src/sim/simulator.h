@@ -4,7 +4,7 @@
 // links, the callout table) schedules closures on one shared Simulator.  The
 // simulator advances time only between events; closures themselves run in
 // zero simulated time.  Simulated CPU consumption is modelled explicitly by
-// the kernel scheduler (src/kern/scheduler.h), not by the event engine.
+// the kernel scheduler (src/kern/cpu.h), not by the event engine.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_

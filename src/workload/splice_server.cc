@@ -103,7 +103,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   RamDisk disk(&server.cpu(), fs_bytes);
   FileSystem* fs = server.MountFs(&disk, "obj");
   for (int i = 0; i < config.n_objects; ++i) {
-    fs->CreateFileInstant("o" + std::to_string(i), config.object_bytes,
+    fs->CreateFileInstant(std::string("o").append(std::to_string(i)), config.object_bytes,
                           [i](int64_t j) { return ObjectByte(i, j); });
   }
 

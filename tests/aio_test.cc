@@ -25,6 +25,12 @@ namespace {
 
 uint8_t Fill(int64_t i) { return static_cast<uint8_t>((i * 40503u + 13) >> 3 & 0xff); }
 
+// "s3"-style names, built with append: GCC 12 Release builds misreport
+// `"s" + std::to_string(i)` as an overlapping memcpy (-Werror=restrict).
+std::string Indexed(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 class AioTest : public ::testing::Test {
  protected:
   AioTest()
@@ -73,7 +79,7 @@ TEST_F(AioTest, BatchSubmitsInOneTrapAndCompletesAll) {
   constexpr int kStreams = 4;
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(Indexed("s", i), kBytes, Fill);
   }
   int entered = -1;
   int harvested = -1;
@@ -83,8 +89,8 @@ TEST_F(AioTest, BatchSubmitsInOneTrapAndCompletesAll) {
     const int ring = co_await kernel_.RingSetup(p, RingConfig{});
     EXPECT_GT(ring, 0);
     for (int i = 0; i < kStreams; ++i) {
-      const int src = co_await kernel_.Open(p, "rama:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "ramb:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("rama:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("ramb:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;
@@ -118,14 +124,14 @@ TEST_F(AioTest, BatchSubmitsInOneTrapAndCompletesAll) {
     EXPECT_TRUE(s);
   }
   for (int i = 0; i < kStreams; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, Indexed("d", i), kBytes);
   }
 }
 
 TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < 4; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(Indexed("s", i), kBytes, Fill);
   }
   RingConfig cfg;
   cfg.sq_entries = 2;
@@ -137,8 +143,8 @@ TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
   Run([&](Process& p) -> Task<> {
     const int ring = co_await kernel_.RingSetup(p, cfg);
     for (int i = 0; i < 4; ++i) {
-      const int src = co_await kernel_.Open(p, "rama:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "ramb:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("rama:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("ramb:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;
@@ -169,7 +175,7 @@ TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
   EXPECT_EQ(third, 4);
   EXPECT_EQ(eagains, 1u);
   for (int i = 0; i < 4; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, Indexed("d", i), kBytes);
   }
 }
 
@@ -185,8 +191,8 @@ TEST_F(AioTest, BlockOnFullSleepsUntilTheReaperFreesSlots) {
   Run([&](Process& p) -> Task<> {
     const int ring = co_await kernel_.RingSetup(p, cfg);
     for (int i = 0; i < 2; ++i) {
-      const int src = co_await kernel_.Open(p, "rama:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "ramb:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("rama:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("ramb:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;
@@ -225,8 +231,8 @@ TEST_F(AioTest, CancelQueuedOpButNotStartedOrUnknown) {
   Run([&](Process& p) -> Task<> {
     const int ring = co_await kernel_.RingSetup(p, cfg);
     for (int i = 0; i < 2; ++i) {
-      const int src = co_await kernel_.Open(p, "scsia:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "scsib:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("scsia:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("scsib:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;
@@ -463,7 +469,7 @@ TEST_F(AioTest, LinkedGroupTeardownClosesEverySpanExactlyOnce) {
 TEST_F(AioTest, CqOverflowStagesAndRecoversOnHarvest) {
   constexpr int64_t kBytes = 4 * kBlockSize;
   for (int i = 0; i < 4; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(Indexed("s", i), kBytes, Fill);
   }
   RingConfig cfg;
   cfg.cq_entries = 2;
@@ -473,8 +479,8 @@ TEST_F(AioTest, CqOverflowStagesAndRecoversOnHarvest) {
   Run([&](Process& p) -> Task<> {
     const int ring = co_await kernel_.RingSetup(p, cfg);
     for (int i = 0; i < 4; ++i) {
-      const int src = co_await kernel_.Open(p, "rama:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "ramb:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("rama:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("ramb:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;
@@ -494,7 +500,7 @@ TEST_F(AioTest, CqOverflowStagesAndRecoversOnHarvest) {
   EXPECT_EQ(overflows, 2u);
   EXPECT_EQ(harvested, 4);
   for (int i = 0; i < 4; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, Indexed("d", i), kBytes);
   }
 }
 
@@ -529,7 +535,7 @@ TEST_F(AioTest, RingEventsExportToChromeTraceAndTelemetry) {
   constexpr int kStreams = 3;
   constexpr int64_t kBytes = 8 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(Indexed("s", i), kBytes, Fill);
   }
   TraceLog trace(1 << 16);
   MetricsRegistry registry;
@@ -539,8 +545,8 @@ TEST_F(AioTest, RingEventsExportToChromeTraceAndTelemetry) {
   Run([&](Process& p) -> Task<> {
     const int ring = co_await kernel_.RingSetup(p, RingConfig{});
     for (int i = 0; i < kStreams; ++i) {
-      const int src = co_await kernel_.Open(p, "rama:s" + std::to_string(i), kOpenRead);
-      const int dst = co_await kernel_.Open(p, "ramb:d" + std::to_string(i),
+      const int src = co_await kernel_.Open(p, Indexed("rama:s", i), kOpenRead);
+      const int dst = co_await kernel_.Open(p, Indexed("ramb:d", i),
                                             kOpenWrite | kOpenCreate);
       SpliceSqe sqe;
       sqe.src_fd = src;

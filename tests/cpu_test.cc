@@ -278,6 +278,83 @@ TEST_F(CpuTest, PendingSignalMakesInterruptibleSleepImmediate) {
   EXPECT_EQ(woke, Milliseconds(1));
 }
 
+// The pids, in resume order, of three sleepers that `Wakeup(&chan)` wakes
+// together after they went to sleep on `chan` in `arrival` pid order.
+std::vector<int> WakeOrder(const std::vector<int>& arrival) {
+  Simulator sim;
+  CpuSystem cpu(&sim, ZeroCosts());
+  int gate[3] = {0, 0, 0};
+  int chan = 0;
+  std::vector<int> resumed;
+  for (int i = 0; i < 3; ++i) {
+    cpu.Spawn("sleeper", [&, i](Process& p) -> Task<> {
+      co_await cpu.Sleep(p, &gate[i], kPriBio);
+      co_await cpu.Sleep(p, &chan, kPriBio);
+      resumed.push_back(p.pid());
+    });
+  }
+  for (int i = 0; i < 3; ++i) {
+    sim.After(Milliseconds(1 + i), [&, i] { cpu.Wakeup(&gate[arrival[i] - 1]); });
+  }
+  sim.After(Milliseconds(10), [&] { cpu.Wakeup(&chan); });
+  sim.Run();
+  return resumed;
+}
+
+TEST(CpuSleepQueueTest, WakeupRunsSleepersInAscendingPidOrder) {
+  // Reverse pid order, then an order that is neither sorted nor reversed.
+  EXPECT_EQ(WakeOrder({3, 2, 1}), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(WakeOrder({2, 3, 1}), (std::vector<int>{1, 2, 3}));
+}
+
+TEST_F(CpuTest, SignalledSleeperLeavesItsSleepQueue) {
+  CpuSystem cpu(&sim_, ZeroCosts());
+  int chan = 0;
+  int other = 0;
+  std::vector<SimTime> woke;
+  SimTime bystander_woke = -1;
+  Process* proc = cpu.Spawn("waiter", [&](Process& p) -> Task<> {
+    co_await cpu.Sleep(p, &chan, kPriWait, /*interruptible=*/true);
+    woke.push_back(sim_.Now());
+    co_await cpu.Sleep(p, &other, kPriWait);
+    woke.push_back(sim_.Now());
+  });
+  cpu.Spawn("bystander", [&](Process& p) -> Task<> {
+    co_await cpu.Sleep(p, &chan, kPriBio);
+    bystander_woke = sim_.Now();
+  });
+  sim_.After(Milliseconds(3), [&] { cpu.Post(*proc, kSigIo); });
+  // The signal took the waiter off `chan`: this wakeup is for the bystander
+  // alone, and the waiter stays asleep on `other`.
+  sim_.After(Milliseconds(9), [&] { cpu.Wakeup(&chan); });
+  sim_.After(Milliseconds(20), [&] { cpu.Wakeup(&other); });
+  sim_.Run();
+  EXPECT_EQ(woke, (std::vector<SimTime>{Milliseconds(3), Milliseconds(20)}));
+  EXPECT_EQ(bystander_woke, Milliseconds(9));
+}
+
+TEST_F(CpuTest, WakeupIgnoresExitedProcessHistory) {
+  CpuSystem cpu(&sim_, ZeroCosts());
+  for (int i = 0; i < 10000; ++i) {
+    cpu.Spawn("exited", [](Process&) -> Task<> { co_return; });
+  }
+  int chan = 0;
+  int empty = 0;
+  Process* sleeper = cpu.Spawn("sleeper", [&](Process& p) -> Task<> {
+    co_await cpu.Sleep(p, &chan, kPriBio);
+  });
+  sim_.Run();
+  ASSERT_EQ(sleeper->state(), ProcState::kSleeping);
+  const uint64_t switches = cpu.stats().switches;
+  cpu.Wakeup(&empty);
+  sim_.Run();
+  EXPECT_EQ(cpu.stats().switches, switches);
+  EXPECT_EQ(sleeper->state(), ProcState::kSleeping);
+  cpu.Wakeup(&chan);
+  sim_.Run();
+  EXPECT_EQ(cpu.alive(), 0);
+}
+
 TEST_F(CpuTest, CpuTimeAccountingPerProcess) {
   CostConfig costs = ZeroCosts();
   costs.context_switch = Microseconds(100);

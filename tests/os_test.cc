@@ -327,7 +327,7 @@ TEST_F(OsTest, ManyProcessesShareTheMachine) {
   ASSERT_EQ(kernel_.cpu().alive(), 0);
   EXPECT_EQ(done, kProcs);
   for (int i = 0; i < kProcs; ++i) {
-    Inode* ip = fs_->Lookup("w" + std::to_string(i));
+    Inode* ip = fs_->Lookup(std::string("w").append(std::to_string(i)));
     ASSERT_NE(ip, nullptr);
     EXPECT_EQ(ip->size, kBlockSize);
   }

@@ -453,7 +453,7 @@ TEST_F(SpliceTest, ConcurrentFasyncSplicesCompleteWithCoalescedSigio) {
   constexpr int kStreams = 4;
   constexpr int64_t kBytes = 16 * kBlockSize;
   for (int i = 0; i < kStreams; ++i) {
-    fs_rama_->CreateFileInstant("s" + std::to_string(i), kBytes, Fill);
+    fs_rama_->CreateFileInstant(std::string("s").append(std::to_string(i)), kBytes, Fill);
   }
   int sigio_count = 0;
   Run([&](Process& p) -> Task<> {
@@ -492,7 +492,7 @@ TEST_F(SpliceTest, ConcurrentFasyncSplicesCompleteWithCoalescedSigio) {
   EXPECT_GE(sigio_count, 1);
   EXPECT_LE(sigio_count, kStreams);
   for (int i = 0; i < kStreams; ++i) {
-    VerifyFile(fs_ramb_, "d" + std::to_string(i), kBytes);
+    VerifyFile(fs_ramb_, std::string("d").append(std::to_string(i)), kBytes);
   }
 }
 
