@@ -12,6 +12,10 @@
 //   * determinism: the zero-fault column behaves exactly like the
 //     pre-fault-plan code (contents verified byte-for-byte).
 //
+// One extra case rides along with every grid: an operator reject that tears
+// down a linked ring pipeline while the sibling has a read retry armed
+// (RunRejectCase below).
+//
 // Each cell is a fresh machine: two Rz56 SCSI disks carrying N file->file
 // splice streams driven by MultiStreamCopyProgram, plus one file->socket
 // splice over a lossy/jittery Ethernet link so the network fault plan is
@@ -30,10 +34,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/aio/splice_ring.h"
 #include "src/dev/disk_driver.h"
+#include "src/dev/ram_disk.h"
 #include "src/fs/filesystem.h"
 #include "src/hw/fault.h"
 #include "src/hw/link.h"
+#include "src/kop/kop.h"
 #include "src/net/udp_socket.h"
 #include "src/metrics/trace_export.h"
 #include "src/os/kernel.h"
@@ -237,6 +244,98 @@ FaultCell RunCell(ikdp::SubmitMode mode, int n, double dev_rate, double loss,
   return cell;
 }
 
+// The reject-with-armed-retry case: a ring pipeline file -> pipe -> file on
+// RAM disks whose first stage carries an operator that rejects the stream
+// at block 4.  The second stage reads the pipe, which is empty until the
+// first stage writes, so it has a read retry armed when the reject cancels
+// it; the retry's queued body must not touch the torn-down descriptor, and
+// each SQE must still produce exactly one CQE.
+struct RejectCase {
+  int cqes = -1;
+  int reject_errno = 0;   // stage 1's CQE
+  int sibling_errno = 0;  // stage 2's CQE
+  bool quiescent = false;
+  bool engine_quiet = false;
+  bool leaks_ok = false;
+  bool spans_balanced = false;
+  bool closure_ok = false;
+};
+
+RejectCase RunRejectCase() {
+  RejectCase rc;
+  ikdp::Simulator sim;
+  ikdp::Kernel kernel(&sim, ikdp::DecStation5000Costs());
+  ikdp::RamDisk src(&kernel.cpu(), 4 << 20);
+  ikdp::RamDisk dst(&kernel.cpu(), 4 << 20);
+  ikdp::FileSystem* src_fs = kernel.MountFs(&src, "src");
+  kernel.MountFs(&dst, "dst");
+  constexpr int64_t kBytes = 16 * ikdp::kBlockSize;
+  src_fs->CreateFileInstant("f", kBytes, [](int64_t i) -> uint8_t {
+    return i == 4 * ikdp::kBlockSize ? 0xee : 0x00;
+  });
+  ikdp::KopProgram abort_on_ee;
+  ikdp::KopStage stage;
+  stage.kind = ikdp::KopStageKind::kFilter;
+  stage.filter_mode = ikdp::KopFilterMode::kAbortIfEq;
+  stage.off = 0;
+  stage.len = 1;
+  stage.arg = 0xee;
+  abort_on_ee.stages.push_back(stage);
+
+  ikdp::KspanCollector spans;
+  ikdp::AttachKspan(&spans);
+  std::vector<ikdp::SpliceCqe> cqes(4);
+  kernel.Spawn("pipeline", [&](ikdp::Process& p) -> ikdp::Task<> {
+    const int ring = co_await kernel.RingSetup(p, ikdp::RingConfig{});
+    const int in = co_await kernel.Open(p, "src:f", ikdp::kOpenRead);
+    const int out = co_await kernel.Open(p, "dst:g", ikdp::kOpenWrite | ikdp::kOpenCreate);
+    int pr = -1;
+    int pw = -1;
+    co_await kernel.CreatePipe(p, &pr, &pw);
+    ikdp::SpliceSqe s1;
+    s1.src_fd = in;
+    s1.dst_fd = pw;
+    s1.nbytes = kBytes;
+    s1.flags = ikdp::kSqeLinked;
+    s1.cookie = 1;
+    s1.kop_id = co_await kernel.KopLoad(p, abort_on_ee);
+    ikdp::SpliceSqe s2;
+    s2.src_fd = pr;
+    s2.dst_fd = out;
+    s2.nbytes = kBytes;
+    s2.cookie = 2;
+    kernel.RingPrepare(p, ring, s1);
+    kernel.RingPrepare(p, ring, s2);
+    co_await kernel.RingEnter(p, ring, 2, 2);
+    rc.cqes = kernel.RingHarvest(p, ring, cqes.data(), 4);
+  });
+  sim.Run();
+  rc.quiescent = kernel.cpu().alive() == 0;
+  rc.engine_quiet = kernel.splice_engine().active() == 0;
+  for (int i = 0; i < rc.cqes; ++i) {
+    const ikdp::SpliceCqe& c = cqes[static_cast<size_t>(i)];
+    (c.cookie == 1 ? rc.reject_errno : rc.sibling_errno) = c.error;
+  }
+  int reacquired = 0;
+  kernel.Spawn("leakprobe", [&kernel, &dst, &reacquired](ikdp::Process& p) -> ikdp::Task<> {
+    std::vector<ikdp::Buf*> held;
+    for (int i = 0; i < kernel.cache().nbufs(); ++i) {
+      held.push_back(co_await kernel.cache().GetBlk(p, &dst, 300 + i));
+      ++reacquired;
+    }
+    for (ikdp::Buf* b : held) {
+      kernel.cache().Brelse(b);
+    }
+  });
+  sim.Run();
+  ikdp::AttachKspan(nullptr);
+  rc.leaks_ok = reacquired == kernel.cache().nbufs();
+  std::string err;
+  rc.spans_balanced = spans.begun() > 0 && spans.CheckBalanced(&err);
+  rc.closure_ok = kernel.cpu().CheckAttributionClosure(&err);
+  return rc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -370,6 +469,17 @@ int main(int argc, char** argv) {
       lossy_frames_lost += c.frames_lost;
     }
   }
+  const RejectCase rc = RunRejectCase();
+  std::printf("kop reject with armed retry: cqes %d, errno %d/%d\n", rc.cqes, rc.reject_errno,
+              rc.sibling_errno);
+  g_checks.Check(rc.cqes == 2 && rc.reject_errno == ikdp::kErrKopReject &&
+                     rc.sibling_errno == ikdp::kAioECanceled,
+                 "kop reject with armed retry: one CQE per SQE, reject errno, sibling cancelled");
+  g_checks.Check(rc.quiescent && rc.engine_quiet && rc.leaks_ok,
+                 "kop reject with armed retry: no hang, engine quiescent, no buffer leaks");
+  g_checks.Check(rc.spans_balanced && rc.closure_ok,
+                 "kop reject with armed retry: spans balanced, attribution closes");
+
   g_checks.Check(faulty_disk_errors > 0, "fault plans actually injected disk errors");
   g_checks.Check(faulty_errored > 0, "some streams aborted with errno under injection");
   g_checks.Check(lossy_frames_lost > 0, "lossy links actually dropped frames");

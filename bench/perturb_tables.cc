@@ -23,7 +23,7 @@
 
 #include "bench/bench_common.h"
 #include "src/metrics/tables.h"
-#include "src/sim/krace.h"
+#include "src/sim/sim_state.h"
 
 namespace {
 

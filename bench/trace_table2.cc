@@ -69,8 +69,14 @@ int main(int argc, char** argv) {
   ikdp::TelemetryCollector collector(&registry);
   collector.Attach(&trace);
   cfg.trace = &trace;
-  cfg.inspect = [&registry](ikdp::Kernel& kernel) {
+  // The Chrome trace is rendered while the machine is alive: disk records
+  // are tagged with names the devices own.
+  std::string chrome_trace;
+  cfg.inspect = [&registry, &trace, &chrome_trace](ikdp::Kernel& kernel) {
     ikdp::CaptureKernelCounters(&registry, kernel);
+    std::ostringstream os;
+    ikdp::ExportChromeTrace(trace, os);
+    chrome_trace = os.str();
   };
   const ikdp::ExperimentResult traced = ikdp::RunCopyExperiment(cfg);
 
@@ -130,7 +136,7 @@ int main(int argc, char** argv) {
   const char* telemetry_path = "BENCH_telemetry.json";
   {
     std::ofstream out(trace_path);
-    ikdp::ExportChromeTrace(trace, out);
+    out << chrome_trace;
   }
   {
     // The published document is the extended form: the base registry plus

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "src/sim/krace.h"
+#include "src/sim/sim_state.h"
 
 namespace ikdp {
 

@@ -46,7 +46,7 @@
 #include "src/kern/ctx.h"
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
-#include "src/sim/krace.h"
+#include "src/sim/sim_state.h"
 #include "src/splice/splice_engine.h"
 
 #if IKDP_TSA_ENABLED

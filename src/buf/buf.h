@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "src/kern/ctx.h"
-#include "src/sim/krace.h"
 #include "src/sim/kspan.h"
+#include "src/sim/sim_state.h"
 #include "src/sim/time.h"
 
 namespace ikdp {

@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "src/sim/krace.h"
+#include "src/sim/sim_state.h"
 
 namespace ikdp {
 

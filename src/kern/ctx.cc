@@ -4,14 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/sim/lockdep.h"
+#include "src/sim/sim_state.h"
 
 namespace ikdp {
-
-namespace {
-// One simulated CPU, one host thread: a single global tracks the context.
-ExecContext g_context = ExecContext::kHost;
-}  // namespace
 
 const char* ExecContextName(ExecContext c) {
   switch (c) {
@@ -27,22 +22,25 @@ const char* ExecContextName(ExecContext c) {
   return "?";
 }
 
-ExecContext CurrentExecContext() { return g_context; }
+ExecContext CurrentExecContext() { return CurrentSimState().context; }
 
 bool AtInterruptLevel() {
-  return g_context == ExecContext::kInterrupt || g_context == ExecContext::kSoftclock;
+  const ExecContext c = CurrentExecContext();
+  return c == ExecContext::kInterrupt || c == ExecContext::kSoftclock;
 }
 
-ContextGuard::ContextGuard(ExecContext ctx) : prev_(g_context) { g_context = ctx; }
+ContextGuard::ContextGuard(ExecContext ctx) : prev_(CurrentExecContext()) {
+  CurrentSimState().context = ctx;
+}
 
-ContextGuard::~ContextGuard() { g_context = prev_; }
+ContextGuard::~ContextGuard() { CurrentSimState().context = prev_; }
 
 void AssertCanBlock(const char* what) {
   if (AtInterruptLevel()) {
     ContractAbort(
         "%s at %s level: blocking primitives may only run in process context "
         "(IKDP_CTX_PROCESS); an interrupt/softclock path reached a sleep",
-        what, ExecContextName(g_context));
+        what, ExecContextName(CurrentExecContext()));
   }
   // Every blocking primitive funnels through here, so this is the one
   // dynamic probe lockdep needs for sleep-under-spinlock.
@@ -52,11 +50,11 @@ void AssertCanBlock(const char* what) {
 }
 
 void AssertInterruptLevel(const char* what) {
-  if (g_context != ExecContext::kInterrupt) {
+  if (CurrentExecContext() != ExecContext::kInterrupt) {
     ContractAbort(
         "%s in %s context: interrupt CPU accounting is only legal inside a "
         "RunInterrupt body (IKDP_CTX_INTERRUPT)",
-        what, ExecContextName(g_context));
+        what, ExecContextName(CurrentExecContext()));
   }
 }
 

@@ -253,8 +253,8 @@ enum class ExecContext : uint8_t {
 
 const char* ExecContextName(ExecContext c);
 
-// The context currently executing.  Single simulated CPU, single host
-// thread: one global is exact.
+// The context currently executing: the current SimState's (one simulated
+// CPU per simulation, src/sim/sim_state.h).
 ExecContext CurrentExecContext();
 
 // True at interrupt or softclock level, where blocking is forbidden.

@@ -5,45 +5,30 @@
 namespace ikdp {
 
 namespace {
-LockStats g_lock_stats;
-LockChargeHook g_charge_hook = nullptr;
-
-void NoteAcquired(int rank) {
-  LockStats& s = g_lock_stats;
+void NoteAcquired(LockStats& s, int rank) {
   ++s.cur_held;
   s.max_held = std::max(s.max_held, s.cur_held);
   s.max_held_rank = std::max(s.max_held_rank, rank);
 }
 }  // namespace
 
-LockStats& GlobalLockStats() { return g_lock_stats; }
-
-void ResetLockStats() { g_lock_stats = LockStats{}; }
-
-void SetLockChargeHook(LockChargeHook hook) { g_charge_hook = hook; }
-
 void SpinLock::Acquire() {
+  SimState& st = CurrentSimState();
   if (held_) {
     // A contended spin lock on a uniprocessor is a deadlock: the holder can
     // never run while this context spins.  Under lockdep the validator owns
     // the report (collect mode records it and treats the acquire as a
     // re-entrant no-op so the run can continue).
-    if (g_charge_hook != nullptr) {
-      g_charge_hook(name_, /*contended=*/true);
-    }
-    if (LockdepEnabled()) {
-      Lockdep().OnAcquire(this, name_, rank_, /*spin=*/true);
+    if (st.lockdep.enabled()) {
+      st.lockdep.OnAcquire(this, name_, rank_, /*spin=*/true);
       return;
     }
     ContractAbort("SpinLock %s: re-acquired while held (uniprocessor deadlock)", name_);
   }
-  ++g_lock_stats.spin_acquisitions;
-  NoteAcquired(rank_);
-  if (g_charge_hook != nullptr) {
-    g_charge_hook(name_, /*contended=*/false);
-  }
-  if (LockdepEnabled()) {
-    Lockdep().OnAcquire(this, name_, rank_, /*spin=*/true);
+  ++st.locks.spin_acquisitions;
+  NoteAcquired(st.locks, rank_);
+  if (st.lockdep.enabled()) {
+    st.lockdep.OnAcquire(this, name_, rank_, /*spin=*/true);
   }
   held_ = true;
 }
@@ -52,37 +37,33 @@ void SpinLock::Release() {
   if (!held_) {
     ContractAbort("SpinLock %s: released while not held", name_);
   }
-  if (LockdepEnabled()) {
-    Lockdep().OnRelease(this, name_);
+  SimState& st = CurrentSimState();
+  if (st.lockdep.enabled()) {
+    st.lockdep.OnRelease(this, name_);
   }
   held_ = false;
-  --g_lock_stats.cur_held;
+  --st.locks.cur_held;
 }
 
 void SleepLock::AcquireUncontended() {
   if (held_) {
-    if (g_charge_hook != nullptr) {
-      g_charge_hook(name_, /*contended=*/true);
-    }
     ContractAbort(
         "SleepLock %s: AcquireUncontended found the lock held — a critical "
         "section spanned a suspension point",
         name_);
   }
-  TakeOwnership(/*contended=*/false);
+  TakeOwnership();
 }
 
-void SleepLock::TakeOwnership(bool contended) {
-  ++g_lock_stats.sleep_acquisitions;
-  NoteAcquired(rank_);
-  if (g_charge_hook != nullptr) {
-    g_charge_hook(name_, contended);
-  }
-  if (LockdepEnabled()) {
+void SleepLock::TakeOwnership() {
+  SimState& st = CurrentSimState();
+  ++st.locks.sleep_acquisitions;
+  NoteAcquired(st.locks, rank_);
+  if (st.lockdep.enabled()) {
     // Taking a sleep lock is a may-block point even when it does not sleep:
     // holding a SpinLock here is the sleep-under-spinlock hazard.
-    Lockdep().OnMayBlock(name_);
-    Lockdep().OnAcquire(this, name_, rank_, /*spin=*/false);
+    st.lockdep.OnMayBlock(name_);
+    st.lockdep.OnAcquire(this, name_, rank_, /*spin=*/false);
   }
   held_ = true;
 }
@@ -91,11 +72,12 @@ void SleepLock::ReleaseOwnership() {
   if (!held_) {
     ContractAbort("SleepLock %s: released while not held", name_);
   }
-  if (LockdepEnabled()) {
-    Lockdep().OnRelease(this, name_);
+  SimState& st = CurrentSimState();
+  if (st.lockdep.enabled()) {
+    st.lockdep.OnRelease(this, name_);
   }
   held_ = false;
-  --g_lock_stats.cur_held;
+  --st.locks.cur_held;
 }
 
 }  // namespace ikdp

@@ -5,7 +5,7 @@
 #include "src/dev/disk_driver.h"
 #include "src/fs/filesystem.h"
 #include "src/kern/lock.h"
-#include "src/sim/lockdep.h"
+#include "src/sim/sim_state.h"
 
 namespace ikdp {
 

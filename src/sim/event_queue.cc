@@ -9,7 +9,7 @@ namespace ikdp {
 
 EventId EventQueue::Schedule(SimTime when, std::function<void()> fn) {
   const EventId id = ++next_seq_;
-  heap_.push(Entry{when, id, Krace().TieKey(id), std::move(fn)});
+  heap_.push(Entry{when, id, KraceDetector::TieKey(tie_seed_, id), std::move(fn)});
   live_.insert(id);
   return id;
 }

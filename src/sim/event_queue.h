@@ -8,11 +8,12 @@
 //
 // Same-timestamp tie-breaks are the ONLY schedule freedom the modelled
 // kernel has (events at distinct times are ordered by the clock), so each
-// entry carries a tie key from KraceDetector::TieKey: insertion order by
-// default, a seeded permutation of it in perturbation mode (see
-// src/sim/krace.h).  Every key order is a legal schedule — an event
-// scheduled by a same-timestamp event still runs after its creator, because
-// the creator had already been popped when it scheduled.
+// entry carries a tie key from KraceDetector::TieKey under the queue's
+// seed: insertion order for seed 0 (the default), a seeded permutation of
+// it in perturbation mode (see src/sim/krace.h).  Every key order is a
+// legal schedule — an event scheduled by a same-timestamp event still runs
+// after its creator, because the creator had already been popped when it
+// scheduled.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -35,7 +36,7 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  EventQueue() = default;
+  explicit EventQueue(uint64_t tie_seed = 0) : tie_seed_(tie_seed) {}
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -64,9 +65,6 @@ class EventQueue {
   // called on an empty queue.
   std::function<void()> PopNext(SimTime* when, EventId* id = nullptr);
 
-  // Total number of events ever scheduled (for stats / tests).
-  uint64_t total_scheduled() const { return next_seq_; }
-
  private:
   struct Entry {
     SimTime when = 0;
@@ -94,6 +92,7 @@ class EventQueue {
   std::unordered_set<EventId> live_;
   std::unordered_set<EventId> cancelled_;
   EventId next_seq_ = 0;
+  uint64_t tie_seed_;
 };
 
 }  // namespace ikdp

@@ -1,17 +1,13 @@
 #include "src/sim/krace.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/kern/ctx.h"
 
 namespace ikdp {
-
-namespace krace_internal {
-bool g_enabled = false;
-}  // namespace krace_internal
 
 namespace {
 
@@ -25,19 +21,9 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-KraceDetector::Mode ModeFromEnv() {
-  const char* v = std::getenv("IKDP_KRACE");
-  if (v == nullptr) {
-    return KraceDetector::Mode::kOff;
-  }
-  if (std::strcmp(v, "collect") == 0) {
-    return KraceDetector::Mode::kCollect;
-  }
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "abort") == 0) {
-    return KraceDetector::Mode::kAbort;
-  }
-  return KraceDetector::Mode::kOff;
-}
+// Collect mode keeps a bounded report (a single hot pair could otherwise
+// flood the run).
+constexpr size_t kMaxRaces = 256;
 
 const char* AccessKindName(KraceAccess k) {
   switch (k) {
@@ -67,23 +53,9 @@ bool KraceDetector::FieldKeyEq::operator()(const FieldKey& a, const FieldKey& b)
   return a.obj == b.obj && std::strcmp(a.field, b.field) == 0;
 }
 
-KraceDetector::KraceDetector() { SetMode(ModeFromEnv()); }
-
-void KraceDetector::SetMode(Mode mode) {
-  mode_ = mode;
-  krace_internal::g_enabled = (mode_ != Mode::kOff);
-  Reset();
-}
-
-void KraceDetector::Reset() {
-  in_event_ = false;
-  cur_ = 0;
-  now_ = -1;
-  cur_anc_.clear();
-  pending_anc_.clear();
-  channels_.clear();
-  table_.clear();
-  races_.clear();
+void KraceDetector::Fold(const KraceDetector& run) {
+  const size_t n = std::min(kMaxRaces - races_.size(), run.races_.size());
+  races_.insert(races_.end(), run.races_.begin(), run.races_.begin() + n);
 }
 
 std::string KraceDetector::Race::Describe() const {
@@ -116,14 +88,6 @@ void KraceDetector::OnSchedule(EventId child, SimTime when) {
 
 void KraceDetector::OnEventBegin(EventId id, SimTime when) {
   if (when != now_) {
-    if (when < now_) {
-      // The clock went backwards: a new simulation started in this process
-      // without the Simulator-constructor Reset (e.g. a hand-driven
-      // EventQueue).  Everything recorded belongs to the previous run, whose
-      // event ids this run will reuse; drop it all rather than alias it.
-      table_.clear();
-      channels_.clear();
-    }
     // Time advanced: everything recorded for the previous timestamp is
     // ordered before this event by the clock.  Same-timestamp children
     // always execute (or are cancelled) before time advances, so the
@@ -228,23 +192,16 @@ void KraceDetector::ReportRace(const FieldKey& key, const AccessRec& prior,
   if (mode_ == Mode::kAbort) {
     ContractAbort("krace: %s", race.Describe().c_str());
   }
-  // Collect mode: keep a bounded report (a single hot pair could otherwise
-  // flood the run).
-  if (races_.size() < 256) {
+  if (races_.size() < kMaxRaces) {
     races_.push_back(std::move(race));
   }
 }
 
-uint64_t KraceDetector::TieKey(EventId id) const {
-  if (seed_ == 0) {
+uint64_t KraceDetector::TieKey(uint64_t seed, EventId id) {
+  if (seed == 0) {
     return id;  // historical behaviour: insertion order
   }
-  return Mix64(id ^ seed_);
-}
-
-KraceDetector& Krace() {
-  static KraceDetector detector;
-  return detector;
+  return Mix64(id ^ seed);
 }
 
 }  // namespace ikdp

@@ -18,7 +18,7 @@
 //    an exact same-timestamp check: two events at one timestamp are ordered
 //    iff a chain of schedule edges (event A, while running, scheduled event
 //    B) or declared ordering-channel edges connects them.  Instrumented
-//    field accesses (IKDP_KRACE_* probes below) from two same-timestamp
+//    field accesses (the IKDP_KRACE_* probes) from two same-timestamp
 //    events with no such chain, where at least one access is a plain write,
 //    are a race: a legal tie-break permutation could reverse them and the
 //    simulation's result would depend on an ordering the kernel never
@@ -55,10 +55,11 @@
 // schedule edges: the releaser's own same-timestamp ancestors are carried
 // across, so X -schedule-> A -channel-> B makes X happen-before B.
 //
-// The detector is host-side only: it never advances simulated time, charges
-// no simulated CPU, and with the mode off every probe is a single inlined
-// flag test.  Mode comes from the IKDP_KRACE environment variable ("abort",
-// "1", "collect", anything else/unset = off) or SetMode().
+// The detector is host-side only: it never advances simulated time and
+// charges no simulated CPU.  Each Simulator owns one in its SimState
+// (src/sim/sim_state.h, which defines Krace() and the probes), so records
+// are per run; the mode comes from IKDP_KRACE ("abort", "1", "collect",
+// anything else/unset = off) or SetMode().
 
 #ifndef SRC_SIM_KRACE_H_
 #define SRC_SIM_KRACE_H_
@@ -87,18 +88,14 @@ class KraceDetector {
     kAbort,     // first race calls ContractAbort with both sites
   };
 
-  KraceDetector();
+  KraceDetector(Mode mode, uint64_t perturb_seed) : mode_(mode), seed_(perturb_seed) {}
 
   KraceDetector(const KraceDetector&) = delete;
   KraceDetector& operator=(const KraceDetector&) = delete;
 
   Mode mode() const { return mode_; }
-
-  // Switches mode and clears all per-run state (races, causality).
-  void SetMode(Mode mode);
-
-  // Clears recorded races and causality state; keeps mode and seed.
-  void Reset();
+  bool enabled() const { return mode_ != Mode::kOff; }
+  void SetMode(Mode mode) { mode_ = mode; }
 
   // --- race reports ---
 
@@ -121,6 +118,9 @@ class KraceDetector {
 
   const std::vector<Race>& races() const { return races_; }
 
+  // Adds a finished run's races to this detector's report.
+  void Fold(const KraceDetector& run);
+
   // --- causality hooks (wired by Simulator; event-engine use only) ---
 
   void OnSchedule(EventId child, SimTime when);
@@ -141,19 +141,14 @@ class KraceDetector {
   // --- schedule perturbation ---
 
   // 0 disables perturbation (tie-break = insertion order, the historical
-  // behaviour).  Takes effect for events scheduled after the call; set it
-  // before constructing the Simulator under test.  Each seed is a fresh
-  // run, so this also clears per-run state (races, causality) — a seed
-  // sweep must not compare the new schedule's events against the previous
-  // seed's records.
-  void SetPerturbSeed(uint64_t seed) {
-    seed_ = seed;
-    Reset();
-  }
+  // behaviour).  Takes effect for Simulators constructed afterwards: each
+  // copies the seed into its event queue, and each is a fresh run, so a
+  // seed sweep never compares one schedule's events against another's.
+  void SetPerturbSeed(uint64_t seed) { seed_ = seed; }
   uint64_t perturb_seed() const { return seed_; }
 
-  // The same-timestamp tie-break key for event `id` under the current seed.
-  uint64_t TieKey(EventId id) const;
+  // The same-timestamp tie-break key for event `id` under `seed`.
+  static uint64_t TieKey(uint64_t seed, EventId id);
 
  private:
   struct FieldKey {
@@ -190,8 +185,8 @@ class KraceDetector {
 
   void ReportRace(const FieldKey& key, const AccessRec& prior, const AccessRec& cur);
 
-  Mode mode_ = Mode::kOff;
-  uint64_t seed_ = 0;
+  Mode mode_;
+  uint64_t seed_;
 
   // Currently executing event.
   bool in_event_ = false;
@@ -207,40 +202,6 @@ class KraceDetector {
   std::unordered_map<FieldKey, FieldSlot, FieldKeyHash, FieldKeyEq> table_;
   std::vector<Race> races_;
 };
-
-// The process-wide detector (one simulated machine per process at a time,
-// matching the ContextGuard global in src/kern/ctx.h).
-KraceDetector& Krace();
-
-namespace krace_internal {
-// Fast-path flag mirroring Krace().mode() != kOff; kept separate so the
-// disabled probe is a load and branch with no function call.
-extern bool g_enabled;
-}  // namespace krace_internal
-
-inline bool KraceEnabled() { return krace_internal::g_enabled; }
-
-// Field-access probes.  `obj` is the owning object (identity), `field` a
-// string literal naming it "Class::member".  Place at the mutation/read
-// site; when the detector is off these cost one predictable branch.
-#define IKDP_KRACE_READ(obj, field)                                               \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kRead,        \
-                               __FILE__, __LINE__);                               \
-  } while (0)
-#define IKDP_KRACE_WRITE(obj, field)                                              \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kWrite,       \
-                               __FILE__, __LINE__);                               \
-  } while (0)
-#define IKDP_KRACE_COMMUTE(obj, field)                                            \
-  do {                                                                            \
-    if (::ikdp::KraceEnabled())                                                   \
-      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kCommute,     \
-                               __FILE__, __LINE__);                               \
-  } while (0)
 
 }  // namespace ikdp
 

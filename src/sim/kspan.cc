@@ -1,28 +1,22 @@
 #include "src/sim/kspan.h"
 
+#include "src/sim/sim_state.h"
+
 namespace ikdp {
 
-namespace {
+const KspanCursor& CurrentKspan() { return CurrentSimState().kspan; }
 
-KspanCursor g_cursor;               // NOLINT(cert-err58-cpp)
-KspanCollector* g_collector = nullptr;
+void KspanCursorSetSpan(SpanId span) { CurrentSimState().kspan.span = span; }
 
-}  // namespace
-
-const KspanCursor& CurrentKspan() { return g_cursor; }
-
-void KspanCursorSetSpan(SpanId span) { g_cursor.span = span; }
-
-KspanScope::KspanScope(const char* subsystem, SpanId span) : prev_(g_cursor) {
-  g_cursor.subsystem = subsystem;
-  g_cursor.span = span;
+KspanScope::KspanScope(const char* subsystem, SpanId span) : prev_(CurrentKspan()) {
+  CurrentSimState().kspan = KspanCursor{subsystem, span};
 }
 
-KspanScope::~KspanScope() { g_cursor = prev_; }
+KspanScope::~KspanScope() { CurrentSimState().kspan = prev_; }
 
-KspanCollector* Kspan() { return g_collector; }
+KspanCollector* Kspan() { return CurrentSimState().collector; }
 
-void AttachKspan(KspanCollector* collector) { g_collector = collector; }
+void AttachKspan(KspanCollector* collector) { CurrentSimState().collector = collector; }
 
 SpanId KspanCollector::Begin(SimTime t, const char* name, SpanId parent, int64_t arg) {
   const SpanId id = ++next_;
@@ -95,17 +89,17 @@ bool KspanCollector::CheckBalanced(std::string* err) const {
 }
 
 SpanId KspanBegin(SimTime t, const char* name, int64_t arg) {
-  if (g_collector == nullptr) {
-    return g_cursor.span;
+  SimState& st = CurrentSimState();
+  if (st.collector == nullptr) {
+    return st.kspan.span;
   }
-  return g_collector->Begin(t, name, g_cursor.span, arg);
+  return st.collector->Begin(t, name, st.kspan.span, arg);
 }
 
 void KspanEnd(SimTime t, SpanId id, int64_t result, bool error) {
-  if (g_collector == nullptr) {
-    return;
+  if (KspanCollector* collector = Kspan()) {
+    collector->End(t, id, result, error);
   }
-  g_collector->End(t, id, result, error);
 }
 
 }  // namespace ikdp

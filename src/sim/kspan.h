@@ -9,8 +9,8 @@
 // Two pieces, both host-side only (attaching them can never change a single
 // simulated nanosecond — the perturbation harness proves it):
 //
-//  * The CURSOR — a global (single host thread, single simulated CPU)
-//    (subsystem, span) pair naming the work the machine is doing right now.
+//  * The CURSOR — a per-simulation (subsystem, span) pair naming the work
+//    the machine is doing right now (src/sim/sim_state.h).
 //    KspanScope pushes/pops it RAII-style, mirroring ContextGuard.  The
 //    scheduler pushes the running process's span around every coroutine
 //    resume; interrupt bodies run under the tag captured when the interrupt
@@ -24,8 +24,9 @@
 //    order.  Process code sets Process::span (via CpuSystem::SetSpan)
 //    instead; the scheduler re-pushes it on every resume.
 //
-//  * The COLLECTOR — an optional global recorder of span begin/end pairs.
-//    When detached (the default) KspanBegin() degenerates to "inherit the
+//  * The COLLECTOR — an optional recorder of span begin/end pairs; a
+//    Simulator inherits the one attached where it is constructed.  When
+//    detached (the default) KspanBegin() degenerates to "inherit the
 //    cursor's span": descriptors still ride their requester's span and
 //    attribution still groups by request, with zero allocation.  When
 //    attached, Begin mints fresh ids and the collector keeps the whole tree
@@ -63,7 +64,7 @@ struct KspanCursor {
   SpanId span = kNoSpan;
 };
 
-// The current cursor.  Single host thread: one global is exact.
+// The current simulation's cursor.
 const KspanCursor& CurrentKspan();
 
 // Overwrites the span of the CURRENT cursor in place (no push).  Used by
@@ -151,8 +152,8 @@ class KspanCollector {
   uint64_t bad_ends_ IKDP_GUARDED_BY(any) = 0;
 };
 
-// The attached collector, or nullptr (the default).  Attach before a run,
-// detach after; mid-run detaching orphans open spans.
+// The current state's collector, or nullptr (the default).  Attach before a
+// run, detach after; mid-run detaching orphans open spans.
 KspanCollector* Kspan();
 void AttachKspan(KspanCollector* collector);
 

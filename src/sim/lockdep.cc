@@ -1,7 +1,6 @@
 #include "src/sim/lockdep.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -9,25 +8,7 @@
 
 namespace ikdp {
 
-namespace lockdep_internal {
-bool g_enabled = false;
-}  // namespace lockdep_internal
-
 namespace {
-
-LockdepValidator::Mode ModeFromEnv() {
-  const char* v = std::getenv("IKDP_LOCKDEP");
-  if (v == nullptr) {
-    return LockdepValidator::Mode::kOff;
-  }
-  if (std::strcmp(v, "collect") == 0) {
-    return LockdepValidator::Mode::kCollect;
-  }
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "abort") == 0) {
-    return LockdepValidator::Mode::kAbort;
-  }
-  return LockdepValidator::Mode::kOff;
-}
 
 // Violation reports are bounded: a systematically-broken discipline would
 // otherwise flood collect mode.
@@ -35,18 +16,9 @@ constexpr size_t kMaxViolations = 256;
 
 }  // namespace
 
-LockdepValidator::LockdepValidator() { SetMode(ModeFromEnv()); }
-
-void LockdepValidator::SetMode(Mode mode) {
-  mode_ = mode;
-  lockdep_internal::g_enabled = mode != Mode::kOff;
-  Reset();
-}
-
-void LockdepValidator::Reset() {
-  held_.clear();
-  edges_.clear();
-  violations_.clear();
+void LockdepValidator::Fold(const LockdepValidator& run) {
+  const size_t n = std::min(kMaxViolations - violations_.size(), run.violations_.size());
+  violations_.insert(violations_.end(), run.violations_.begin(), run.violations_.begin() + n);
 }
 
 std::string LockdepValidator::Violation::Describe() const {
@@ -134,11 +106,6 @@ void LockdepValidator::OnMayBlock(const char* what) {
       return;
     }
   }
-}
-
-LockdepValidator& Lockdep() {
-  static LockdepValidator v;
-  return v;
 }
 
 }  // namespace ikdp

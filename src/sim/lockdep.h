@@ -19,10 +19,10 @@
 // This is the dynamic half of the klock checker; tools/kcheck enforces the
 // same rules statically over the IKDP_ACQUIRES/IKDP_RELEASES/IKDP_EXCLUDES/
 // IKDP_LOCK_RANK annotations (docs/klock.md).  Like krace, the validator is
-// host-side only: it never advances simulated time, charges no simulated
-// CPU, and with the mode off every hook is a single inlined flag test.
-// Mode comes from the IKDP_LOCKDEP environment variable ("abort", "1",
-// "collect", anything else/unset = off) or SetMode().
+// host-side only, and each Simulator owns one in its SimState
+// (src/sim/sim_state.h, which defines Lockdep()), so the edge graph is per
+// run.  The mode comes from IKDP_LOCKDEP ("abort", "1", "collect", anything
+// else/unset = off) or SetMode().
 
 #ifndef SRC_SIM_LOCKDEP_H_
 #define SRC_SIM_LOCKDEP_H_
@@ -43,19 +43,14 @@ class LockdepValidator {
     kAbort,     // first violation calls ContractAbort with both chains
   };
 
-  LockdepValidator();
+  explicit LockdepValidator(Mode mode) : mode_(mode) {}
 
   LockdepValidator(const LockdepValidator&) = delete;
   LockdepValidator& operator=(const LockdepValidator&) = delete;
 
   Mode mode() const { return mode_; }
-
-  // Switches mode and clears all per-run state (held stack, edges,
-  // violations).
-  void SetMode(Mode mode);
-
-  // Clears per-run state; keeps mode.
-  void Reset();
+  bool enabled() const { return mode_ != Mode::kOff; }
+  void SetMode(Mode mode) { mode_ = mode; }
 
   struct Violation {
     std::string kind;  // order-inversion | rank | double-acquire | sleep-under-spinlock
@@ -65,14 +60,15 @@ class LockdepValidator {
 
   const std::vector<Violation>& violations() const { return violations_; }
 
+  // Adds a finished run's violations to this validator's report.
+  void Fold(const LockdepValidator& run);
+
   // The observed acquisition-order graph: (outer, inner) → first witness.
   const std::map<std::pair<std::string, std::string>, std::string>& edges() const {
     return edges_;
   }
 
-  int held_depth() const { return static_cast<int>(held_.size()); }
-
-  // --- hooks (called by the lock primitives; gated on LockdepEnabled()) ---
+  // --- hooks (called by the lock primitives when enabled()) ---
 
   // `spin` marks a SpinLock (sleep-under-spinlock applies).  Detects
   // double-acquire, rank violations, and order inversions, then pushes the
@@ -96,23 +92,11 @@ class LockdepValidator {
   bool Reachable(const std::string& from, const std::string& to) const;
   void Report(const char* kind, std::string detail);
 
-  Mode mode_ = Mode::kOff;
+  Mode mode_;
   std::vector<Held> held_;
   std::map<std::pair<std::string, std::string>, std::string> edges_;
   std::vector<Violation> violations_;
 };
-
-// The process-wide validator (one simulated machine per process at a time,
-// matching the ContextGuard global in src/kern/ctx.h).
-LockdepValidator& Lockdep();
-
-namespace lockdep_internal {
-// Fast-path flag mirroring Lockdep().mode() != kOff; kept separate so the
-// disabled hook is a load and branch with no function call.
-extern bool g_enabled;
-}  // namespace lockdep_internal
-
-inline bool LockdepEnabled() { return lockdep_internal::g_enabled; }
 
 }  // namespace ikdp
 

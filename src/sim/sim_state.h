@@ -1,0 +1,108 @@
+// SimState: the per-simulation state of the simulated kernel — lock
+// counters, execution context, kspan cursor and collector, the krace
+// detector and the lockdep validator — so that no number from one run
+// includes counts from another.  Each Simulator owns one; every accessor
+// (GlobalLockStats, CurrentExecContext, CurrentKspan, Kspan, AttachKspan,
+// Krace, Lockdep) resolves through CurrentSimState(), like NetBSD's
+// curcpu().  Code that runs with no Simulator sees the thread's host state,
+// whose checker modes come from IKDP_KRACE and IKDP_LOCKDEP.  One rule:
+//
+//   * construction: a Simulator's state copies the enclosing (current)
+//     state's configuration — checker modes, perturbation seed, collector —
+//     starts every counter and record fresh, and becomes current;
+//   * each event: Simulator::Step makes the state current while it runs;
+//   * destruction: the state adds its lock counters (sums; max for
+//     max_held*), races and violations to the enclosing state, as exit()
+//     folds a child's rusage into its parent, and the enclosing state
+//     becomes current again.  Simulators nest; each host thread has its own
+//     chain.
+
+#ifndef SRC_SIM_SIM_STATE_H_
+#define SRC_SIM_SIM_STATE_H_
+
+#include <cstdint>
+
+#include "src/kern/ctx.h"
+#include "src/sim/krace.h"
+#include "src/sim/kspan.h"
+#include "src/sim/lockdep.h"
+
+namespace ikdp {
+
+// Always-on lock counters (exported as lock.* in ikdp.telemetry.v1).
+// Plain increments and max-tracking: no simulated time, no allocation.
+struct LockStats {
+  uint64_t spin_acquisitions = 0;
+  uint64_t sleep_acquisitions = 0;
+  // Times a SleepLock acquire found the lock held and slept.  Always zero in
+  // the shipped benches: every deployed critical section is non-suspending.
+  uint64_t sleep_contention = 0;
+  int cur_held = 0;       // locks currently held
+  int max_held = 0;       // max locks held simultaneously this run
+  int max_held_rank = 0;  // highest rank ever held (0 = none yet)
+};
+
+struct SimState {
+  // nullptr makes a host state: checker modes from the environment, no
+  // collector.  Otherwise the state of a run nested in `enclosing`: its
+  // configuration, fresh counters and records.
+  explicit SimState(const SimState* enclosing);
+
+  // Adds this run's lock counters, races and violations to `enclosing`.
+  void FoldInto(SimState* enclosing) const;
+
+  LockStats locks;
+  ExecContext context = ExecContext::kHost;
+  KspanCursor kspan;
+  KspanCollector* collector;
+  KraceDetector krace;
+  LockdepValidator lockdep;
+};
+
+namespace sim_state_internal {
+// nullptr stands for the thread's host state, which is built on first use.
+extern constinit thread_local SimState* t_current;
+SimState& HostState();
+}  // namespace sim_state_internal
+
+inline SimState& CurrentSimState() {
+  SimState* s = sim_state_internal::t_current;
+  return s != nullptr ? *s : sim_state_internal::HostState();
+}
+
+// Makes `s` current and returns the previously current state.
+inline SimState* SwapCurrentSimState(SimState* s) {
+  SimState* prev = &CurrentSimState();
+  sim_state_internal::t_current = s;
+  return prev;
+}
+
+// The current run's lock counters, detector and validator.
+inline LockStats& GlobalLockStats() { return CurrentSimState().locks; }
+inline KraceDetector& Krace() { return CurrentSimState().krace; }
+inline LockdepValidator& Lockdep() { return CurrentSimState().lockdep; }
+
+// Off-mode probes: loads and branches, never a call.  Before the host state
+// is built there is no run to check (host-side accesses are exempt anyway).
+inline bool KraceEnabled() {
+  const SimState* s = sim_state_internal::t_current;
+  return s != nullptr && s->krace.enabled();
+}
+inline bool LockdepEnabled() { return CurrentSimState().lockdep.enabled(); }
+
+// Field-access probes.  `obj` is the owning object (identity), `field` a
+// string literal naming it "Class::member".  Place at the mutation/read
+// site; when the detector is off these cost one predictable branch.
+#define IKDP_KRACE_ACCESS_(obj, field, kind)                                        \
+  do {                                                                              \
+    if (::ikdp::KraceEnabled())                                                     \
+      ::ikdp::Krace().OnAccess((obj), (field), ::ikdp::KraceAccess::kind, __FILE__, \
+                               __LINE__);                                           \
+  } while (0)
+#define IKDP_KRACE_READ(obj, field) IKDP_KRACE_ACCESS_(obj, field, kRead)
+#define IKDP_KRACE_WRITE(obj, field) IKDP_KRACE_ACCESS_(obj, field, kWrite)
+#define IKDP_KRACE_COMMUTE(obj, field) IKDP_KRACE_ACCESS_(obj, field, kCommute)
+
+}  // namespace ikdp
+
+#endif  // SRC_SIM_SIM_STATE_H_

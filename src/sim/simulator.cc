@@ -3,18 +3,20 @@
 #include <cassert>
 #include <utility>
 
-#include "src/sim/krace.h"
-
 namespace ikdp {
 
-Simulator::Simulator() {
-  // A new simulator is a new run: EventIds restart at 1 in this queue, and
-  // the allocator may hand freshly-constructed kernel objects the same
-  // addresses a previous run used.  Stale records in the process-wide
-  // detector would alias them — a coincidentally equal (id, timestamp,
-  // address) triple reads as "same event" (silently skipping real races)
-  // and an unequal one fabricates a cross-run race.
-  Krace().Reset();
+Simulator::Simulator()
+    : enclosing_(&CurrentSimState()),
+      state_(enclosing_),
+      queue_(state_.krace.perturb_seed()) {
+  SwapCurrentSimState(&state_);
+}
+
+Simulator::~Simulator() {
+  assert(&CurrentSimState() == &state_ &&
+         "Simulators must be destroyed in reverse order of construction");
+  state_.FoldInto(enclosing_);
+  SwapCurrentSimState(enclosing_);
 }
 
 EventId Simulator::After(SimDuration delay, std::function<void()> fn) {
@@ -27,17 +29,17 @@ EventId Simulator::After(SimDuration delay, std::function<void()> fn) {
 EventId Simulator::At(SimTime when, std::function<void()> fn) {
   assert(when >= now_ && "scheduling into the past");
   const EventId id = queue_.Schedule(when, std::move(fn));
-  if (KraceEnabled()) {
+  if (state_.krace.enabled()) {
     // Schedule edge: the currently executing event happens-before `id`.
-    Krace().OnSchedule(id, when);
+    state_.krace.OnSchedule(id, when);
   }
   return id;
 }
 
 bool Simulator::Cancel(EventId id) {
   const bool live = queue_.Cancel(id);
-  if (live && KraceEnabled()) {
-    Krace().OnCancel(id);
+  if (live && state_.krace.enabled()) {
+    state_.krace.OnCancel(id);
   }
   return live;
 }
@@ -68,13 +70,15 @@ bool Simulator::Step() {
   assert(when >= now_ && "event queue went backwards");
   now_ = when;
   ++events_executed_;
-  if (KraceEnabled()) {
-    Krace().OnEventBegin(id, when);
+  SimState* const prev = SwapCurrentSimState(&state_);
+  if (state_.krace.enabled()) {
+    state_.krace.OnEventBegin(id, when);
     fn();
-    Krace().OnEventEnd();
+    state_.krace.OnEventEnd();
   } else {
     fn();
   }
+  SwapCurrentSimState(prev);
   return true;
 }
 

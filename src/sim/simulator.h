@@ -14,16 +14,18 @@
 #include <limits>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/sim_state.h"
 #include "src/sim/time.h"
 
 namespace ikdp {
 
 class Simulator {
  public:
-  // Starting a Simulator starts a new run of the process-wide krace
-  // detector: EventIds restart per event queue, so causality state from a
-  // previous simulation must not alias this one's events (src/sim/krace.h).
+  // A Simulator is one run: it owns the run's SimState, made current from
+  // construction to destruction (src/sim/sim_state.h).  Simulators nest:
+  // destroy them in reverse order of construction.
   Simulator();
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -51,8 +53,8 @@ class Simulator {
   // exceeds deadline).
   SimTime RunUntil(SimTime deadline);
 
-  // Runs exactly one event if any is pending.  Returns false on an empty
-  // queue.
+  // Runs exactly one event if any is pending, with this run's state
+  // current.  Returns false on an empty queue.
   bool Step();
 
   // True when no events are pending.
@@ -65,6 +67,8 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
  private:
+  SimState* enclosing_;
+  SimState state_;
   SimTime now_ = 0;
   EventQueue queue_;
   uint64_t events_executed_ = 0;

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "src/hw/fault.h"
-#include "src/sim/krace.h"
+#include "src/sim/sim_state.h"
 
 namespace ikdp {
 
@@ -224,14 +224,23 @@ void SpliceEngine::ArmReadRetry(SpliceDescriptor* d) {
   }
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
   d->read_retry_armed_ = true;
-  d->retry_callout_ = callouts_->ScheduleHead([this, d] {
+  const uint64_t serial = d->serial_;
+  d->retry_callout_ = callouts_->ScheduleHead([this, d, serial] {
     KspanScope scope("splice", d->span_);
-    cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d] {
+    cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d, serial] {
+      // Teardown cannot recall a callout that already fired: the descriptor
+      // may since have finished, or been freed and its address reused.
+      if (descriptors_.count(d) == 0 || d->serial_ != serial) {
+        return;
+      }
       d->lock_.Acquire();
+      const bool finished = d->finished_;
       d->read_retry_armed_ = false;
       d->retry_callout_ = kInvalidCalloutId;
       d->lock_.Release();
-      IssueReads(d);
+      if (!finished) {
+        IssueReads(d);
+      }
     });
   });
   d->lock_.Release();

@@ -547,12 +547,8 @@ TEST_F(CpuTest, KernelSleepPriorityUnaffectedByDecay) {
 
 class CpuKraceTest : public CpuTest {
  protected:
-  void SetUp() override {
-    saved_mode_ = Krace().mode();
-    Krace().SetMode(KraceDetector::Mode::kCollect);
-  }
-  void TearDown() override { Krace().SetMode(saved_mode_); }
-  KraceDetector::Mode saved_mode_ = KraceDetector::Mode::kOff;
+  // Collect mode for the fixture's run only (sim_'s state).
+  void SetUp() override { Krace().SetMode(KraceDetector::Mode::kCollect); }
 };
 
 TEST_F(CpuKraceTest, UnrelatedSameTimestampCalloutAndInterruptRace) {

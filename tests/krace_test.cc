@@ -25,27 +25,16 @@ namespace {
 
 class KraceTest : public ::testing::Test {
  protected:
-  // The detector is process-wide; tests force collect mode and restore
-  // whatever the environment selected (the CI suite runs under
-  // IKDP_KRACE=abort) so neighbouring tests keep their configuration.
-  void SetUp() override {
-    saved_mode_ = Krace().mode();
-    saved_seed_ = Krace().perturb_seed();
-    Krace().SetPerturbSeed(0);
-    Krace().SetMode(KraceDetector::Mode::kCollect);
-  }
-  void TearDown() override {
-    Krace().SetPerturbSeed(saved_seed_);
-    Krace().SetMode(saved_mode_);
-  }
+  // Each test is one run in the fixture's Simulator, whose detector starts
+  // empty.  Collect mode overrides the environment (the CI suite runs under
+  // IKDP_KRACE=abort) for that run only.
+  void SetUp() override { Krace().SetMode(KraceDetector::Mode::kCollect); }
 
   std::string FirstRace() const {
     return Krace().races().empty() ? std::string("(none)")
                                    : Krace().races()[0].Describe();
   }
 
-  KraceDetector::Mode saved_mode_ = KraceDetector::Mode::kOff;
-  uint64_t saved_seed_ = 0;
   Simulator sim_;
   int field_ = 0;
 };
@@ -238,10 +227,10 @@ TEST_F(KraceTest, CancelledChildLeavesNoPendingState) {
 }
 
 TEST_F(KraceTest, PriorRunStateIsDiscardedOnNewSimulator) {
-  // EventIds restart per Simulator, and the detector is process-wide:
-  // without a per-run reset, run 2's events alias run 1's records at the
-  // same (address, field, timestamp).  Here run 2's writer has a different
-  // id than run 1's, so stale state would fabricate a cross-run race.
+  // EventIds restart per Simulator: if two runs shared one detector, run
+  // 2's events would alias run 1's records at the same (address, field,
+  // timestamp).  Here run 2's writer has a different id than run 1's, so
+  // shared state would fabricate a cross-run race.
   {
     Simulator first;
     first.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
@@ -256,7 +245,7 @@ TEST_F(KraceTest, PriorRunStateIsDiscardedOnNewSimulator) {
 
 TEST_F(KraceTest, EventIdReuseAcrossRunsDoesNotMaskRaces) {
   // The false-negative twin: run 1 records ordered writes under ids 1 and
-  // 2; run 2 reuses those ids for a GENUINE racing pair.  Stale records
+  // 2; run 2 reuses those ids for a GENUINE racing pair.  Shared records
   // would make run 2's accesses look like duplicates of run 1's ("same
   // event, same kind") and silently swallow the race.
   {
@@ -275,25 +264,31 @@ TEST_F(KraceTest, EventIdReuseAcrossRunsDoesNotMaskRaces) {
   EXPECT_EQ(Krace().races().size(), 1u);
 }
 
-TEST_F(KraceTest, SetPerturbSeedStartsACleanRun) {
-  // A seed sweep reruns the same workload; each seed is a fresh run whose
-  // events must not be compared against the previous seed's records.
+TEST_F(KraceTest, NewSimulatorStartsACleanRunUnderTheNewSeed) {
+  // A seed sweep reruns the same workload; each seed is a fresh Simulator
+  // whose events must not be compared against the previous seed's records,
+  // while the mode and the new seed carry over.
   sim_.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
   sim_.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
   sim_.Run();
   ASSERT_EQ(Krace().races().size(), 1u);
   Krace().SetPerturbSeed(1);
+  Simulator next;
   EXPECT_TRUE(Krace().races().empty());
   EXPECT_EQ(Krace().perturb_seed(), 1u);
+  EXPECT_EQ(Krace().mode(), KraceDetector::Mode::kCollect);
 }
 
-TEST_F(KraceTest, ResetClearsRecordedRaces) {
-  sim_.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
-  sim_.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
-  sim_.Run();
-  ASSERT_FALSE(Krace().races().empty());
-  Krace().Reset();
-  EXPECT_TRUE(Krace().races().empty());
+TEST_F(KraceTest, FinishedRunFoldsItsRacesIntoTheEnclosingState) {
+  {
+    Simulator run;
+    run.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
+    run.At(10, [&] { IKDP_KRACE_WRITE(&field_, "Fixture::field"); });
+    run.Run();
+    ASSERT_EQ(Krace().races().size(), 1u);
+  }
+  ASSERT_EQ(Krace().races().size(), 1u);
+  EXPECT_EQ(Krace().races()[0].obj, &field_);
 }
 
 // --- abort mode ---

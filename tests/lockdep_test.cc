@@ -21,14 +21,11 @@ namespace {
 
 class LockdepTest : public ::testing::Test {
  protected:
-  // The validator is process-wide; force collect mode and restore whatever
-  // the environment selected (CI runs the suite under IKDP_LOCKDEP=abort)
-  // so neighbouring tests keep their configuration.
-  void SetUp() override {
-    saved_mode_ = Lockdep().mode();
-    Lockdep().SetMode(LockdepValidator::Mode::kCollect);
-  }
-  void TearDown() override { Lockdep().SetMode(saved_mode_); }
+  // Each test is one run: the fixture's Simulator scope gives it a fresh
+  // validator and fresh lock counters, whatever ran before it.  Collect
+  // mode overrides the environment (CI runs the suite under
+  // IKDP_LOCKDEP=abort) for this scope only.
+  void SetUp() override { Lockdep().SetMode(LockdepValidator::Mode::kCollect); }
 
   bool HasViolation(const std::string& kind) {
     for (const auto& v : Lockdep().violations()) {
@@ -39,7 +36,7 @@ class LockdepTest : public ::testing::Test {
     return false;
   }
 
-  LockdepValidator::Mode saved_mode_;
+  Simulator run_;
 };
 
 TEST_F(LockdepTest, RankOrderedNestingIsCleanAndRecorded) {
@@ -96,7 +93,6 @@ TEST_F(LockdepTest, OffModeIgnoresInversions) {
 }
 
 TEST_F(LockdepTest, AcquisitionCountersTrackDepthAndRank) {
-  ResetLockStats();
   SpinLock outer("outer", 10);
   SpinLock inner("inner", 20);
   outer.Acquire();
@@ -150,7 +146,6 @@ TEST_F(LockdepDeathTest, SleepUnderSpinlockAborts) {
 }
 
 TEST_F(LockdepTest, SleepLockContentionRidesTheScheduler) {
-  ResetLockStats();
   Simulator sim;
   CostConfig costs;
   costs.context_switch = 0;

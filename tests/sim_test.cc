@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event engine: EventQueue, Simulator,
-// CalloutTable, Rng, and time helpers.
+// Unit tests for the discrete-event engine: EventQueue, Simulator and its
+// per-run SimState, CalloutTable, Rng, and time helpers.
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "src/kern/lock.h"
 #include "src/sim/callout.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/krace.h"
 #include "src/sim/random.h"
+#include "src/sim/sim_state.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -289,6 +290,7 @@ TEST_F(CalloutTest, IndependentTablesDoNotInterfere) {
 // runs after its creator) survives every seed.
 
 std::vector<int> SameTimeFireOrder(uint64_t seed) {
+  Simulator scope;  // holds the seed, so it does not outlive this run
   Krace().SetPerturbSeed(seed);
   Simulator sim;
   std::vector<int> order;
@@ -296,7 +298,6 @@ std::vector<int> SameTimeFireOrder(uint64_t seed) {
     sim.At(Milliseconds(1), [&order, i] { order.push_back(i); });
   }
   sim.Run();
-  Krace().SetPerturbSeed(0);
   return order;
 }
 
@@ -334,6 +335,7 @@ TEST(PerturbTest, SomeSeedActuallyPermutes) {
 
 TEST(PerturbTest, DistinctTimestampsStayClockOrdered) {
   for (uint64_t seed = 0; seed <= 4; ++seed) {
+    Simulator scope;  // holds the seed, so it does not outlive this run
     Krace().SetPerturbSeed(seed);
     Simulator sim;
     std::vector<int> order;
@@ -342,7 +344,6 @@ TEST(PerturbTest, DistinctTimestampsStayClockOrdered) {
       sim.At(Milliseconds(i + 1), [&order, i] { order.push_back(i); });
     }
     sim.Run();
-    Krace().SetPerturbSeed(0);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
         << "seed " << seed;
   }
@@ -353,6 +354,7 @@ TEST(PerturbTest, ChildAlwaysRunsAfterItsCreator) {
   // a same-timestamp event pops after its creator under any key order,
   // because the creator had already been popped when it scheduled.
   for (uint64_t seed = 0; seed <= 8; ++seed) {
+    Simulator scope;  // holds the seed, so it does not outlive this run
     Krace().SetPerturbSeed(seed);
     Simulator sim;
     std::vector<int> order;  // parent p recorded as p, child as p + 100
@@ -363,7 +365,6 @@ TEST(PerturbTest, ChildAlwaysRunsAfterItsCreator) {
       });
     }
     sim.Run();
-    Krace().SetPerturbSeed(0);
     ASSERT_EQ(order.size(), 8u) << "seed " << seed;
     for (int p = 0; p < 4; ++p) {
       const auto parent = std::find(order.begin(), order.end(), p);
@@ -378,6 +379,7 @@ TEST(PerturbTest, ChildAlwaysRunsAfterItsCreator) {
 
 TEST(PerturbTest, CancellationWorksUnderPerturbation) {
   for (uint64_t seed = 0; seed <= 4; ++seed) {
+    Simulator scope;  // holds the seed, so it does not outlive this run
     Krace().SetPerturbSeed(seed);
     Simulator sim;
     int fired = 0;
@@ -388,7 +390,6 @@ TEST(PerturbTest, CancellationWorksUnderPerturbation) {
     EXPECT_TRUE(sim.Cancel(ids[1]));
     EXPECT_TRUE(sim.Cancel(ids[4]));
     sim.Run();
-    Krace().SetPerturbSeed(0);
     EXPECT_EQ(fired, 4) << "seed " << seed;
   }
 }
@@ -398,6 +399,7 @@ TEST(PerturbTest, SameTickCalloutsKeepArmingOrderUnderAnySeed) {
   // tie-break permutes events, never the intra-event list walk, so callout
   // FIFO order is schedule-independent by construction.
   for (uint64_t seed = 0; seed <= 4; ++seed) {
+    Simulator scope;  // holds the seed, so it does not outlive this run
     Krace().SetPerturbSeed(seed);
     Simulator sim;
     CalloutTable callouts(&sim, /*hz=*/256);
@@ -406,7 +408,6 @@ TEST(PerturbTest, SameTickCalloutsKeepArmingOrderUnderAnySeed) {
       callouts.Timeout([&order, i] { order.push_back(i); }, 2);
     }
     sim.Run();
-    Krace().SetPerturbSeed(0);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << "seed " << seed;
   }
 }
@@ -458,6 +459,70 @@ TEST(RngTest, BelowIsRoughlyUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c, kDraws / kBuckets, kDraws / kBuckets / 10);
   }
+}
+
+// --- per-run state (src/sim/sim_state.h) ---
+
+TEST(SimStateTest, DestroyedSimulatorFoldsItsCountsIntoTheEnclosingState) {
+  Simulator outer;  // a fresh enclosing state for this test
+  Krace().SetMode(KraceDetector::Mode::kCollect);
+  Lockdep().SetMode(LockdepValidator::Mode::kCollect);
+  SpinLock a("a", 10);
+  SpinLock b("b", 20);
+  a.Acquire();
+  a.Release();
+  int field = 0;
+  uint64_t inner_spins = 0;
+  size_t inner_violations = 0;
+  {
+    Simulator inner;
+    // Configuration is copied in; every counter and record starts fresh.
+    EXPECT_EQ(Krace().mode(), KraceDetector::Mode::kCollect);
+    EXPECT_EQ(Lockdep().mode(), LockdepValidator::Mode::kCollect);
+    EXPECT_EQ(GlobalLockStats().spin_acquisitions, 0u);
+    inner.At(10, [&] { IKDP_KRACE_WRITE(&field, "SimStateTest::field"); });
+    inner.At(10, [&] { IKDP_KRACE_WRITE(&field, "SimStateTest::field"); });
+    inner.Run();
+    b.Acquire();
+    a.Acquire();  // rank inversion: a violation recorded in the inner run
+    a.Release();
+    b.Release();
+    inner_spins = GlobalLockStats().spin_acquisitions;
+    inner_violations = Lockdep().violations().size();
+    ASSERT_EQ(Krace().races().size(), 1u);
+    ASSERT_GT(inner_violations, 0u);
+    EXPECT_FALSE(Lockdep().edges().empty());
+  }
+  const LockStats& s = GlobalLockStats();
+  EXPECT_EQ(s.spin_acquisitions, 1 + inner_spins);
+  EXPECT_EQ(s.max_held, 2);
+  EXPECT_EQ(s.max_held_rank, 20);
+  EXPECT_EQ(s.cur_held, 0);
+  EXPECT_EQ(Krace().races().size(), 1u);
+  EXPECT_EQ(Lockdep().violations().size(), inner_violations);
+  // The order graph is per run: only records fold, not the inner graph.
+  EXPECT_TRUE(Lockdep().edges().empty());
+}
+
+TEST(SimStateTest, LockCountDeltaAcrossARunIsThatRunsOwnCount) {
+  SpinLock host_lock("host", 10);
+  host_lock.Acquire();  // a count on the host before the run
+  host_lock.Release();
+  const uint64_t before = GlobalLockStats().spin_acquisitions;
+  uint64_t own = 0;
+  {
+    Simulator sim;
+    CalloutTable callouts(&sim, /*hz=*/256);
+    int fired = 0;
+    for (int i = 0; i < 4; ++i) {
+      callouts.Timeout([&fired] { ++fired; }, i + 1);
+    }
+    sim.Run();
+    EXPECT_EQ(fired, 4);
+    own = GlobalLockStats().spin_acquisitions;
+  }
+  EXPECT_GT(own, 0u);
+  EXPECT_EQ(GlobalLockStats().spin_acquisitions - before, own);
 }
 
 }  // namespace

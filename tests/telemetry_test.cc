@@ -1,13 +1,16 @@
 // Tests for the metrics layer: log2 histogram bucketing and quantiles, the
 // named-metric registry, the online telemetry collector's interval pairing,
-// and whole-kernel counter capture.
+// and whole-kernel counter capture, which must be per run.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
+#include "src/metrics/experiment.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/telemetry.h"
 #include "src/metrics/trace_export.h"
@@ -252,6 +255,73 @@ TEST(TelemetryCollectorTest, FeedsFromLiveKernelRun) {
   EXPECT_GT(registry.GetCounter("cpu.process_work_ns"), 0);
   // The RAM-disk mount has no scheduler: no counters under its prefix.
   EXPECT_FALSE(registry.HasCounter("disk.r.requests"));
+}
+
+// --- counters are per run ---
+
+struct CopyRun {
+  ExperimentResult result;
+  std::string registry;  // the captured registry as ikdp.telemetry.v1 JSON
+  int64_t spin_acquisitions = 0;
+  int64_t order_edges = 0;
+};
+
+// One 1 MB RZ56 scp run with the kernel counters captured at its end, under
+// lockdep collect mode so lock.order_edges counts a real graph.
+CopyRun RunScp() {
+  Simulator scope;  // holds collect mode for this run only
+  Lockdep().SetMode(LockdepValidator::Mode::kCollect);
+  MetricsRegistry registry;
+  ExperimentConfig cfg;
+  cfg.disk = DiskKind::kRz56;
+  cfg.file_bytes = 1 << 20;
+  cfg.use_splice = true;
+  cfg.inspect = [&registry](Kernel& kernel) { CaptureKernelCounters(&registry, kernel); };
+  CopyRun run;
+  run.result = RunCopyExperiment(cfg);
+  std::ostringstream os;
+  ExportRegistryJson(registry, os);
+  run.registry = os.str();
+  run.spin_acquisitions = registry.GetCounter("lock.spin_acquisitions");
+  run.order_edges = registry.GetCounter("lock.order_edges");
+  return run;
+}
+
+void ExpectSameRun(const CopyRun& a, const CopyRun& b) {
+  EXPECT_TRUE(a.result.ok);
+  EXPECT_TRUE(b.result.ok);
+  EXPECT_EQ(a.result.bytes, b.result.bytes);
+  EXPECT_EQ(a.result.elapsed_s, b.result.elapsed_s);
+  EXPECT_EQ(a.result.throughput_kbs, b.result.throughput_kbs);
+  EXPECT_EQ(a.result.test_ops, b.result.test_ops);
+  EXPECT_EQ(a.result.slowdown, b.result.slowdown);
+  EXPECT_EQ(a.result.cpu.process_work, b.result.cpu.process_work);
+  EXPECT_EQ(a.result.cpu.interrupt_work, b.result.cpu.interrupt_work);
+  EXPECT_EQ(a.result.cpu.switches, b.result.cpu.switches);
+  EXPECT_EQ(a.result.cache_hits, b.result.cache_hits);
+  EXPECT_EQ(a.result.cache_misses, b.result.cache_misses);
+  EXPECT_EQ(a.result.idle_fraction, b.result.idle_fraction);
+  EXPECT_EQ(a.registry, b.registry);
+}
+
+TEST(PerRunCountersTest, BackToBackRunsCaptureByteIdenticalRegistries) {
+  const CopyRun first = RunScp();
+  const CopyRun second = RunScp();
+  EXPECT_GT(first.spin_acquisitions, 0);
+  EXPECT_GT(first.order_edges, 0);
+  ExpectSameRun(first, second);
+}
+
+TEST(PerRunCountersTest, RunsOnTwoHostThreadsMatchASequentialRun) {
+  const CopyRun sequential = RunScp();
+  CopyRun a;
+  CopyRun b;
+  std::thread ta([&a] { a = RunScp(); });
+  std::thread tb([&b] { b = RunScp(); });
+  ta.join();
+  tb.join();
+  ExpectSameRun(sequential, a);
+  ExpectSameRun(sequential, b);
 }
 
 }  // namespace
