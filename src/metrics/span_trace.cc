@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "src/metrics/trace_export.h"
 
@@ -11,101 +12,50 @@ void SpanTraceBuilder::Attach(TraceLog* log) {
   log->AddObserver([this](const TraceRecord& rec) { Observe(rec); });
 }
 
-void SpanTraceBuilder::Emit(const char* name, const Pending& p, SimTime end, int64_t arg,
-                            int64_t result, bool error) {
-  const SpanId id = collector_->Begin(p.start, name, p.parent, arg);
-  collector_->End(end, id, result, error);
+void SpanTraceBuilder::Mint(const char* name, const TraceRecord& begin, const TraceRecord& end,
+                            int64_t arg, int64_t result, bool error) {
+  const SpanId id = collector_->Begin(begin.time, name, begin.span, arg);
+  collector_->End(end.time, id, result, error);
   ++derived_[name];
 }
 
-void SpanTraceBuilder::Point(const char* name, SimTime t, SpanId parent, int64_t arg) {
-  const SpanId id = collector_->Begin(t, name, parent, arg);
-  collector_->End(t, id);
-  ++derived_[name];
+void SpanTraceBuilder::Emit(const TraceRecord& begin, const TraceRecord& end) {
+  switch (begin.kind) {
+    case TraceKind::kSyscallEnter:
+      Mint("syscall", begin, end, begin.a);
+      break;
+    case TraceKind::kRunnable:
+      Mint("sched.runq", begin, end, begin.a);
+      break;
+    case TraceKind::kDiskDispatch:
+      Mint("disk.xfer", begin, end, begin.a, end.b);
+      break;
+    case TraceKind::kSpliceRead:
+      // arg = chunk index; a read its stream finished without is errored.
+      Mint("splice.chunk", begin, end, begin.b, 0, end.kind == TraceKind::kSpliceDone);
+      break;
+    case TraceKind::kUdpSend:
+      Mint("net.tx", begin, end, begin.a, end.b);
+      break;
+    default:
+      break;  // ring ops carry their own "aio.op" spans
+  }
 }
 
 void SpanTraceBuilder::Observe(const TraceRecord& rec) {
+  pairer_.Observe(rec, [this](const TraceRecord& b, const TraceRecord& e) { Emit(b, e); });
   switch (rec.kind) {
-    case TraceKind::kSyscallEnter:
-      syscalls_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kSyscallExit: {
-      auto it = syscalls_.find(rec.a);
-      if (it != syscalls_.end()) {
-        Emit("syscall", it->second, rec.time, rec.a, 0, false);
-        syscalls_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kRunnable:
-      runnable_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kDispatch: {
-      auto it = runnable_.find(rec.a);
-      if (it != runnable_.end()) {
-        Emit("sched.runq", it->second, rec.time, rec.a, 0, false);
-        runnable_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kDiskDispatch:
-      disk_[{rec.tag, rec.a}] = {rec.time, rec.span};
-      break;
-    case TraceKind::kDiskComplete: {
-      auto it = disk_.find({rec.tag, rec.a});
-      if (it != disk_.end()) {
-        Emit("disk.xfer", it->second, rec.time, rec.a, rec.b, false);
-        disk_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceRead:
-      splice_reads_[{rec.a, rec.b}] = {rec.time, rec.span};
-      break;
-    case TraceKind::kSpliceChunk: {
-      auto it = splice_reads_.find({rec.a, rec.b});
-      if (it != splice_reads_.end()) {
-        Emit("splice.chunk", it->second, rec.time, rec.b, 0, false);
-        splice_reads_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceReadAbort: {
-      // Teardown retracted this descriptor's outstanding reads: their
-      // kSpliceChunk will never arrive.  Close every open read interval for
-      // the serial as an errored span so the tree stays balanced.
-      for (auto it = splice_reads_.begin(); it != splice_reads_.end();) {
-        if (it->first.first == rec.a) {
-          Emit("splice.chunk", it->second, rec.time, it->first.second, 0, true);
-          it = splice_reads_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;
-    }
-    case TraceKind::kUdpSend:
-      udp_tx_[rec.a] = {rec.time, rec.span};
-      break;
-    case TraceKind::kUdpSent: {
-      auto it = udp_tx_.find(rec.a);
-      if (it != udp_tx_.end()) {
-        Emit("net.tx", it->second, rec.time, rec.a, rec.b, false);
-        udp_tx_.erase(it);
-      }
-      break;
-    }
     case TraceKind::kBreadHit:
-      Point("bread.hit", rec.time, rec.span, rec.a);
+      Mint("bread.hit", rec, rec, rec.a);
       break;
     case TraceKind::kBreadMiss:
-      Point("bread.miss", rec.time, rec.span, rec.a);
+      Mint("bread.miss", rec, rec, rec.a);
       break;
     case TraceKind::kGetblkSleep:
-      Point("getblk.sleep", rec.time, rec.span, rec.b);
+      Mint("getblk.sleep", rec, rec, rec.b);
       break;
     case TraceKind::kSpliceRefill:
-      Point("splice.refill", rec.time, rec.span, rec.b);
+      Mint("splice.refill", rec, rec, rec.b);
       break;
     default:
       break;

@@ -6,13 +6,13 @@
 // per-request views the aggregate telemetry cannot provide:
 //
 //  * SpanTraceBuilder — a TraceLog observer that derives CHILD spans from
-//    the documented begin/end record pairs (syscalls, run-queue waits, disk
-//    transfers, splice chunk reads, UDP interface occupancy) plus point
-//    spans for bread hits/misses and flow-control refills.  Derived spans
-//    are minted into the same collector the kernel uses, parented to the
-//    span the begin record carried, so they nest under the request that
-//    caused them.  Ring ops are NOT derived: the ring mints real "aio.op"
-//    spans itself.
+//    the intervals its IntervalPairer closes (src/metrics/intervals.h:
+//    syscalls, run-queue waits, disk transfers, splice chunk reads, UDP
+//    interface occupancy) plus point spans for bread hits/misses and
+//    flow-control refills.  Derived spans are minted into the same
+//    collector the kernel uses, parented to the span the begin record
+//    carried, so they nest under the request that caused them.  Ring ops
+//    are NOT derived: the ring mints real "aio.op" spans itself.
 //
 //  * BuildRequestBreakdowns — joins the collector's span trees with the
 //    CpuSystem attribution ledger into one row per root (request) span:
@@ -35,10 +35,10 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/kern/cpu.h"
+#include "src/metrics/intervals.h"
 #include "src/sim/kspan.h"
 #include "src/sim/trace.h"
 
@@ -53,9 +53,7 @@ class SpanTraceBuilder {
   SpanTraceBuilder(const SpanTraceBuilder&) = delete;
   SpanTraceBuilder& operator=(const SpanTraceBuilder&) = delete;
 
-  // Installs this builder as an additional observer on `log` (coexists with
-  // the telemetry collector's set_observer slot).  The builder must outlive
-  // the log.
+  // Adds this builder to `log`'s observers; it must outlive the log.
   void Attach(TraceLog* log);
 
   // Feeds one record; public so tests can drive the pairing directly.
@@ -65,31 +63,19 @@ class SpanTraceBuilder {
   const std::map<std::string, uint64_t>& derived() const { return derived_; }
 
   // Begin records whose end has not arrived yet.
-  size_t PendingIntervals() const {
-    return syscalls_.size() + runnable_.size() + disk_.size() + splice_reads_.size() +
-           udp_tx_.size();
-  }
+  size_t PendingIntervals() const { return pairer_.pending(); }
 
  private:
-  struct Pending {
-    SimTime start = 0;
-    SpanId parent = kNoSpan;
-  };
-
-  // Mints a closed interval span [p.start, end] under p.parent.
-  void Emit(const char* name, const Pending& p, SimTime end, int64_t arg, int64_t result,
-            bool error);
-  // Mints a zero-duration point span at `t`.
-  void Point(const char* name, SimTime t, SpanId parent, int64_t arg);
+  // Mints the span one closed interval becomes, if any.
+  void Emit(const TraceRecord& begin, const TraceRecord& end);
+  // Mints a closed span from `begin` to `end` under the span `begin`
+  // carried; a point span passes one record as both.
+  void Mint(const char* name, const TraceRecord& begin, const TraceRecord& end, int64_t arg,
+            int64_t result = 0, bool error = false);
 
   KspanCollector* collector_;
   std::map<std::string, uint64_t> derived_;
-
-  std::map<int64_t, Pending> syscalls_;                          // pid
-  std::map<int64_t, Pending> runnable_;                          // pid
-  std::map<std::pair<std::string, int64_t>, Pending> disk_;      // (device, serial)
-  std::map<std::pair<int64_t, int64_t>, Pending> splice_reads_;  // (serial, chunk)
-  std::map<int64_t, Pending> udp_tx_;                            // datagram serial
+  IntervalPairer pairer_;
 };
 
 // One request's worth of the attribution ledger: the root span's wall

@@ -9,69 +9,40 @@
 
 namespace ikdp {
 
+TelemetryCollector::~TelemetryCollector() = default;
+
 void TelemetryCollector::Attach(TraceLog* log) {
-  log->set_observer([this](const TraceRecord& rec) { Observe(rec); });
+  log->AddObserver([this](const TraceRecord& rec) { Observe(rec); });
+}
+
+void TelemetryCollector::Sample(const TraceRecord& begin, const TraceRecord& end) {
+  const SimDuration latency = end.time - begin.time;
+  switch (begin.kind) {
+    case TraceKind::kRunnable:
+      registry_->Histogram("cpu.runq_wait")->Add(latency);
+      break;
+    case TraceKind::kSyscallEnter:
+      registry_->Histogram(std::string("syscall.latency.") + begin.tag)->Add(latency);
+      break;
+    case TraceKind::kDiskDispatch:
+      registry_->Histogram(std::string("disk.service_time.") + begin.tag)->Add(latency);
+      break;
+    case TraceKind::kSpliceRead:
+      if (end.kind == TraceKind::kSpliceChunk) {
+        registry_->Histogram("splice.chunk_latency")->Add(latency);
+      }
+      break;
+    case TraceKind::kRingOpSubmit:
+      registry_->Histogram("aio.completion_latency")->Add(latency);
+      break;
+    default:
+      break;  // UDP interface occupancy has no histogram
+  }
 }
 
 void TelemetryCollector::Observe(const TraceRecord& rec) {
+  pairer_.Observe(rec, [this](const TraceRecord& b, const TraceRecord& e) { Sample(b, e); });
   switch (rec.kind) {
-    case TraceKind::kRunnable:
-      runnable_[rec.a] = rec.time;
-      break;
-    case TraceKind::kDispatch: {
-      auto it = runnable_.find(rec.a);
-      if (it != runnable_.end()) {
-        registry_->Histogram("cpu.runq_wait")->Add(rec.time - it->second);
-        runnable_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSyscallEnter:
-      syscalls_[rec.a] = {rec.time, rec.tag};
-      break;
-    case TraceKind::kSyscallExit: {
-      auto it = syscalls_.find(rec.a);
-      if (it != syscalls_.end()) {
-        registry_->Histogram("syscall.latency." + it->second.second)
-            ->Add(rec.time - it->second.first);
-        syscalls_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kDiskDispatch:
-      disk_[{rec.tag, rec.a}] = rec.time;
-      break;
-    case TraceKind::kDiskComplete: {
-      auto it = disk_.find({rec.tag, rec.a});
-      if (it != disk_.end()) {
-        registry_->Histogram(std::string("disk.service_time.") + rec.tag)
-            ->Add(rec.time - it->second);
-        disk_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kSpliceRead:
-      splice_reads_[{rec.a, rec.b}] = rec.time;
-      break;
-    case TraceKind::kSpliceChunk: {
-      auto it = splice_reads_.find({rec.a, rec.b});
-      if (it != splice_reads_.end()) {
-        registry_->Histogram("splice.chunk_latency")->Add(rec.time - it->second);
-        splice_reads_.erase(it);
-      }
-      break;
-    }
-    case TraceKind::kRingOpSubmit:
-      ring_ops_[{rec.a, rec.b}] = rec.time;
-      break;
-    case TraceKind::kRingOpComplete: {
-      auto it = ring_ops_.find({rec.a, rec.b});
-      if (it != ring_ops_.end()) {
-        registry_->Histogram("aio.completion_latency")->Add(rec.time - it->second);
-        ring_ops_.erase(it);
-      }
-      break;
-    }
     case TraceKind::kRingSqDepth:
       registry_->Histogram("aio.sq_depth")->Add(rec.b);
       break;

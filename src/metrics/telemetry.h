@@ -1,11 +1,11 @@
 // Online telemetry: trace records in, latency histograms out.
 //
-// TelemetryCollector installs itself as a TraceLog observer and pairs
-// begin/end records (the keys documented in src/sim/trace.h) into interval
-// samples as they happen, so latencies survive ring eviction:
+// TelemetryCollector observes a TraceLog and turns the intervals its
+// IntervalPairer closes (src/metrics/intervals.h) into histogram samples as
+// they happen, so latencies survive ring eviction:
 //
 //   disk.service_time.<device>   kDiskDispatch -> kDiskComplete
-//   splice.chunk_latency         kSpliceRead   -> kSpliceChunk
+//   splice.chunk_latency         kSpliceRead   -> kSpliceChunk (written chunks only)
 //   syscall.latency.<name>       kSyscallEnter -> kSyscallExit
 //   cpu.runq_wait                kRunnable     -> kDispatch
 //   aio.completion_latency       kRingOpSubmit -> kRingOpComplete
@@ -26,12 +26,11 @@
 #define SRC_METRICS_TELEMETRY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 
 #include "src/hw/link.h"
 #include "src/metrics/histogram.h"
+#include "src/metrics/intervals.h"
 #include "src/os/kernel.h"
 #include "src/sim/trace.h"
 
@@ -40,31 +39,28 @@ namespace ikdp {
 class TelemetryCollector {
  public:
   explicit TelemetryCollector(MetricsRegistry* registry) : registry_(registry) {}
+  // Out of line: the pair table's teardown is emitted once, in telemetry.cc,
+  // not inlined into every file that destroys a collector.
+  ~TelemetryCollector();
 
   TelemetryCollector(const TelemetryCollector&) = delete;
   TelemetryCollector& operator=(const TelemetryCollector&) = delete;
 
-  // Installs this collector as `log`'s observer.  The collector must
-  // outlive the log (or a later set_observer call).
+  // Adds this collector to `log`'s observers; it must outlive the log.
   void Attach(TraceLog* log);
 
   // Feeds one record; public so tests can drive the pairing logic directly.
   void Observe(const TraceRecord& rec);
 
   // Begin records whose end has not arrived yet (unfinished intervals).
-  size_t PendingIntervals() const {
-    return runnable_.size() + syscalls_.size() + disk_.size() + splice_reads_.size() +
-           ring_ops_.size();
-  }
+  size_t PendingIntervals() const { return pairer_.pending(); }
 
  private:
-  MetricsRegistry* registry_;
+  // Feeds the histogram one closed interval belongs to, if any.
+  void Sample(const TraceRecord& begin, const TraceRecord& end);
 
-  std::map<int64_t, SimTime> runnable_;                          // pid -> kRunnable time
-  std::map<int64_t, std::pair<SimTime, std::string>> syscalls_;  // pid -> (enter, name)
-  std::map<std::pair<std::string, int64_t>, SimTime> disk_;      // (device, serial)
-  std::map<std::pair<int64_t, int64_t>, SimTime> splice_reads_;  // (serial, chunk)
-  std::map<std::pair<int64_t, int64_t>, SimTime> ring_ops_;      // (ring, cookie)
+  MetricsRegistry* registry_;
+  IntervalPairer pairer_;
 };
 
 // Samples every kernel Stats struct into `registry` counters under stable

@@ -2,8 +2,8 @@
 //
 // ExportChromeTrace serializes a TraceLog snapshot as Chrome trace-event
 // JSON (the {"traceEvents": [...]} format), loadable in Perfetto or
-// chrome://tracing.  The paired kinds documented in src/sim/trace.h become
-// duration slices (syscalls, disk transfers) and async spans (splices);
+// chrome://tracing.  Begin/end kinds become duration slices (syscalls, disk
+// transfers) and async spans (splices, ring ops);
 // everything else becomes instant events.  Timestamps are microseconds with
 // nanosecond precision kept in the fraction.
 //

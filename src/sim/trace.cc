@@ -68,8 +68,6 @@ const char* TraceKindName(TraceKind k) {
       return "ring-overflow";
     case TraceKind::kRingCancel:
       return "ring-cancel";
-    case TraceKind::kSpliceReadAbort:
-      return "splice-read-abort";
     case TraceKind::kUdpSend:
       return "udp-send";
     case TraceKind::kUdpSent:

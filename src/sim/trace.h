@@ -10,23 +10,10 @@
 // per-event (documented at each recording site).  Tags must point at storage
 // that outlives the log (string literals, or names owned by a live device).
 //
-// Several kinds form begin/end pairs from which intervals can be
-// reconstructed (src/metrics/telemetry.h does this online, and the Chrome
-// trace exporter renders them as slices):
-//
-//   kSyscallEnter -> kSyscallExit   keyed by pid (syscalls do not nest)
-//   kRunnable     -> kDispatch      keyed by pid (run-queue wait)
-//   kDiskDispatch -> kDiskComplete  keyed by (device tag, transfer serial)
-//   kSpliceRead   -> kSpliceChunk   keyed by (descriptor serial, chunk index)
-//   kSpliceStart  -> kSpliceDone    keyed by descriptor serial
-//   kRingOpSubmit -> kRingOpComplete keyed by (ring id, cookie) — cookies
-//                                    must be unique among a ring's in-flight
-//                                    ops for the pairing to be well defined
-//   kUdpSend      -> kUdpSent        keyed by datagram serial (interface
-//                                    occupancy of one datagram)
+// Begin/end pairs and their keys are listed once, in src/metrics/intervals.h.
 //
 // Every record also carries the kspan cursor's span id (src/sim/kspan.h), so
-// the pairs above double as child spans of the request that caused them.
+// the pairs double as child spans of the request that caused them.
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
@@ -83,9 +70,6 @@ enum class TraceKind : uint8_t {
   kRingReap,       // a = ring id, b = completions posted by this reaper pass
   kRingOverflow,   // a = ring id, b = overflow-staged completions (CQ full)
   kRingCancel,     // a = ring id, b = cookie — queued op cancelled
-  // --- splice teardown ---
-  kSpliceReadAbort, // a = descriptor serial — an outstanding read retracted
-                    //     during teardown; its completion will never arrive
   // --- UDP ---
   kUdpSend,  // a = datagram serial, b = nbytes — accepted by the interface
   kUdpSent,  // a = datagram serial, b = nbytes — left the interface
@@ -127,25 +111,16 @@ class TraceLog {
       ring_[next_ % capacity_] = rec;
     }
     ++next_;
-    if (observer_) {
-      observer_(rec);
-    }
-    for (const auto& obs : extra_observers_) {
+    for (const auto& obs : observers_) {
       obs(rec);
     }
   }
 
-  // Optional live tap: invoked with every record as it is written, before
-  // ring eviction can drop it.  The telemetry collector uses this to feed
-  // latency histograms online.  Observers run on the host only and must not
-  // touch simulated state.
-  void set_observer(std::function<void(const TraceRecord&)> obs) { observer_ = std::move(obs); }
-
-  // Additional taps that coexist with set_observer (the span builder and the
-  // SLO monitor attach here without evicting the telemetry collector).
-  // Observers cannot be removed individually; they live as long as the log.
+  // Live taps, called in attach order with every record as it is written,
+  // before ring eviction can drop it.  Observers run on the host only and
+  // must not touch simulated state; they live as long as the log.
   void AddObserver(std::function<void(const TraceRecord&)> obs) {
-    extra_observers_.push_back(std::move(obs));
+    observers_.push_back(std::move(obs));
   }
 
   // Total records ever written (>= Snapshot().size()).
@@ -188,8 +163,7 @@ class TraceLog {
   size_t capacity_;
   std::vector<TraceRecord> ring_;
   uint64_t next_ = 0;
-  std::function<void(const TraceRecord&)> observer_;
-  std::vector<std::function<void(const TraceRecord&)>> extra_observers_;
+  std::vector<std::function<void(const TraceRecord&)>> observers_;
 };
 
 }  // namespace ikdp

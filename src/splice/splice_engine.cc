@@ -146,18 +146,13 @@ void SpliceEngine::AbortPendingRead(SpliceDescriptor* d) {
   const bool outstanding = d->pending_reads_ > 0;
   d->lock_.Release();
   if (outstanding && d->source_->CancelRead()) {
-    // The dropped read's completion will never run: retract its issue, and
-    // say so in the trace — the span builder closes the orphaned read
-    // interval off this record instead of leaking an open chunk span.
+    // The dropped read's completion will never run: retract its issue so
+    // the teardown can drain.
     IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
     d->lock_.Acquire();
     --d->pending_reads_;
     --d->reads_issued_;
     d->lock_.Release();
-    if (cpu_->trace() != nullptr) {
-      cpu_->trace()->Record(cpu_->sim()->Now(), TraceKind::kSpliceReadAbort,
-                            static_cast<int64_t>(d->serial_));
-    }
   }
 }
 

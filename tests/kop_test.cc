@@ -4,8 +4,9 @@
 // re-check), the kop_load/kop_attach syscalls, operator execution inside
 // sync and ring splices, the fault machinery on mid-stream rejection
 // (sticky errno, LINKED-sibling cancellation, no leaked buffers), fan-out
-// routing via splice_multi, and the CPU attribution closure with the
-// kop.* charge buckets populated.
+// routing via splice_multi, the CPU attribution closure with the kop.*
+// charge buckets populated, and the trace consumers closing every chunk
+// read an operator drops or a reject abandons.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,11 @@
 #include "src/hw/costs.h"
 #include "src/hw/disk.h"
 #include "src/kop/kop.h"
+#include "src/metrics/span_trace.h"
+#include "src/metrics/telemetry.h"
 #include "src/net/udp_socket.h"
 #include "src/os/kernel.h"
+#include "src/sim/kspan.h"
 #include "src/sim/simulator.h"
 
 namespace ikdp {
@@ -270,6 +274,44 @@ class KopTest : public ::testing::Test {
     EXPECT_EQ(got, kernel_.cache().nbufs());
   }
 
+  // Both in-tree trace consumers on one live run.  Every splice read must
+  // close, whether written, dropped by an operator or abandoned when its
+  // stream finished, and the span tree must balance.
+  struct TracedRun {
+    explicit TracedRun(Kernel& k) : kernel(k) {
+      telemetry.Attach(&log);
+      builder.Attach(&log);
+      AttachKspan(&spans);
+      kernel.AttachTrace(&log);
+    }
+    ~TracedRun() {
+      kernel.AttachTrace(nullptr);
+      AttachKspan(nullptr);
+    }
+
+    uint64_t Count(TraceKind kind) const {
+      return log.Filter([kind](const TraceRecord& r) { return r.kind == kind; }).size();
+    }
+
+    void ExpectEveryReadClosed() {
+      ASSERT_EQ(log.dropped(), 0u);
+      EXPECT_EQ(telemetry.PendingIntervals(), 0u);
+      EXPECT_EQ(builder.PendingIntervals(), 0u);
+      EXPECT_EQ(builder.derived().at("splice.chunk"), Count(TraceKind::kSpliceRead));
+      EXPECT_EQ(registry.Histogram("splice.chunk_latency")->count(),
+                Count(TraceKind::kSpliceChunk));
+      std::string err;
+      EXPECT_TRUE(spans.CheckBalanced(&err)) << err;
+    }
+
+    Kernel& kernel;
+    TraceLog log{1 << 14};
+    MetricsRegistry registry;
+    TelemetryCollector telemetry{&registry};
+    KspanCollector spans;
+    SpanTraceBuilder builder{&spans};
+  };
+
   Simulator sim_;
   Kernel kernel_;
   RamDisk rama_;
@@ -379,6 +421,7 @@ TEST_F(KopTest, FilterDropsNinetyPercentInKernel) {
   UdpSocket sb(&kernel_.cpu(), 48 * 1024, 256 * 1024);
   NetworkLink wire(&sim_, EthernetParams());
   sa.ConnectTo(&sb, &wire);
+  TracedRun traced(kernel_);
 
   int64_t moved = -1;
   kernel_.Spawn("sender", [&](Process& p) -> Task<> {
@@ -415,6 +458,11 @@ TEST_F(KopTest, FilterDropsNinetyPercentInKernel) {
   EXPECT_EQ(s.kop_chunks_in, static_cast<uint64_t>(kBlocks));
   EXPECT_EQ(s.kop_chunks_dropped, 18u);
   EXPECT_EQ(s.kop_bytes_out, 2 * kBlockSize);
+  // The 18 dropped reads close on their kKopDrop, not as leaked intervals,
+  // and only the 2 written chunks are read-to-write latency samples.
+  EXPECT_EQ(traced.Count(TraceKind::kSpliceRead), static_cast<uint64_t>(kBlocks));
+  EXPECT_EQ(traced.Count(TraceKind::kSpliceChunk), 2u);
+  traced.ExpectEveryReadClosed();
 }
 
 TEST_F(KopTest, MidStreamRejectIsStickyAndLeaksNothing) {
@@ -432,6 +480,7 @@ TEST_F(KopTest, MidStreamRejectIsStickyAndLeaksNothing) {
   UdpSocket sb(&kernel_.cpu(), 48 * 1024, 256 * 1024);
   NetworkLink wire(&sim_, EthernetParams());
   sa.ConnectTo(&sb, &wire);
+  TracedRun traced(kernel_);
 
   int64_t rval = 0;
   int err_src = -1;
@@ -460,6 +509,9 @@ TEST_F(KopTest, MidStreamRejectIsStickyAndLeaksNothing) {
   EXPECT_EQ(kernel_.splice_engine().active(), 0);
   EXPECT_EQ(kernel_.splice_engine().stats().kop_chunks_rejected, 1u);
   VerifyNoLeakedBuffers();
+  // Reads still in flight at the reject close when the stream finishes.
+  EXPECT_GT(traced.Count(TraceKind::kSpliceRead), traced.Count(TraceKind::kSpliceChunk));
+  traced.ExpectEveryReadClosed();
 }
 
 TEST_F(KopTest, RingSqeRunsOperatorAndReportsInCqe) {

@@ -1,17 +1,21 @@
 // Tests for the metrics layer: log2 histogram bucketing and quantiles, the
-// named-metric registry, the online telemetry collector's interval pairing,
-// and whole-kernel counter capture, which must be per run.
+// named-metric registry, the interval pairer both trace consumers share, the
+// online telemetry collector, and whole-kernel counter capture, which must
+// be per run.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/dev/disk_driver.h"
 #include "src/dev/ram_disk.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/histogram.h"
+#include "src/metrics/intervals.h"
+#include "src/metrics/span_trace.h"
 #include "src/metrics/telemetry.h"
 #include "src/metrics/trace_export.h"
 #include "src/os/kernel.h"
@@ -170,6 +174,157 @@ TEST(TelemetryCollectorTest, PairsRingOpsByRingAndCookie) {
   collector.Observe({1500, TraceKind::kRingOpSubmit, 3, 9, ""});
   EXPECT_EQ(lat->count(), 2u);
   EXPECT_EQ(collector.PendingIntervals(), 1u);
+}
+
+// --- the shared interval pairer ---
+
+// Records every interval a pairer closes.
+struct Closed {
+  TraceRecord begin;
+  TraceRecord end;
+};
+
+struct PairerProbe {
+  void Observe(const TraceRecord& rec) {
+    pairer.Observe(rec, [this](const TraceRecord& b, const TraceRecord& e) {
+      closed.push_back({b, e});
+    });
+  }
+
+  IntervalPairer pairer;
+  std::vector<Closed> closed;
+};
+
+TEST(IntervalPairerTest, CompositeKeysKeepDevicesAndRingsApart) {
+  PairerProbe p;
+  // The same transfer serial on two devices, the same cookie on two rings.
+  p.Observe({0, TraceKind::kDiskDispatch, 1, 8192, "dev.a"});
+  p.Observe({100, TraceKind::kDiskDispatch, 1, 8192, "dev.b"});
+  p.Observe({200, TraceKind::kRingOpSubmit, 1, 7, ""});
+  p.Observe({300, TraceKind::kRingOpSubmit, 2, 7, ""});
+  EXPECT_EQ(p.pairer.pending(), 4u);
+
+  p.Observe({5100, TraceKind::kDiskComplete, 1, 8192, "dev.b"});
+  p.Observe({900, TraceKind::kRingOpComplete, 2, 7, ""});
+  ASSERT_EQ(p.closed.size(), 2u);
+  EXPECT_EQ(p.closed[0].begin.time, 100);  // dev.b's dispatch, not dev.a's
+  EXPECT_EQ(p.closed[0].end.time, 5100);
+  EXPECT_EQ(p.closed[1].begin.time, 300);  // ring 2's submit, not ring 1's
+  EXPECT_EQ(p.pairer.pending(), 2u);
+}
+
+TEST(IntervalPairerTest, LastBeginWinsAndUnmatchedEndsAreIgnored) {
+  PairerProbe p;
+  // A retried splice read re-records its index: the later begin replaces
+  // the open one rather than pairing twice.
+  p.Observe({100, TraceKind::kSpliceRead, 4, 0, ""});
+  p.Observe({250, TraceKind::kSpliceRead, 4, 0, ""});
+  EXPECT_EQ(p.pairer.pending(), 1u);
+  p.Observe({900, TraceKind::kSpliceChunk, 4, 0, ""});
+  ASSERT_EQ(p.closed.size(), 1u);
+  EXPECT_EQ(p.closed[0].begin.time, 250);
+
+  // Ends with no open begin close nothing and open nothing.
+  p.Observe({950, TraceKind::kSpliceChunk, 4, 0, ""});
+  p.Observe({960, TraceKind::kSyscallExit, 9, 0, "read"});
+  p.Observe({970, TraceKind::kUdpSent, 3, 512, ""});
+  EXPECT_EQ(p.closed.size(), 1u);
+  EXPECT_EQ(p.pairer.pending(), 0u);
+}
+
+TEST(IntervalPairerTest, KopDropClosesOneReadWithoutError) {
+  KspanCollector spans;
+  SpanTraceBuilder builder(&spans);
+  MetricsRegistry registry;
+  TelemetryCollector collector(&registry);
+  for (const TraceRecord& r : {TraceRecord{0, TraceKind::kSpliceRead, 1, 0, ""},
+                               TraceRecord{10, TraceKind::kSpliceRead, 1, 1, ""},
+                               TraceRecord{400, TraceKind::kKopDrop, 1, 1, ""}}) {
+    builder.Observe(r);
+    collector.Observe(r);
+  }
+  // Only (1, 1) closed; (1, 0) is still waiting for its write.
+  EXPECT_EQ(builder.PendingIntervals(), 1u);
+  EXPECT_EQ(collector.PendingIntervals(), 1u);
+  ASSERT_EQ(spans.spans().size(), 1u);
+  EXPECT_EQ(spans.spans()[0].a, 1);  // chunk index
+  EXPECT_EQ(spans.spans()[0].end, 400);
+  EXPECT_FALSE(spans.spans()[0].error);
+  // A dropped chunk was never written: no read-to-write latency sample.
+  EXPECT_EQ(registry.Histogram("splice.chunk_latency")->count(), 0u);
+}
+
+TEST(IntervalPairerTest, SpliceDoneClosesOnlyItsOwnSerialsReads) {
+  KspanCollector spans;
+  SpanTraceBuilder builder(&spans);
+  MetricsRegistry registry;
+  TelemetryCollector collector(&registry);
+  for (const TraceRecord& r : {TraceRecord{0, TraceKind::kSpliceRead, 1, 0, ""},
+                               TraceRecord{5, TraceKind::kSpliceRead, 1, 1, ""},
+                               TraceRecord{10, TraceKind::kSpliceRead, 2, 0, ""},
+                               TraceRecord{20, TraceKind::kSpliceRead, 3, 0, ""},
+                               TraceRecord{700, TraceKind::kSpliceDone, 2, 0, ""},
+                               TraceRecord{800, TraceKind::kSpliceDone, 1, 8192, ""}}) {
+    builder.Observe(r);
+    collector.Observe(r);
+  }
+  // Serials 1 and 2 finished with reads open; serial 3's read is untouched.
+  EXPECT_EQ(builder.PendingIntervals(), 1u);
+  EXPECT_EQ(collector.PendingIntervals(), 1u);
+  ASSERT_EQ(spans.spans().size(), 3u);
+  EXPECT_EQ(spans.spans()[0].start, 10);  // serial 2 closed first
+  EXPECT_EQ(spans.spans()[0].end, 700);
+  EXPECT_EQ(spans.spans()[1].start, 0);
+  EXPECT_EQ(spans.spans()[2].start, 5);
+  for (const SpanRecord& s : spans.spans()) {
+    EXPECT_EQ(std::string(s.name), "splice.chunk");
+    EXPECT_TRUE(s.error) << "an abandoned read closes errored";
+    EXPECT_GE(s.end, 700);
+  }
+  EXPECT_EQ(builder.derived().at("splice.chunk"), 3u);
+  EXPECT_EQ(registry.Histogram("splice.chunk_latency")->count(), 0u);
+}
+
+// Both consumers pair one live Table 2 run (RZ56, scp, 1 MB) through the
+// same pass, so every pair kind yields as many histogram samples as
+// derived spans.
+TEST(IntervalPairerTest, ConsumersAgreeOnEveryPairOfALiveTable2Run) {
+  KspanCollector spans;
+  Simulator scope;  // the span collector stays attached for this run only
+  AttachKspan(&spans);
+  TraceLog log(1 << 10);
+  MetricsRegistry registry;
+  TelemetryCollector collector(&registry);
+  collector.Attach(&log);
+  SpanTraceBuilder builder(&spans);
+  builder.Attach(&log);
+  ExperimentConfig cfg;
+  cfg.disk = DiskKind::kRz56;
+  cfg.file_bytes = 1 << 20;
+  cfg.use_splice = true;
+  cfg.with_test_program = false;
+  cfg.trace = &log;
+  const ExperimentResult result = RunCopyExperiment(cfg);
+  ASSERT_TRUE(result.ok);
+
+  auto samples = [&registry](const std::string& prefix) {
+    uint64_t n = 0;
+    for (const auto& [name, h] : registry.histograms()) {
+      if (name.rfind(prefix, 0) == 0) {
+        n += h.count();
+      }
+    }
+    return n;
+  };
+  const std::map<std::string, uint64_t>& derived = builder.derived();
+  EXPECT_EQ(samples("syscall.latency."), derived.at("syscall"));
+  EXPECT_EQ(samples("cpu.runq_wait"), derived.at("sched.runq"));
+  EXPECT_EQ(samples("disk.service_time."), derived.at("disk.xfer"));
+  EXPECT_EQ(samples("splice.chunk_latency"), derived.at("splice.chunk"));
+  EXPECT_EQ(derived.at("splice.chunk"), static_cast<uint64_t>((1 << 20) / kBlockSize));
+  EXPECT_EQ(collector.PendingIntervals(), builder.PendingIntervals());
+  std::string err;
+  EXPECT_TRUE(spans.CheckBalanced(&err)) << err;
 }
 
 TEST(TraceExportTest, JsonEscapeNeutralizesMetacharacters) {

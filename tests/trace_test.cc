@@ -101,7 +101,7 @@ TEST(TraceLogTest, ObserverSeesEveryRecordEvenAfterEviction) {
   TraceLog log(2);
   int seen = 0;
   int64_t last = -1;
-  log.set_observer([&](const TraceRecord& r) {
+  log.AddObserver([&](const TraceRecord& r) {
     ++seen;
     last = r.a;
   });
