@@ -18,6 +18,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: buffer-cache size sweep (8 MB copy, RZ58 disks)\n\n");
   std::printf("  %-7s | %-10s | %-10s | %-8s | %-8s\n", "bufs", "cp KB/s", "scp KB/s", "F_cp",
               "F_scp");
@@ -34,10 +35,11 @@ int main() {
     std::printf("  %4d    | %8.0f   | %8.0f   | %6.2f   | %6.2f %s\n", bufs, cp.throughput_kbs,
                 scp.throughput_kbs, cp.slowdown, scp.slowdown,
                 cp.ok && scp.ok ? "" : "FAILED");
+    all_ok = all_ok && cp.ok && scp.ok;
   }
   std::printf(
       "\nMeasured shape: splice exactly flat; cp fastest with a SMALL cache\n"
       "(early victim flushes overlap the destination writes with source reads;\n"
       "a big cache defers them into an unoverlapped fsync tail).\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -17,6 +17,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: callout-deferral ablation (8 MB scp)\n\n");
 
   std::printf("hz sweep (write handlers run on softclock ticks):\n");
@@ -32,6 +33,7 @@ int main() {
       const ikdp::ExperimentResult r = ikdp::RunCopyExperiment(cfg);
       std::printf("  %-5s | %5d | %8.0f   | %6.2f %s\n", ikdp::DiskKindName(disk), hz,
                   r.throughput_kbs, r.slowdown, r.ok ? "" : "FAILED");
+      all_ok = all_ok && r.ok;
     }
   }
 
@@ -51,11 +53,12 @@ int main() {
     std::printf("  %-5s | %8.0f   | %8.0f   | %6.2f   | %6.2f %s\n", ikdp::DiskKindName(disk),
                 on.throughput_kbs, off.throughput_kbs, on.slowdown, off.slowdown,
                 on.ok && off.ok ? "" : "FAILED");
+    all_ok = all_ok && on.ok && off.ok;
   }
   std::printf(
       "\nExpected shape: higher hz lets a synchronous-device splice move more\n"
       "chunks per second (the per-tick budget turns over faster) at a CPU\n"
       "availability cost; disabling deferral couples the devices and removes the\n"
       "pacing entirely (fast but CPU-hungry on the RAM disk).\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

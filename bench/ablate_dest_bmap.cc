@@ -13,6 +13,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: destination-bmap ablation (8 MB scp)\n\n");
   std::printf("  %-5s | %-14s | %-14s | %-10s | %-10s\n", "disk", "KB/s (special)",
               "KB/s (stock)", "F (special)", "F (stock)");
@@ -30,11 +31,12 @@ int main() {
                 ikdp::DiskKindName(disk), special.throughput_kbs, stock.throughput_kbs,
                 special.slowdown, stock.slowdown,
                 special.ok && stock.ok ? "" : "FAILED");
+    all_ok = all_ok && special.ok && stock.ok;
   }
   std::printf(
       "\nExpected shape: the stock bmap pays an extra in-memory zero-fill per block\n"
       "at splice-setup time and floods the cache with dirty zero blocks (an 8 MB\n"
       "destination is 1024 blocks against a 400-buffer cache, forcing wasted\n"
       "writes), costing setup latency and some throughput.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

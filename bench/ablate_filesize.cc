@@ -12,6 +12,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: file-size sweep (RZ58 disks)\n\n");
   std::printf("  %-6s | %-8s | %-8s | %-10s | %-10s | I\n", "size", "F_cp", "F_scp", "cp KB/s",
               "scp KB/s");
@@ -29,9 +30,10 @@ int main() {
                 static_cast<long long>(mb), cp.slowdown, scp.slowdown, cp.throughput_kbs,
                 scp.throughput_kbs, cp.slowdown / scp.slowdown,
                 cp.ok && scp.ok ? "" : "FAILED");
+    all_ok = all_ok && cp.ok && scp.ok;
   }
   std::printf(
       "\nPaper claim: sizes other than 8 MB are statistically indistinguishable;\n"
       "the factors should be stable across the sweep.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

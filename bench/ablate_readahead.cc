@@ -68,6 +68,7 @@ Row RunCp(int ra_depth, bool use_splice) {
 }  // namespace
 
 int main() {
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: cp read-ahead depth sweep (8 MB copy, RZ58 disks)\n\n");
   std::printf("  %-12s | %-10s | %-8s |\n", "depth", "cp KB/s", "F_cp");
   std::printf("  -------------+------------+----------+---\n");
@@ -75,13 +76,15 @@ int main() {
     const Row r = RunCp(depth, /*use_splice=*/false);
     std::printf("  %2d block(s)  | %8.0f   | %6.2f   | %s\n", depth, r.kbs, r.slowdown,
                 r.ok ? "verified" : "FAILED");
+    all_ok = all_ok && r.ok;
   }
   const Row scp = RunCp(1, /*use_splice=*/true);
   std::printf("  %-12s | %8.0f   | %6.2f   | %s\n", "scp (ref)", scp.kbs, scp.slowdown,
               scp.ok ? "verified" : "FAILED");
+  all_ok = all_ok && scp.ok;
   std::printf(
       "\nExpected shape: depth 0 loses the read/transfer overlap badly; one block\n"
       "recovers most of it (4.2BSD's choice); deeper read-ahead approaches the\n"
       "splice pipeline's throughput at a growing in-line CPU cost.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: scheduler priority-decay ablation (8 MB copy)\n\n");
   std::printf("  %-5s | %-9s | %-9s | %-9s | %-9s\n", "disk", "F_cp", "F_cp", "F_scp", "F_scp");
   std::printf("  %-5s | %-9s | %-9s | %-9s | %-9s\n", "", "(flat)", "(decay)", "(flat)",
@@ -34,6 +35,7 @@ int main() {
     std::printf("  %-5s | %7.2f   | %7.2f   | %7.2f   | %7.2f %s\n", ikdp::DiskKindName(disk),
                 cp_flat.slowdown, cp_decay.slowdown, scp_flat.slowdown, scp_decay.slowdown,
                 cp_flat.ok && cp_decay.ok && scp_flat.ok && scp_decay.ok ? "" : "FAILED");
+    all_ok = all_ok && cp_flat.ok && cp_decay.ok && scp_flat.ok && scp_decay.ok;
   }
   std::printf(
       "\nMeasured shape: identical.  The copier contends from kernel sleep\n"
@@ -42,5 +44,5 @@ int main() {
       "scheduling decision.  The paper's factors are robust to this scheduler\n"
       "refinement; decay matters only for multi-process user-level competition\n"
       "(see CpuTest.FreshProcessOutranksPenalizedHog).\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

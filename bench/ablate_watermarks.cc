@@ -27,6 +27,7 @@ struct Config {
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: splice flow-control watermark ablation (8 MB scp)\n\n");
   const Config configs[] = {
       {"lock-step (1,1,1)", 1, 1, 1, 2},
@@ -51,6 +52,7 @@ int main() {
       const ikdp::ExperimentResult r = ikdp::RunCopyExperiment(cfg);
       std::printf("  %-22s | %8.0f   | %6.2f   | %s\n", c.label, r.throughput_kbs, r.slowdown,
                   r.ok ? "     (verified)" : "FAILED");
+      all_ok = all_ok && r.ok;
     }
     std::printf("\n");
   }
@@ -58,5 +60,5 @@ int main() {
       "Expected shape: lock-step costs throughput on seek-bound disks (no\n"
       "read/write overlap); the paper's (3,5,5) recovers most of the deep-queue\n"
       "throughput while bounding buffer usage.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -14,6 +14,7 @@
 
 int main() {
   using ikdp::DiskKind;
+  bool all_ok = true;  // a FAILED row fails the run
   std::printf("ikdp bench: zero-copy ablation (8 MB scp)\n\n");
   std::printf("  %-5s | %-12s | %-12s | %-8s | %-8s\n", "disk", "scp KB/s", "scp KB/s", "F_scp",
               "F_scp");
@@ -32,10 +33,11 @@ int main() {
     std::printf("  %-5s | %10.0f   | %10.0f   | %6.2f   | %6.2f %s\n",
                 ikdp::DiskKindName(disk), zc.throughput_kbs, bc.throughput_kbs, zc.slowdown,
                 bc.slowdown, zc.ok && bc.ok ? "" : "FAILED");
+    all_ok = all_ok && zc.ok && bc.ok;
   }
   std::printf(
       "\nExpected shape: the copy costs CPU availability everywhere (higher F), and\n"
       "costs throughput where the CPU is the bottleneck (RAM disk); disk-bound\n"
       "splices lose little throughput but still steal more cycles.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -16,12 +16,13 @@
 // ring drive identical engine concurrency — the grid isolates submission
 // cost, not overlap.
 //
-// Emits BENCH_aio.json (schema ikdp.aio_bench.v1) plus a ring-run telemetry
-// export BENCH_aio_telemetry.json (schema ikdp.telemetry.v1, including the
-// aio.sq_depth and aio.completion_latency histograms), re-parses both with
-// the bundled JSON reader, and exits nonzero if any check fails — including
-// the headline acceptance: at N = 16 the ring must reach at least FASYNC
-// throughput while charging strictly fewer trap cycles.
+// Emits BENCH_aio.json (schema ikdp.bench.v1, every check below a gate) plus
+// a ring-run telemetry export BENCH_aio_telemetry.json (schema
+// ikdp.telemetry.v1, including the aio.sq_depth and aio.completion_latency
+// histograms), re-parses both with the bundled JSON reader, and exits
+// nonzero if any check fails — including the headline acceptance: at N = 16
+// the ring must reach at least FASYNC throughput while charging strictly
+// fewer trap cycles.
 
 #include <cstdio>
 #include <fstream>
@@ -42,19 +43,8 @@
 
 namespace {
 
+using ikdp::bench::ModeName;
 ikdp::bench::CheckList g_checks;
-
-const char* ModeName(ikdp::SubmitMode m) {
-  switch (m) {
-    case ikdp::SubmitMode::kSyncLoop:
-      return "sync";
-    case ikdp::SubmitMode::kFasyncSigio:
-      return "fasync";
-    case ikdp::SubmitMode::kRing:
-      return "ring";
-  }
-  return "?";
-}
 
 struct CellResult {
   ikdp::SubmitMode mode;
@@ -180,6 +170,8 @@ int main(int argc, char** argv) {
 
   std::printf("%-7s %4s %12s %10s %7s %8s %13s %7s\n", "mode", "N", "tput KB/s", "elapsed",
               "F", "traps", "trap-time ms", "SIGIOs");
+  ikdp::bench::BenchArtifact artifact("aio_ring");
+  artifact.config.Int("stream_kb", stream_kb);
   std::vector<CellResult> cells;
   for (int n : ns) {
     for (ikdp::SubmitMode mode : modes) {
@@ -191,6 +183,17 @@ int main(int argc, char** argv) {
                   static_cast<double>(cell.ms.trap_time) / 1e6,
                   static_cast<unsigned long long>(cell.ms.sigio_handled),
                   cell.verified ? "" : "  NOT VERIFIED");
+      artifact.rows.emplace_back()
+          .Str("mode", ModeName(mode))
+          .Int("n", n)
+          .Num("throughput_kbs", cell.ms.ThroughputKbs(), 1)
+          .Num("elapsed_s", cell.ms.ElapsedSeconds(), 6)
+          .Num("slowdown", cell.slowdown, 4)
+          .Int("traps", cell.ms.syscall_traps)
+          .Int("trap_time_ns", cell.ms.trap_time)
+          .Int("sigio", cell.ms.sigio_handled)
+          .Num("idle_fraction", cell.idle_fraction, 4)
+          .Bool("verified", cell.verified);
       cells.push_back(std::move(cell));
     }
   }
@@ -207,36 +210,9 @@ int main(int argc, char** argv) {
   };
   const CellResult& ring16 = find(ikdp::SubmitMode::kRing, 16);
   const CellResult& fasync16 = find(ikdp::SubmitMode::kFasyncSigio, 16);
-  const bool tput_ok = ring16.ms.ThroughputKbs() >= fasync16.ms.ThroughputKbs();
-  const bool traps_ok = ring16.ms.trap_time < fasync16.ms.trap_time &&
-                        ring16.ms.syscall_traps < fasync16.ms.syscall_traps;
 
-  // --- BENCH_aio.json ---
+  // BENCH_aio.json is written once the checks below have run: they are its gates.
   const char* out_path = "BENCH_aio.json";
-  {
-    std::ofstream out(out_path);
-    out << "{\n\"schema\":\"ikdp.aio_bench.v1\",\n\"stream_kb\":" << stream_kb
-        << ",\n\"rows\":[";
-    bool first = true;
-    for (const CellResult& c : cells) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      char row[512];
-      std::snprintf(row, sizeof(row),
-                    "{\"mode\":\"%s\",\"n\":%d,\"throughput_kbs\":%.1f,"
-                    "\"elapsed_s\":%.6f,\"slowdown\":%.4f,\"traps\":%llu,"
-                    "\"trap_time_ns\":%lld,\"sigio\":%llu,\"idle_fraction\":%.4f,"
-                    "\"verified\":%s}",
-                    ModeName(c.mode), c.n, c.ms.ThroughputKbs(), c.ms.ElapsedSeconds(),
-                    c.slowdown, static_cast<unsigned long long>(c.ms.syscall_traps),
-                    static_cast<long long>(c.ms.trap_time),
-                    static_cast<unsigned long long>(c.ms.sigio_handled), c.idle_fraction,
-                    c.verified ? "true" : "false");
-      out << row;
-    }
-    out << "\n],\n\"acceptance\":{\"n16_ring_tput_ge_fasync\":" << (tput_ok ? "true" : "false")
-        << ",\"n16_ring_traps_lt_fasync\":" << (traps_ok ? "true" : "false") << "}\n}\n";
-  }
   const char* telemetry_path = "BENCH_aio_telemetry.json";
   {
     std::ofstream out(telemetry_path);
@@ -249,21 +225,17 @@ int main(int argc, char** argv) {
     std::snprintf(label, sizeof(label), "%s N=%d verified, ledger sane", ModeName(c.mode), c.n);
     g_checks.Check(c.verified && c.idle_fraction >= 0.0 && c.idle_fraction <= 1.0, label);
   }
-  g_checks.Check(tput_ok, "N=16: ring throughput >= FASYNC+SIGIO");
-  g_checks.Check(traps_ok, "N=16: ring charges strictly fewer trap cycles");
+  g_checks.Check(ring16.ms.ThroughputKbs() >= fasync16.ms.ThroughputKbs(),
+                 "N=16: ring throughput >= FASYNC+SIGIO");
+  g_checks.Check(ring16.ms.trap_time < fasync16.ms.trap_time &&
+                     ring16.ms.syscall_traps < fasync16.ms.syscall_traps,
+                 "N=16: ring charges strictly fewer trap cycles");
   const CellResult& sync16 = find(ikdp::SubmitMode::kSyncLoop, 16);
   g_checks.Check(ring16.ms.ThroughputKbs() > sync16.ms.ThroughputKbs(),
                  "N=16: overlap beats the synchronous loop");
   g_checks.Check(fasync16.ms.sigio_handled >= 1 && fasync16.ms.sigio_handled <= 16,
                  "N=16: FASYNC SIGIOs coalesced into [1,16]");
 
-  ikdp::JsonValue bench_json;
-  g_checks.Check(ikdp::ParseJson(ikdp::bench::Slurp(out_path), &bench_json),
-                 "BENCH_aio.json parses (strict reader)");
-  const ikdp::JsonValue* rows = bench_json.Get("rows");
-  g_checks.Check(rows != nullptr && rows->IsArray() &&
-                     rows->items.size() == ns.size() * modes.size(),
-                 "BENCH_aio.json has a row per grid cell");
   ikdp::JsonValue telem_json;
   g_checks.Check(ikdp::ParseJson(ikdp::bench::Slurp(telemetry_path), &telem_json),
                  "telemetry export parses (strict reader)");
@@ -278,6 +250,7 @@ int main(int argc, char** argv) {
                      ring_registry.GetCounter("aio.harvested") == 16,
                  "ring counters: 16 submitted, 16 harvested");
 
+  artifact.Write(out_path, &g_checks);
   std::printf("\n%s\n", g_checks.ok ? "ALL CHECKS PASS" : "CHECKS FAILED");
   return g_checks.ok ? 0 : 1;
 }

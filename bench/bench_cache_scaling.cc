@@ -12,14 +12,15 @@
 // under each scheduler policy, reporting simulated completion time plus the
 // scheduler's coalescing/sorting counters.
 //
-// Results are printed and also written to BENCH_cache.json in the current
-// directory so the perf trajectory of this path is machine-readable.
+// Results are printed and also written to BENCH_cache.json (schema
+// ikdp.bench.v1, one row per sweep point) in the current directory so the
+// perf trajectory of this path is machine-readable.
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <vector>
 
+#include "bench/bench_common.h"
 #include "src/buf/buffer_cache.h"
 #include "src/dev/ram_disk.h"
 #include "src/hw/costs.h"
@@ -133,18 +134,25 @@ CacheRow RunCacheSweep(int nbufs, int64_t ops) {
 }  // namespace
 
 int main() {
+  // One row per sweep point: cache rows carry nbufs, queue rows sched and depth.
+  ikdp::bench::BenchArtifact artifact("cache_scaling");
   std::printf("ikdp bench: buffer-cache hot-path scaling (host wall clock)\n\n");
   std::printf("  %-7s | %-9s | %-10s | %-10s | %-10s\n", "nbufs", "ops", "wall ms", "hits",
               "misses");
   std::printf("  --------+-----------+------------+------------+-----------\n");
   constexpr int64_t kOps = 200000;
-  std::vector<CacheRow> cache_rows;
   for (int nbufs : {64, 512, 4096}) {
     const CacheRow r = RunCacheSweep(nbufs, kOps);
-    cache_rows.push_back(r);
     std::printf("  %5d   | %7lld   | %8.1f   | %8llu   | %8llu\n", r.nbufs,
                 static_cast<long long>(r.ops), r.wall_ms, static_cast<unsigned long long>(r.hits),
                 static_cast<unsigned long long>(r.misses));
+    artifact.rows.emplace_back()
+        .Int("nbufs", r.nbufs)
+        .Int("ops", r.ops)
+        .Num("wall_ms", r.wall_ms, 2)
+        .Num("sim_ms", r.sim_ms, 2)
+        .Int("hits", r.hits)
+        .Int("misses", r.misses);
   }
 
   std::printf("\nikdp bench: disk request queue, scheduler x depth (simulated time)\n\n");
@@ -152,44 +160,25 @@ int main() {
               "coalesced", "sort passes", "max depth");
   std::printf("  -------+--------+------------+------------+-------------+----------\n");
   constexpr int kQueueRequests = 2000;
-  std::vector<QueueRow> queue_rows;
   for (ikdp::DiskSched sched : {ikdp::DiskSched::kFifo, ikdp::DiskSched::kCLook}) {
     for (int depth : {1, 4, 16}) {
       const QueueRow r = RunQueueSweep(sched, depth, kQueueRequests);
-      queue_rows.push_back(r);
       std::printf("  %-6s | %4d   | %8.1f   | %8llu   | %9llu   | %7zu\n", r.sched, r.depth,
                   r.sim_ms, static_cast<unsigned long long>(r.coalesced),
                   static_cast<unsigned long long>(r.sort_passes), r.max_depth);
+      artifact.rows.emplace_back()
+          .Str("sched", r.sched)
+          .Int("depth", r.depth)
+          .Int("requests", kQueueRequests)
+          .Num("sim_ms", r.sim_ms, 2)
+          .Int("coalesced", r.coalesced)
+          .Int("sort_passes", r.sort_passes)
+          .Int("max_depth", r.max_depth);
     }
   }
 
-  std::FILE* f = std::fopen("BENCH_cache.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"cache_scaling\",\n  \"cache_sweep\": [\n");
-    for (size_t i = 0; i < cache_rows.size(); ++i) {
-      const CacheRow& r = cache_rows[i];
-      std::fprintf(f,
-                   "    {\"nbufs\": %d, \"ops\": %lld, \"wall_ms\": %.2f, \"sim_ms\": %.2f, "
-                   "\"hits\": %llu, \"misses\": %llu}%s\n",
-                   r.nbufs, static_cast<long long>(r.ops), r.wall_ms, r.sim_ms,
-                   static_cast<unsigned long long>(r.hits),
-                   static_cast<unsigned long long>(r.misses),
-                   i + 1 < cache_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"queue_sweep\": [\n");
-    for (size_t i = 0; i < queue_rows.size(); ++i) {
-      const QueueRow& r = queue_rows[i];
-      std::fprintf(f,
-                   "    {\"sched\": \"%s\", \"depth\": %d, \"requests\": %d, \"sim_ms\": %.2f, "
-                   "\"coalesced\": %llu, \"sort_passes\": %llu, \"max_depth\": %zu}%s\n",
-                   r.sched, r.depth, kQueueRequests, r.sim_ms,
-                   static_cast<unsigned long long>(r.coalesced),
-                   static_cast<unsigned long long>(r.sort_passes), r.max_depth,
-                   i + 1 < queue_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_cache.json\n");
-  }
-  return 0;
+  std::printf("\nwrote BENCH_cache.json\n");
+  ikdp::bench::CheckList checks;
+  artifact.Write("BENCH_cache.json", &checks);
+  return checks.ok ? 0 : 1;
 }

@@ -23,13 +23,11 @@
 // write errors and latency spikes; seeds derive from the cell index so the
 // whole grid is reproducible run to run.
 //
-// Emits BENCH_fault.json (schema ikdp.fault_bench.v1), re-parses it with
-// the bundled strict JSON reader, and exits nonzero if any check fails.
+// Emits BENCH_fault.json (schema ikdp.bench.v1, every check below a gate),
+// re-parses it with the strict JSON reader, and exits nonzero on any failure.
 // `bench_fault_matrix small` runs the reduced CI grid.
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -42,7 +40,6 @@
 #include "src/hw/link.h"
 #include "src/kop/kop.h"
 #include "src/net/udp_socket.h"
-#include "src/metrics/trace_export.h"
 #include "src/os/kernel.h"
 #include "src/sim/kspan.h"
 #include "src/sim/simulator.h"
@@ -50,19 +47,8 @@
 
 namespace {
 
+using ikdp::bench::ModeName;
 ikdp::bench::CheckList g_checks;
-
-const char* ModeName(ikdp::SubmitMode m) {
-  switch (m) {
-    case ikdp::SubmitMode::kSyncLoop:
-      return "sync";
-    case ikdp::SubmitMode::kFasyncSigio:
-      return "fasync";
-    case ikdp::SubmitMode::kRing:
-      return "ring";
-  }
-  return "?";
-}
 
 struct FaultCell {
   ikdp::SubmitMode mode;
@@ -339,7 +325,7 @@ RejectCase RunRejectCase() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool small = argc > 1 && std::strcmp(argv[1], "small") == 0;
+  const bool small = ikdp::bench::SmallGrid(argc, argv);
   const int64_t stream_bytes = 16 * ikdp::kBlockSize;
 
   const std::vector<double> dev_rates =
@@ -354,6 +340,8 @@ int main(int argc, char** argv) {
   std::printf("%-7s %2s %5s %5s %5s %4s %4s %6s %7s %5s %6s %6s\n", "mode", "N", "erate",
               "loss", "done", "err", "cqes", "dkerr", "lost", "jit", "net", "flags");
 
+  ikdp::bench::BenchArtifact artifact("fault_matrix");
+  artifact.config.Str("grid", small ? "small" : "full").Int("stream_kb", stream_bytes >> 10);
   std::vector<FaultCell> cells;
   uint64_t idx = 0;
   for (double e : dev_rates) {
@@ -371,6 +359,32 @@ int main(int argc, char** argv) {
                       static_cast<unsigned long long>(c.frames_lost),
                       static_cast<unsigned long long>(c.frames_jittered),
                       static_cast<long long>(c.net_moved), flags);
+          artifact.rows.emplace_back()
+              .Str("mode", ModeName(mode))
+              .Int("n", n)
+              .Num("dev_rate", e, 2)
+              .Num("loss", l, 2)
+              .Int("completed", c.ms.streams_completed)
+              .Int("errored", c.ms.streams_errored)
+              .Int("first_errno", c.ms.first_errno)
+              .Int("ring_cqes", c.ms.ring_cqes)
+              .Int("bytes", c.ms.bytes)
+              .Num("elapsed_s", c.ms.ElapsedSeconds(), 6)
+              .Int("traps", c.ms.syscall_traps)
+              .Int("disk_errors", c.disk_errors)
+              .Int("disk_spikes", c.disk_spikes)
+              .Int("frames_lost", c.frames_lost)
+              .Int("frames_jittered", c.frames_jittered)
+              .Int("delwri_data_lost", c.delwri_data_lost)
+              .Int("net_moved", c.net_moved)
+              .Int("net_errno", c.net_errno)
+              .Int("spans", c.spans_begun)
+              .Bool("spans_balanced", c.spans_balanced)
+              .Bool("closure_ok", c.closure_ok)
+              .Bool("quiescent", c.quiescent)
+              .Bool("engine_quiet", c.engine_quiet)
+              .Bool("leaks_ok", c.leaks_ok)
+              .Bool("verified", c.verified);
           cells.push_back(std::move(c));
         }
       }
@@ -378,45 +392,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // --- BENCH_fault.json ---
+  // BENCH_fault.json is written once the checks below have run: they are its gates.
   const char* out_path = "BENCH_fault.json";
-  {
-    std::ofstream out(out_path);
-    out << "{\n\"schema\":\"ikdp.fault_bench.v1\",\n\"grid\":\"" << (small ? "small" : "full")
-        << "\",\n\"stream_kb\":" << (stream_bytes >> 10) << ",\n\"rows\":[";
-    bool first = true;
-    for (const FaultCell& c : cells) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      char row[640];
-      std::snprintf(
-          row, sizeof(row),
-          "{\"mode\":\"%s\",\"n\":%d,\"dev_rate\":%.2f,\"loss\":%.2f,"
-          "\"completed\":%d,\"errored\":%d,\"first_errno\":%d,\"ring_cqes\":%d,"
-          "\"bytes\":%lld,\"elapsed_s\":%.6f,\"traps\":%llu,"
-          "\"disk_errors\":%llu,\"disk_spikes\":%llu,\"frames_lost\":%llu,"
-          "\"frames_jittered\":%llu,\"delwri_data_lost\":%llu,"
-          "\"net_moved\":%lld,\"net_errno\":%d,"
-          "\"spans\":%llu,\"spans_balanced\":%s,\"closure_ok\":%s,"
-          "\"quiescent\":%s,\"engine_quiet\":%s,\"leaks_ok\":%s,\"verified\":%s}",
-          ModeName(c.mode), c.n, c.dev_rate, c.loss, c.ms.streams_completed,
-          c.ms.streams_errored, c.ms.first_errno, c.ms.ring_cqes,
-          static_cast<long long>(c.ms.bytes), c.ms.ElapsedSeconds(),
-          static_cast<unsigned long long>(c.ms.syscall_traps),
-          static_cast<unsigned long long>(c.disk_errors),
-          static_cast<unsigned long long>(c.disk_spikes),
-          static_cast<unsigned long long>(c.frames_lost),
-          static_cast<unsigned long long>(c.frames_jittered),
-          static_cast<unsigned long long>(c.delwri_data_lost),
-          static_cast<long long>(c.net_moved), c.net_errno,
-          static_cast<unsigned long long>(c.spans_begun), c.spans_balanced ? "true" : "false",
-          c.closure_ok ? "true" : "false", c.quiescent ? "true" : "false",
-          c.engine_quiet ? "true" : "false", c.leaks_ok ? "true" : "false",
-          c.verified ? "true" : "false");
-      out << row;
-    }
-    out << "\n]\n}\n";
-  }
   std::printf("wrote %s\n\n", out_path);
 
   uint64_t faulty_errored = 0;
@@ -484,13 +461,7 @@ int main(int argc, char** argv) {
   g_checks.Check(faulty_errored > 0, "some streams aborted with errno under injection");
   g_checks.Check(lossy_frames_lost > 0, "lossy links actually dropped frames");
 
-  ikdp::JsonValue bench_json;
-  g_checks.Check(ikdp::ParseJson(ikdp::bench::Slurp(out_path), &bench_json),
-                 "BENCH_fault.json parses (strict reader)");
-  const ikdp::JsonValue* rows = bench_json.Get("rows");
-  g_checks.Check(rows != nullptr && rows->IsArray() && rows->items.size() == cells.size(),
-                 "BENCH_fault.json has a row per grid cell");
-
+  artifact.Write(out_path, &g_checks);
   std::printf("\n%s\n", g_checks.ok ? "ALL CHECKS PASS" : "CHECKS FAILED");
   return g_checks.ok ? 0 : 1;
 }

@@ -18,14 +18,12 @@
 // (hard gates), and the in-kernel row must beat the user row on BOTH
 // CPU availability (test-program progress per simulated second) and
 // syscall traps — the win conditions tools/telemetry_check enforces on
-// the emitted BENCH_kop.json (schema ikdp.kop_bench.v1).
+// the emitted BENCH_kop.json (schema ikdp.bench.v1).
 //
 // `bench_kop small` runs the reduced CI grid (100 blocks).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +33,6 @@
 #include "src/hw/disk.h"
 #include "src/hw/link.h"
 #include "src/kop/kop.h"
-#include "src/metrics/trace_export.h"
 #include "src/net/udp_socket.h"
 #include "src/os/kernel.h"
 #include "src/sim/kspan.h"
@@ -183,7 +180,7 @@ ModeResult RunMode(bool inkernel, int blocks, int keep_every) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool small = argc > 1 && std::strcmp(argv[1], "small") == 0;
+  const bool small = ikdp::bench::SmallGrid(argc, argv);
   const int blocks = small ? 100 : 1024;
   const int keep_every = 10;  // 90% of the stream is chaff
   const int seed = 1;         // nothing here draws randomness; recorded for the schema
@@ -196,6 +193,11 @@ int main(int argc, char** argv) {
 
   ModeResult rows[2] = {RunMode(/*inkernel=*/true, blocks, keep_every),
                         RunMode(/*inkernel=*/false, blocks, keep_every)};
+  ikdp::bench::BenchArtifact artifact("kop");
+  artifact.config.Int("object_kb", static_cast<int64_t>(blocks) * ikdp::kBlockSize >> 10)
+      .Int("blocks", blocks)
+      .Int("keep_every", keep_every)
+      .Int("seed", seed);
   for (const ModeResult& r : rows) {
     std::printf("%-9s %10lld %10lld %7lld %7lld %8llu %9.3f %7.3f %7.2f\n", r.mode,
                 static_cast<long long>(r.bytes_in), static_cast<long long>(r.bytes_out),
@@ -205,37 +207,24 @@ int main(int argc, char** argv) {
     if (!r.err.empty()) {
       std::fprintf(stderr, "  [%s] %s\n", r.mode, r.err.c_str());
     }
+    artifact.rows.emplace_back()
+        .Str("mode", r.mode)
+        .Int("bytes_in", r.bytes_in)
+        .Int("bytes_out", r.bytes_out)
+        .Int("chunks_in", r.chunks_in)
+        .Int("chunks_dropped", r.chunks_dropped)
+        .Int("syscall_traps", r.syscall_traps)
+        .Int("kop_exec_ns", r.kop_exec_ns)
+        .Num("elapsed_s", r.elapsed_s, 6)
+        .Num("goodput_bps", r.goodput_bps, 1)
+        .Num("cpu_availability", r.cpu_availability, 6)
+        .Bool("closure_ok", r.closure_ok)
+        .Bool("spans_balanced", r.spans_balanced);
   }
   std::printf("\n");
 
-  // --- BENCH_kop.json (schema ikdp.kop_bench.v1) ---
+  // BENCH_kop.json is written once the checks below have run: they are its gates.
   const char* out_path = "BENCH_kop.json";
-  {
-    std::ofstream out(out_path);
-    out << "{\n\"schema\":\"ikdp.kop_bench.v1\",\n\"object_kb\":"
-        << (static_cast<int64_t>(blocks) * ikdp::kBlockSize >> 10) << ",\n\"blocks\":" << blocks
-        << ",\n\"keep_every\":" << keep_every << ",\n\"seed\":" << seed << ",\n\"rows\":[";
-    bool first = true;
-    for (const ModeResult& r : rows) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      char row[512];
-      std::snprintf(row, sizeof(row),
-                    "{\"mode\":\"%s\",\"bytes_in\":%lld,\"bytes_out\":%lld,"
-                    "\"chunks_in\":%lld,\"chunks_dropped\":%lld,\"syscall_traps\":%llu,"
-                    "\"kop_exec_ns\":%lld,\"elapsed_s\":%.6f,\"goodput_bps\":%.1f,"
-                    "\"cpu_availability\":%.6f,\"closure_ok\":%s,\"spans_balanced\":%s}",
-                    r.mode, static_cast<long long>(r.bytes_in),
-                    static_cast<long long>(r.bytes_out), static_cast<long long>(r.chunks_in),
-                    static_cast<long long>(r.chunks_dropped),
-                    static_cast<unsigned long long>(r.syscall_traps),
-                    static_cast<long long>(r.kop_exec_ns), r.elapsed_s, r.goodput_bps,
-                    r.cpu_availability, r.closure_ok ? "true" : "false",
-                    r.spans_balanced ? "true" : "false");
-      out << row;
-    }
-    out << "\n]\n}\n";
-  }
   std::printf("wrote %s\n\n", out_path);
 
   const ModeResult& ik = rows[0];
@@ -273,13 +262,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(us.syscall_traps));
   g_checks.Check(ik.syscall_traps < us.syscall_traps, what);
 
-  ikdp::JsonValue parsed;
-  g_checks.Check(ikdp::ParseJson(ikdp::bench::Slurp(out_path), &parsed),
-                 "BENCH_kop.json parses (strict reader)");
-  const ikdp::JsonValue* jrows = parsed.Get("rows");
-  g_checks.Check(jrows != nullptr && jrows->IsArray() && jrows->items.size() == 2,
-                 "BENCH_kop.json has a row per mode");
-
+  artifact.Write(out_path, &g_checks);
   std::printf("\n%s\n", g_checks.ok ? "ALL CHECKS PASS" : "CHECKS FAILED");
   return g_checks.ok ? 0 : 1;
 }

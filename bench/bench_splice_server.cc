@@ -11,16 +11,15 @@
 //   SERVER_spans.json   span trees as Chrome trace async slices (Perfetto)
 //   SERVER_folded.txt   flame-graph folded stacks of attributed CPU
 //
-// Emits BENCH_server.json (schema ikdp.server_bench.v1) with per-mode
-// p50/p99/p999 latency, goodput, stall-watchdog flags, and the invariant
-// bits; re-parses it with the strict reader and exits nonzero on any
-// violated check.  The CPU attribution closure is asserted per run inside
+// Emits BENCH_server.json (schema ikdp.bench.v1) with per-mode p50/p99/p999
+// latency, goodput, stall-watchdog flags, the invariant bits, and every check
+// below as a gate; re-parses it with the strict reader and exits nonzero on
+// any violated check.  The CPU attribution closure is asserted per run inside
 // RunSpliceServer's result — a failed closure fails the bench.
 //
 // `bench_splice_server small` runs the reduced CI grid (64 clients).
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -28,25 +27,13 @@
 #include "bench/bench_common.h"
 #include "src/metrics/slo.h"
 #include "src/metrics/span_trace.h"
-#include "src/metrics/trace_export.h"
 #include "src/sim/kspan.h"
 #include "src/workload/splice_server.h"
 
 namespace {
 
+using ikdp::bench::ModeName;
 ikdp::bench::CheckList g_checks;
-
-const char* ModeName(ikdp::SubmitMode m) {
-  switch (m) {
-    case ikdp::SubmitMode::kSyncLoop:
-      return "sync";
-    case ikdp::SubmitMode::kFasyncSigio:
-      return "fasync";
-    case ikdp::SubmitMode::kRing:
-      return "ring";
-  }
-  return "?";
-}
 
 struct ModeRun {
   ikdp::SubmitMode mode;
@@ -83,7 +70,7 @@ bool SameStats(const ikdp::CpuSystem::Stats& a, const ikdp::CpuSystem::Stats& b)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool small = argc > 1 && std::strcmp(argv[1], "small") == 0;
+  const bool small = ikdp::bench::SmallGrid(argc, argv);
 
   ikdp::SpliceServerConfig cfg;
   cfg.n_clients = small ? 64 : 1000;
@@ -112,6 +99,15 @@ int main(int argc, char** argv) {
 
   const std::vector<ikdp::SubmitMode> modes = {
       ikdp::SubmitMode::kSyncLoop, ikdp::SubmitMode::kFasyncSigio, ikdp::SubmitMode::kRing};
+  ikdp::bench::BenchArtifact artifact("splice_server");
+  artifact.config.Str("grid", small ? "small" : "full")
+      .Int("clients", cfg.n_clients)
+      .Int("objects", cfg.n_objects)
+      .Int("object_kb", cfg.object_bytes >> 10)
+      .Int("requests", cfg.total_requests)
+      .Num("offered_rps", cfg.offered_rps, 1)
+      .Num("zipf_s", cfg.zipf_s, 2)
+      .Int("seed", cfg.seed);
   std::vector<ModeRun> runs;
   for (ikdp::SubmitMode mode : modes) {
     ModeRun mr;
@@ -177,46 +173,30 @@ int main(int argc, char** argv) {
         }
       }
     }
+    artifact.rows.emplace_back()
+        .Str("mode", ModeName(mode))
+        .Int("completed", mr.off.completed)
+        .Int("errored", mr.off.errored)
+        .Int("bytes", mr.off.bytes)
+        .Num("elapsed_s", static_cast<double>(mr.off.end_time) / 1e9, 6)
+        .Int("p50_ns", mr.slo.p50_ns)
+        .Int("p99_ns", mr.slo.p99_ns)
+        .Int("p999_ns", mr.slo.p999_ns)
+        .Int("max_ns", mr.slo.max_ns)
+        .Num("goodput_bps", mr.slo.goodput_bps, 1)
+        .Int("stall_flags", mr.slo.stall_flags)
+        .Int("server_traps", mr.off.server_traps)
+        .Int("sigio_handled", mr.off.sigio_handled)
+        .Int("spans", mr.spans_begun)
+        .Bool("spans_balanced", mr.spans_balanced)
+        .Bool("closure_ok", mr.off.closure_ok && mr.on.closure_ok)
+        .Bool("overhead_zero", mr.overhead_zero);
     runs.push_back(std::move(mr));
   }
   std::printf("\n");
 
-  // --- BENCH_server.json ---
+  // BENCH_server.json is written once the checks below have run: they are its gates.
   const char* out_path = "BENCH_server.json";
-  {
-    std::ofstream out(out_path);
-    out << "{\n\"schema\":\"ikdp.server_bench.v1\",\n\"grid\":\"" << (small ? "small" : "full")
-        << "\",\n\"clients\":" << cfg.n_clients << ",\n\"objects\":" << cfg.n_objects
-        << ",\n\"object_kb\":" << (cfg.object_bytes >> 10)
-        << ",\n\"requests\":" << cfg.total_requests << ",\n\"offered_rps\":" << cfg.offered_rps
-        << ",\n\"zipf_s\":" << cfg.zipf_s << ",\n\"seed\":" << cfg.seed << ",\n\"rows\":[";
-    bool first = true;
-    for (const ModeRun& r : runs) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      char row[768];
-      std::snprintf(
-          row, sizeof(row),
-          "{\"mode\":\"%s\",\"completed\":%llu,\"errored\":%llu,\"bytes\":%lld,"
-          "\"elapsed_s\":%.6f,\"p50_ns\":%lld,\"p99_ns\":%lld,\"p999_ns\":%lld,"
-          "\"max_ns\":%lld,\"goodput_bps\":%.1f,\"stall_flags\":%llu,"
-          "\"server_traps\":%llu,\"sigio_handled\":%llu,"
-          "\"spans\":%llu,\"spans_balanced\":%s,\"closure_ok\":%s,\"overhead_zero\":%s}",
-          ModeName(r.mode), static_cast<unsigned long long>(r.off.completed),
-          static_cast<unsigned long long>(r.off.errored), static_cast<long long>(r.off.bytes),
-          static_cast<double>(r.off.end_time) / 1e9, static_cast<long long>(r.slo.p50_ns),
-          static_cast<long long>(r.slo.p99_ns), static_cast<long long>(r.slo.p999_ns),
-          static_cast<long long>(r.slo.max_ns), r.slo.goodput_bps,
-          static_cast<unsigned long long>(r.slo.stall_flags),
-          static_cast<unsigned long long>(r.off.server_traps),
-          static_cast<unsigned long long>(r.off.sigio_handled),
-          static_cast<unsigned long long>(r.spans_begun), r.spans_balanced ? "true" : "false",
-          (r.off.closure_ok && r.on.closure_ok) ? "true" : "false",
-          r.overhead_zero ? "true" : "false");
-      out << row;
-    }
-    out << "\n]\n}\n";
-  }
   std::printf("wrote %s, SERVER_spans.json, SERVER_folded.txt\n\n", out_path);
 
   const int64_t want_bytes =
@@ -257,23 +237,7 @@ int main(int argc, char** argv) {
                    what);
   }
 
-  ikdp::JsonValue bench_json;
-  g_checks.Check(ikdp::ParseJson(ikdp::bench::Slurp(out_path), &bench_json),
-                 "BENCH_server.json parses (strict reader)");
-  const ikdp::JsonValue* rows = bench_json.Get("rows");
-  g_checks.Check(rows != nullptr && rows->IsArray() && rows->items.size() == runs.size(),
-                 "BENCH_server.json has a row per mode");
-  if (rows != nullptr && rows->IsArray()) {
-    bool fields = true;
-    for (const ikdp::JsonValue& row : rows->items) {
-      for (const char* key : {"p50_ns", "p99_ns", "p999_ns", "goodput_bps", "stall_flags"}) {
-        const ikdp::JsonValue* v = row.Get(key);
-        fields = fields && v != nullptr && v->IsNumber();
-      }
-    }
-    g_checks.Check(fields, "every row carries the SLO percentile fields");
-  }
-
+  artifact.Write(out_path, &g_checks);
   std::printf("\n%s\n", g_checks.ok ? "ALL CHECKS PASS" : "CHECKS FAILED");
   return g_checks.ok ? 0 : 1;
 }

@@ -15,20 +15,14 @@ invariants each schema promises.  Dispatches on the top-level "schema" field:
                         must name a known charge bucket with non-negative
                         nanoseconds.
 
-  ikdp.server_bench.v1  bench_splice_server output (BENCH_server.json): one
-                        row per submit mode, ordered percentiles, positive
-                        goodput on completed work, and the three hard gates
-                        every row must report true — spans_balanced,
-                        closure_ok, overhead_zero.
-
-  ikdp.kop_bench.v1     bench_kop output (BENCH_kop.json): one row per
-                        delivery mode (inkernel / user), per-row closure and
-                        span-balance hard gates, byte conservation
-                        (bytes_out <= bytes_in, drops <= chunks), and the
-                        headline win conditions the in-kernel filter must
-                        demonstrate — strictly higher CPU availability AND
-                        strictly fewer syscall traps than the user-process
-                        round trip at equal offered load.
+  ikdp.bench.v1         every bench's row table (BENCH_aio/fault/server/kop/
+                        cache.json): dispatched on "bench" to a declaration
+                        in BENCHES — required int/number/bool row fields,
+                        the required mode set, the row booleans that are
+                        hard gates, and the cross-field invariants (ordered
+                        percentiles, request and stream accounting, byte
+                        conservation, the kop win conditions).  Every entry
+                        of "gates" (the bench's own checks) must be true.
 
 Exit status: 0 when every file validates, 1 on any finding, 2 on usage
 errors.  --json prints findings as a JSON list for tooling.
@@ -42,23 +36,6 @@ import sys
 
 CHARGE_BUCKETS = {"process", "switch", "interrupt", "softclock",
                   "kop.process", "kop.interrupt", "kop.softclock"}
-SERVER_MODES = {"sync", "fasync", "ring"}
-KOP_MODES = {"inkernel", "user"}
-
-KOP_ROW_INTS = [
-    "bytes_in", "bytes_out", "chunks_in", "chunks_dropped",
-    "syscall_traps", "kop_exec_ns",
-]
-KOP_ROW_BOOLS = ["closure_ok", "spans_balanced"]
-KOP_TOP_INTS = ["object_kb", "blocks", "keep_every", "seed"]
-
-SERVER_ROW_INTS = [
-    "completed", "errored", "bytes", "p50_ns", "p99_ns", "p999_ns", "max_ns",
-    "stall_flags", "server_traps", "sigio_handled", "spans",
-]
-SERVER_ROW_BOOLS = ["spans_balanced", "closure_ok", "overhead_zero"]
-SERVER_TOP_INTS = ["clients", "objects", "object_kb", "requests", "seed"]
-
 HISTOGRAM_FIELDS = ["count", "sum", "min", "max", "p50", "p90", "p99"]
 
 LOCK_COUNTERS = [
@@ -188,133 +165,140 @@ def check_lock_counters(path, counters, out):
         out.err(path, "lock.max_held/max_held_rank nonzero with zero acquisitions")
 
 
-def check_server_bench(path, doc, out):
-    for f in SERVER_TOP_INTS:
-        if not is_int(doc.get(f)):
-            out.err(path, "missing integer top-level field %r" % f)
-    for f in ["offered_rps", "zipf_s"]:
-        if not is_num(doc.get(f)):
-            out.err(path, "missing numeric top-level field %r" % f)
-    if doc.get("grid") not in ("small", "full"):
-        out.err(path, "grid must be 'small' or 'full', got %r" % doc.get("grid"))
+MODES = {"sync", "fasync", "ring"}
+
+# Per-bench ikdp.bench.v1 declarations: the int/number/bool/hard-gate fields
+# every row carries, its mode set, the `key` no two rows share (default:
+# mode), and (finding, predicate) rules over each (row, config) and, once
+# every mode has a complete row, over the rows by mode.
+BENCHES = {
+    "aio_ring": dict(
+        modes=MODES, key=("mode", "n"),
+        ints=["n", "traps", "trap_time_ns", "sigio"],
+        nums=["throughput_kbs", "elapsed_s", "slowdown", "idle_fraction"],
+        hard_gates=["verified"]),
+    # `verified` is only meaningful on zero-fault cells, so it is no hard gate.
+    "fault_matrix": dict(
+        modes=MODES, key=("mode", "n", "dev_rate", "loss"),
+        ints=["n", "completed", "errored", "first_errno", "ring_cqes", "bytes", "traps",
+              "disk_errors", "disk_spikes", "frames_lost", "frames_jittered",
+              "delwri_data_lost", "net_moved", "net_errno", "spans"],
+        nums=["dev_rate", "loss", "elapsed_s"], bools=["verified"],
+        hard_gates=["spans_balanced", "closure_ok", "quiescent", "engine_quiet",
+                    "leaks_ok"],
+        row_rules=[("completed+errored != n",
+                    lambda r, c: r["completed"] + r["errored"] == r["n"])]),
+    "splice_server": dict(
+        modes=MODES,
+        ints=["completed", "errored", "bytes", "p50_ns", "p99_ns", "p999_ns",
+              "max_ns", "stall_flags", "server_traps", "sigio_handled", "spans"],
+        nums=["elapsed_s", "goodput_bps"],
+        hard_gates=["spans_balanced", "closure_ok", "overhead_zero"],
+        row_rules=[
+            ("completed+errored != requests",
+             lambda r, c: r["completed"] + r["errored"] == c.get("requests")),
+            ("percentiles not ordered",
+             lambda r, c: r["p50_ns"] <= r["p99_ns"] <= r["p999_ns"] <= r["max_ns"]),
+            ("completed work with non-positive p50/goodput",
+             lambda r, c: r["completed"] == 0
+             or (r["p50_ns"] > 0 and r["goodput_bps"] > 0)),
+            ("no spans recorded", lambda r, c: r["spans"] > 0),
+        ]),
+    # The headline claim: the in-kernel filter beats the user-process round
+    # trip on BOTH axes at equal offered load.
+    "kop": dict(
+        modes={"inkernel", "user"},
+        ints=["bytes_in", "bytes_out", "chunks_in", "chunks_dropped",
+              "syscall_traps", "kop_exec_ns"],
+        nums=["elapsed_s", "goodput_bps", "cpu_availability"],
+        hard_gates=["closure_ok", "spans_balanced"],
+        row_rules=[
+            ("bytes_out exceeds bytes_in",
+             lambda r, c: r["bytes_out"] <= r["bytes_in"]),
+            ("chunks_dropped exceeds chunks_in",
+             lambda r, c: r["chunks_dropped"] <= r["chunks_in"]),
+            ("cpu_availability outside [0, 1]",
+             lambda r, c: 0.0 <= r["cpu_availability"] <= 1.0),
+            ("delivered bytes with non-positive goodput",
+             lambda r, c: r["bytes_out"] == 0 or r["goodput_bps"] > 0),
+        ],
+        doc_rules=[
+            ("win condition failed: inkernel cpu_availability not above user",
+             lambda m: m["inkernel"]["cpu_availability"]
+             > m["user"]["cpu_availability"]),
+            ("win condition failed: inkernel syscall_traps not below user",
+             lambda m: m["inkernel"]["syscall_traps"] < m["user"]["syscall_traps"]),
+        ]),
+    # Host wall-clock sweeps: a cache row carries nbufs, a queue row sched.
+    "cache_scaling": dict(key=("nbufs", "sched", "depth"), nums=["sim_ms"]),
+}
+
+
+def check_bench(path, doc, out):
+    decl = BENCHES.get(doc.get("bench"))
+    if decl is None:
+        out.err(path, "unknown bench %r (known: %s)"
+                % (doc.get("bench"), ", ".join(sorted(BENCHES))))
+        return
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        out.err(path, "missing or non-object 'config'")
+        config = {}
+    gates = doc.get("gates")
+    if not isinstance(gates, dict):
+        out.err(path, "missing or non-object 'gates'")
+        gates = {}
+    for what in [w for w, passed in gates.items() if passed is not True]:
+        out.err(path, "gates entry %r is false" % what)
 
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         out.err(path, "missing or empty 'rows'")
         return
-    seen_modes = set()
+    modes, key_fields = decl.get("modes", set()), decl.get("key", ("mode",))
+    hard_gates = decl.get("hard_gates", [])
+    required = [("integer", f, is_int) for f in decl.get("ints", [])]
+    required += [("numeric", f, is_num) for f in decl.get("nums", [])]
+    required += [("boolean", f, lambda v: isinstance(v, bool))
+                 for f in decl.get("bools", []) + hard_gates]
+    seen, by_mode = set(), {}
     for row in rows:
-        mode = row.get("mode")
-        if mode not in SERVER_MODES:
-            out.err(path, "row has unknown mode %r" % mode)
+        if not isinstance(row, dict):
+            out.err(path, "row is not an object")
             continue
-        if mode in seen_modes:
-            out.err(path, "duplicate row for mode %r" % mode)
-        seen_modes.add(mode)
-        where = "row %s" % mode
-        ok = True
-        for f in SERVER_ROW_INTS:
-            if not is_int(row.get(f)):
-                out.err(path, "%s: missing integer %r" % (where, f))
-                ok = False
-        for f in SERVER_ROW_BOOLS:
-            if not isinstance(row.get(f), bool):
-                out.err(path, "%s: missing boolean %r" % (where, f))
-                ok = False
-        if not is_num(row.get("elapsed_s")) or not is_num(row.get("goodput_bps")):
-            out.err(path, "%s: missing numeric elapsed_s/goodput_bps" % where)
-            ok = False
-        if not ok:
+        if modes and row.get("mode") not in modes:
+            out.err(path, "row has unknown mode %r" % row.get("mode"))
             continue
-        if row["completed"] + row["errored"] != doc.get("requests"):
-            out.err(path, "%s: completed+errored != requests" % where)
-        if not row["p50_ns"] <= row["p99_ns"] <= row["p999_ns"] <= row["max_ns"]:
-            out.err(path, "%s: percentiles not ordered" % where)
-        if row["completed"] > 0 and (row["p50_ns"] <= 0 or row["goodput_bps"] <= 0):
-            out.err(path, "%s: completed work with non-positive p50/goodput" % where)
+        key = tuple(row.get(k) for k in key_fields)
+        where = "row " + ", ".join("%s=%s" % kv for kv in zip(key_fields, key))
+        if key in seen:
+            out.err(path, "duplicate %s" % where)
+        seen.add(key)
+        missing = [(kind, f) for kind, f, ok in required if not ok(row.get(f))]
+        for kind, f in missing:
+            out.err(path, "%s: missing %s %r" % (where, kind, f))
+        if missing:
+            continue
         # The hard gates: a published row may never carry a failed one.
-        for f in SERVER_ROW_BOOLS:
+        for f in hard_gates:
             if row[f] is not True:
                 out.err(path, "%s: hard gate %r is false" % (where, f))
-        if row["spans"] <= 0:
-            out.err(path, "%s: no spans recorded" % where)
-    missing = SERVER_MODES - seen_modes
-    if missing:
-        out.err(path, "missing rows for mode(s): %s" % ", ".join(sorted(missing)))
-
-
-def check_kop_bench(path, doc, out):
-    for f in KOP_TOP_INTS:
-        if not is_int(doc.get(f)):
-            out.err(path, "missing integer top-level field %r" % f)
-
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        out.err(path, "missing or empty 'rows'")
+        for finding, holds in decl.get("row_rules", []):
+            if not holds(row, config):
+                out.err(path, "%s: %s" % (where, finding))
+        by_mode.setdefault(row.get("mode"), row)
+    absent = modes - set(by_mode)
+    if absent:
+        out.err(path, "missing rows for mode(s): %s" % ", ".join(sorted(absent)))
         return
-    by_mode = {}
-    for row in rows:
-        mode = row.get("mode")
-        if mode not in KOP_MODES:
-            out.err(path, "row has unknown mode %r" % mode)
-            continue
-        if mode in by_mode:
-            out.err(path, "duplicate row for mode %r" % mode)
-        by_mode[mode] = row
-        where = "row %s" % mode
-        ok = True
-        for f in KOP_ROW_INTS:
-            if not is_int(row.get(f)):
-                out.err(path, "%s: missing integer %r" % (where, f))
-                ok = False
-        for f in KOP_ROW_BOOLS:
-            if not isinstance(row.get(f), bool):
-                out.err(path, "%s: missing boolean %r" % (where, f))
-                ok = False
-        if (not is_num(row.get("elapsed_s"))
-                or not is_num(row.get("goodput_bps"))
-                or not is_num(row.get("cpu_availability"))):
-            out.err(path, "%s: missing numeric elapsed_s/goodput_bps/"
-                    "cpu_availability" % where)
-            ok = False
-        if not ok:
-            continue
-        # Hard gates: a published row may never carry a failed one.
-        for f in KOP_ROW_BOOLS:
-            if row[f] is not True:
-                out.err(path, "%s: hard gate %r is false" % (where, f))
-        if row["bytes_out"] > row["bytes_in"]:
-            out.err(path, "%s: bytes_out exceeds bytes_in" % where)
-        if row["chunks_dropped"] > row["chunks_in"]:
-            out.err(path, "%s: chunks_dropped exceeds chunks_in" % where)
-        if not 0.0 <= row["cpu_availability"] <= 1.0:
-            out.err(path, "%s: cpu_availability outside [0, 1]" % where)
-        if row["bytes_out"] > 0 and row["goodput_bps"] <= 0:
-            out.err(path, "%s: delivered bytes with non-positive goodput"
-                    % where)
-    missing = KOP_MODES - set(by_mode)
-    if missing:
-        out.err(path, "missing rows for mode(s): %s" % ", ".join(sorted(missing)))
-        return
-
-    # The headline claim the artifact exists to publish: the in-kernel filter
-    # beats the user-process round trip on BOTH axes at equal offered load.
-    ik, us = by_mode["inkernel"], by_mode["user"]
-    if all(is_num(r.get("cpu_availability")) for r in (ik, us)):
-        if ik["cpu_availability"] <= us["cpu_availability"]:
-            out.err(path, "win condition failed: inkernel cpu_availability "
-                    "%.4f <= user %.4f"
-                    % (ik["cpu_availability"], us["cpu_availability"]))
-    if all(is_int(r.get("syscall_traps")) for r in (ik, us)):
-        if ik["syscall_traps"] >= us["syscall_traps"]:
-            out.err(path, "win condition failed: inkernel syscall_traps "
-                    "%d >= user %d" % (ik["syscall_traps"], us["syscall_traps"]))
+    for finding, holds in decl.get("doc_rules", []):
+        if not holds(by_mode):
+            out.err(path, finding)
 
 
 CHECKERS = {
     "ikdp.telemetry.v1": check_telemetry,
-    "ikdp.server_bench.v1": check_server_bench,
-    "ikdp.kop_bench.v1": check_kop_bench,
+    "ikdp.bench.v1": check_bench,
 }
 
 

@@ -55,6 +55,48 @@ def clean_telemetry():
     }
 
 
+def bench_doc(name, config, rows):
+    return {
+        "schema": "ikdp.bench.v1", "bench": name, "config": config, "rows": rows,
+        "gates": {"every row verified": True, "BENCH_x.json round-trips": True},
+    }
+
+
+def clean_aio_row(mode, n):
+    return {
+        "mode": mode, "n": n, "throughput_kbs": 3000.0, "elapsed_s": 0.5,
+        "slowdown": 1.5, "traps": 2 * n, "trap_time_ns": 40000 * n, "sigio": 1,
+        "idle_fraction": 0.1, "verified": True,
+    }
+
+
+def clean_aio_bench():
+    return bench_doc("aio_ring", {"stream_kb": 8},
+                     [clean_aio_row(m, n) for n in (1, 16)
+                      for m in ("sync", "fasync", "ring")])
+
+
+def clean_fault_row(mode, dev_rate):
+    # Injected device errors legitimately leave a cell unverified.
+    faulty = dev_rate > 0
+    return {
+        "mode": mode, "n": 2, "dev_rate": dev_rate, "loss": 0.25,
+        "completed": 1 if faulty else 2, "errored": 1 if faulty else 0,
+        "first_errno": 5 if faulty else 0, "ring_cqes": 2 if mode == "ring" else 0,
+        "bytes": 131072, "elapsed_s": 0.4, "traps": 6, "disk_errors": 3 if faulty else 0,
+        "disk_spikes": 1 if faulty else 0, "frames_lost": 4, "frames_jittered": 7,
+        "delwri_data_lost": 0, "net_moved": 65536, "net_errno": 0, "spans": 12,
+        "spans_balanced": True, "closure_ok": True, "quiescent": True,
+        "engine_quiet": True, "leaks_ok": True, "verified": not faulty,
+    }
+
+
+def clean_fault_bench():
+    return bench_doc("fault_matrix", {"grid": "small", "stream_kb": 128},
+                     [clean_fault_row(m, e) for e in (0.0, 0.2)
+                      for m in ("sync", "fasync", "ring")])
+
+
 def clean_server_row(mode):
     return {
         "mode": mode, "completed": 190, "errored": 10, "bytes": 190000,
@@ -66,12 +108,11 @@ def clean_server_row(mode):
 
 
 def clean_server_bench():
-    return {
-        "schema": "ikdp.server_bench.v1", "grid": "small", "clients": 64,
-        "objects": 16, "object_kb": 16, "requests": 200, "offered_rps": 400.0,
-        "zipf_s": 1.0, "seed": 42,
-        "rows": [clean_server_row(m) for m in ("sync", "fasync", "ring")],
-    }
+    return bench_doc("splice_server",
+                     {"grid": "small", "clients": 64, "objects": 16,
+                      "object_kb": 16, "requests": 200, "offered_rps": 400.0,
+                      "zipf_s": 1.0, "seed": 42},
+                     [clean_server_row(m) for m in ("sync", "fasync", "ring")])
 
 
 def clean_kop_row(mode):
@@ -87,11 +128,19 @@ def clean_kop_row(mode):
 
 
 def clean_kop_bench():
-    return {
-        "schema": "ikdp.kop_bench.v1", "object_kb": 800, "blocks": 100,
-        "keep_every": 10, "seed": 1,
-        "rows": [clean_kop_row(m) for m in ("inkernel", "user")],
-    }
+    return bench_doc("kop", {"object_kb": 800, "blocks": 100, "keep_every": 10,
+                             "seed": 1},
+                     [clean_kop_row(m) for m in ("inkernel", "user")])
+
+
+# Every bench declaration with a clean document and its row hard gates.
+BENCH_CASES = [
+    (clean_aio_bench, ("verified",)),
+    (clean_fault_bench, ("spans_balanced", "closure_ok", "quiescent",
+                         "engine_quiet", "leaks_ok")),
+    (clean_server_bench, ("spans_balanced", "closure_ok", "overhead_zero")),
+    (clean_kop_bench, ("closure_ok", "spans_balanced")),
+]
 
 
 class TelemetryCheckTest(unittest.TestCase):
@@ -116,10 +165,22 @@ class TelemetryCheckTest(unittest.TestCase):
         self.assertEqual(findings, [])
         self.assertEqual(rc, 0)
 
-    def test_clean_server_bench_passes(self):
-        rc, findings = self.check_doc(clean_server_bench())
-        self.assertEqual(findings, [])
-        self.assertEqual(rc, 0)
+    def test_clean_bench_documents_pass(self):
+        for clean, _ in BENCH_CASES:
+            rc, findings = self.check_doc(clean())
+            self.assertEqual(findings, [], clean.__name__)
+            self.assertEqual(rc, 0)
+
+    def test_unknown_bench_rejected(self):
+        doc = clean_kop_bench()
+        doc["bench"] = "kop2"
+        self.assert_finding(doc, "unknown bench 'kop2'")
+
+    def test_false_gates_entry_rejected(self):
+        for clean, _ in BENCH_CASES:
+            doc = clean()
+            doc["gates"]["every row verified"] = False
+            self.assert_finding(doc, "gates entry 'every row verified' is false")
 
     def test_unknown_schema_rejected(self):
         self.assert_finding({"schema": "nope.v9"}, "unknown schema")
@@ -205,10 +266,21 @@ class TelemetryCheckTest(unittest.TestCase):
         self.assert_finding(doc, "missing rows for mode")
 
     def test_failed_hard_gate_rejected(self):
-        for gate in ("spans_balanced", "closure_ok", "overhead_zero"):
-            doc = clean_server_bench()
-            doc["rows"][1][gate] = False
-            self.assert_finding(doc, "hard gate %r is false" % gate)
+        for clean, gates in BENCH_CASES:
+            for gate in gates:
+                doc = clean()
+                doc["rows"][1][gate] = False
+                self.assert_finding(doc, "hard gate %r is false" % gate)
+
+    def test_unverified_aio_row_rejected(self):
+        doc = clean_aio_bench()
+        doc["rows"][4]["verified"] = False
+        self.assert_finding(doc, "row mode=fasync, n=16: hard gate 'verified' is false")
+
+    def test_fault_stream_accounting_rejected(self):
+        doc = clean_fault_bench()
+        doc["rows"][3]["errored"] = 0
+        self.assert_finding(doc, "completed+errored != n")
 
     def test_unordered_percentiles_rejected(self):
         doc = clean_server_bench()
@@ -219,11 +291,6 @@ class TelemetryCheckTest(unittest.TestCase):
         doc = clean_server_bench()
         doc["rows"][2]["completed"] = 150
         self.assert_finding(doc, "completed+errored != requests")
-
-    def test_clean_kop_bench_passes(self):
-        rc, findings = self.check_doc(clean_kop_bench())
-        self.assertEqual(findings, [])
-        self.assertEqual(rc, 0)
 
     def test_kop_bucket_accepted(self):
         doc = clean_telemetry()
@@ -253,16 +320,11 @@ class TelemetryCheckTest(unittest.TestCase):
         doc["rows"][0]["bytes_out"] = doc["rows"][0]["bytes_in"] + 1
         self.assert_finding(doc, "bytes_out exceeds bytes_in")
 
-    def test_kop_failed_hard_gate_rejected(self):
-        for gate in ("closure_ok", "spans_balanced"):
-            doc = clean_kop_bench()
-            doc["rows"][1][gate] = False
-            self.assert_finding(doc, "hard gate %r is false" % gate)
-
     def test_real_artifacts_validate_when_present(self):
         paths = [os.path.join(REPO, p)
-                 for p in ("BENCH_server.json", "BENCH_telemetry.json",
-                           "BENCH_kop.json")]
+                 for p in ("BENCH_telemetry.json", "BENCH_aio_telemetry.json",
+                           "BENCH_aio.json", "BENCH_fault.json",
+                           "BENCH_server.json", "BENCH_kop.json")]
         present = [p for p in paths if os.path.exists(p)]
         if not present:
             self.skipTest("benches have not run in this tree")
