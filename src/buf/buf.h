@@ -15,9 +15,12 @@
 #ifndef SRC_BUF_BUF_H_
 #define SRC_BUF_BUF_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/kern/ctx.h"
@@ -29,6 +32,9 @@ namespace ikdp {
 
 // The filesystem block size used throughout (4.2BSD FFS default).
 inline constexpr int64_t kBlockSize = 8192;
+
+// What a never-written or discarded block, and a file hole, read as.
+inline constexpr std::array<uint8_t, kBlockSize> kZeroBlock{};
 
 // A block's data area.  shared_ptr so a splice write-side header can alias
 // the read-side buffer's data without copying (the paper's key zero-copy
@@ -133,6 +139,12 @@ IKDP_CTX_ANY void Biodone(Buf& b);
 // transfer.  DMA devices return only their setup cost; the RAM disk returns
 // the full bcopy time, because its "transfer" is a memory copy executed by
 // the CPU in whoever's context submitted it (paper Section 6.1).
+//
+// Every device keeps its contents in one sparse block store, implemented
+// here: only blocks written since they were last discarded take host
+// memory, and every other block reads as zeros.  CapacityBlocks() is the
+// simulated size; nothing is allocated for it.  Drivers move content with
+// MoveContent() when a transfer completes; timing is theirs alone.
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
@@ -147,19 +159,44 @@ class BlockDevice {
 
   virtual const char* Name() const = 0;
 
-  // Untimed content access, used for experiment setup (pre-creating files
-  // without simulating the writes) and end-to-end verification.
-  virtual void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) = 0;
-  virtual std::vector<uint8_t> PeekBlock(int64_t blkno) const = 0;
+  // --- untimed content access ---
+  //
+  // Used for experiment setup (pre-creating files without simulating the
+  // writes) and end-to-end verification.  No request, no trace record, no
+  // stat: none of these changes a simulated nanosecond.
+
+  // Replaces block `blkno` with `data` (at most kBlockSize bytes), padding
+  // the rest of the block with zeros.
+  void PokeBlock(int64_t blkno, std::span<const uint8_t> data);
+
+  // A read-only view of block `blkno`'s kBlockSize bytes, without a copy.
+  // The view is valid until the block is next written (a completed write,
+  // PokeBlock or MutableBlock) or discarded; take a new one after that.
+  std::span<const uint8_t> PeekBlock(int64_t blkno) const;
+
+  // Block `blkno`'s bytes for writing in place, stored as zeros first if
+  // the block was not stored.
+  std::span<uint8_t> MutableBlock(int64_t blkno);
 
   // Drops a block's contents; the filesystem calls it for every block it
   // frees, so the host memory a device holds tracks the live blocks rather
   // than everything ever written.  A freed block's content is unspecified
   // until the filesystem reallocates it; on the device, a discarded block
-  // reads back as zeros until it is next written.  Untimed like Poke/Peek:
-  // no request, no trace record, no stat, so discarding changes no
-  // simulated nanosecond.
-  virtual void Discard(int64_t blkno) = 0;
+  // reads back as zeros until it is next written.
+  void Discard(int64_t blkno);
+
+  // Blocks whose contents the store holds.
+  size_t StoredBlocks() const { return blocks_.size(); }
+
+ protected:
+  // Moves `b`'s first bcount bytes between its data area and the store: a
+  // read fills the buffer, a write stores it.  Drivers call it at the
+  // moment their transfer completes.
+  void MoveContent(Buf& b, bool is_read);
+
+ private:
+  using Block = std::array<uint8_t, kBlockSize>;
+  std::unordered_map<int64_t, std::unique_ptr<Block>> blocks_;
 };
 
 }  // namespace ikdp

@@ -6,19 +6,16 @@
 // hardware completion raises a device interrupt that is charged to the CPU
 // (interrupt stealing) and then delivers Biodone() on the buffer.
 //
-// The driver also owns the *contents* of the device, a sparse block store,
-// so files written through the simulator can be read back and verified
+// The device's contents live in BlockDevice's sparse block store, so files
+// written through the simulator can be read back and verified
 // byte-for-byte.  Content moves at completion time; timing comes from the
-// DiskModel.  Blocks never written and blocks the filesystem has freed
-// (Discard) take no store entry and read as zeros.
+// DiskModel.
 
 #ifndef SRC_DEV_DISK_DRIVER_H_
 #define SRC_DEV_DISK_DRIVER_H_
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
-#include <vector>
 
 #include "src/buf/buf.h"
 #include "src/hw/disk.h"
@@ -43,15 +40,6 @@ class DiskDriver : public BlockDevice {
   const char* Name() const override { return disk_.params().name.c_str(); }
 
   DiskModel& disk() { return disk_; }
-
-  // BlockDevice content access (untimed).
-  void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
-  std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
-  void Discard(int64_t blkno) override { store_.erase(blkno); }
-
-  // Blocks whose contents the store holds (never-written and discarded
-  // blocks read as zeros and take no entry).
-  size_t StoredBlocks() const { return store_.size(); }
 
   struct Stats {
     uint64_t requests = 0;
@@ -96,7 +84,6 @@ class DiskDriver : public BlockDevice {
   std::deque<Buf*> queue_ IKDP_GUARDED_BY(lock:diskq);
   bool hw_busy_ IKDP_GUARDED_BY(lock:diskq) = false;
   int64_t last_issued_blkno_ IKDP_GUARDED_BY(lock:diskq) = 0;
-  std::unordered_map<int64_t, std::vector<uint8_t>> store_;
   Stats stats_;
 };
 

@@ -1,7 +1,10 @@
 // RAM disk block-device driver (paper Section 6.1).
 //
 // "The ram disk driver uses 16MB of statically allocated memory from the
-// kernel's BSS region."  There is no seek, no rotation, and no completion
+// kernel's BSS region."  Those 16 MB are the simulated capacity, so
+// CapacityBlocks() and device-full behaviour are the paper's; on the host,
+// like every BlockDevice, the disk keeps only the blocks written so far
+// (src/buf/buf.h).  There is no seek, no rotation, and no completion
 // interrupt; Strategy() completes the buffer synchronously (via Biodone
 // before returning) and reports the transfer's CPU cost as the caller's
 // charge.
@@ -18,7 +21,6 @@
 #define SRC_DEV_RAM_DISK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/buf/buf.h"
 #include "src/kern/cpu.h"
@@ -34,13 +36,6 @@ class RamDisk : public BlockDevice {
   int64_t CapacityBlocks() const override { return capacity_blocks_; }
   const char* Name() const override { return "RAM"; }
 
-  // BlockDevice content access (untimed).
-  void PokeBlock(int64_t blkno, const std::vector<uint8_t>& data) override;
-  std::vector<uint8_t> PeekBlock(int64_t blkno) const override;
-  // Zero-fills the block: the core is statically allocated, so there is no
-  // memory to give back, only the discard contract to keep.
-  void Discard(int64_t blkno) override;
-
   struct Stats {
     uint64_t reads = 0;
     uint64_t writes = 0;
@@ -51,7 +46,6 @@ class RamDisk : public BlockDevice {
  private:
   CpuSystem* cpu_;
   int64_t capacity_blocks_;
-  std::vector<uint8_t> core_;  // the "statically allocated" backing store
   Stats stats_;
 };
 

@@ -10,15 +10,15 @@ namespace ikdp {
 namespace {
 
 // Indirect-block entries are 32-bit little-endian physical block numbers.
-int64_t LoadPtr(const std::vector<uint8_t>& block, int64_t index) {
+int64_t LoadPtr(std::span<const uint8_t> block, int64_t index) {
   uint32_t v = 0;
   std::memcpy(&v, block.data() + index * 4, 4);
   return static_cast<int64_t>(v);
 }
 
-void StorePtr(std::vector<uint8_t>* block, int64_t index, int64_t value) {
+void StorePtr(std::span<uint8_t> block, int64_t index, int64_t value) {
   const uint32_t v = static_cast<uint32_t>(value);
-  std::memcpy(block->data() + index * 4, &v, 4);
+  std::memcpy(block.data() + index * 4, &v, 4);
 }
 
 }  // namespace
@@ -82,7 +82,7 @@ void FileSystem::FreeInodeBlocks(Inode* ip) {
     if (ind == 0) {
       return;
     }
-    const std::vector<uint8_t> blk = dev_->PeekBlock(ind);
+    const std::span<const uint8_t> blk = dev_->PeekBlock(ind);
     for (int64_t i = 0; i < kPtrsPerBlock; ++i) {
       const int64_t pbn = LoadPtr(blk, i);
       if (pbn != 0) {
@@ -92,7 +92,7 @@ void FileSystem::FreeInodeBlocks(Inode* ip) {
     FreeBlock(ind);
   };
   if (ip->dindirect != 0) {
-    const std::vector<uint8_t> blk = dev_->PeekBlock(ip->dindirect);
+    const std::span<const uint8_t> blk = dev_->PeekBlock(ip->dindirect);
     for (int64_t i = 0; i < kPtrsPerBlock; ++i) {
       free_indirect(LoadPtr(blk, i));
     }
@@ -157,7 +157,7 @@ Task<bool> FileSystem::WritePtr(Process& p, int64_t pbn, int64_t index, int64_t 
     cache_->Brelse(b);
     co_return false;
   }
-  StorePtr(b->data.get(), index, value);
+  StorePtr(*b->data, index, value);
   cache_->Bdwrite(p, b);
   co_return true;
 }
@@ -396,9 +396,7 @@ Task<> FileSystem::Fsync(Process& p, Inode* /*ip*/) {
 
 int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
   auto poke_ptr = [this](int64_t blk, int64_t index, int64_t value) {
-    std::vector<uint8_t> img = dev_->PeekBlock(blk);
-    StorePtr(&img, index, value);
-    dev_->PokeBlock(blk, img);
+    StorePtr(dev_->MutableBlock(blk), index, value);
   };
   if (lbn < kDirectBlocks) {
     int64_t pbn = ip->direct[static_cast<size_t>(lbn)];
@@ -415,7 +413,7 @@ int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
         return 0;
       }
       ip->indirect = AllocBlock();
-      dev_->PokeBlock(ip->indirect, std::vector<uint8_t>(kBlockSize, 0));
+      dev_->PokeBlock(ip->indirect, {});
     }
     int64_t pbn = LoadPtr(dev_->PeekBlock(ip->indirect), rest);
     if (pbn == 0 && alloc) {
@@ -435,7 +433,7 @@ int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
       return 0;
     }
     ip->dindirect = AllocBlock();
-    dev_->PokeBlock(ip->dindirect, std::vector<uint8_t>(kBlockSize, 0));
+    dev_->PokeBlock(ip->dindirect, {});
   }
   int64_t mid = LoadPtr(dev_->PeekBlock(ip->dindirect), outer);
   if (mid == 0) {
@@ -443,7 +441,7 @@ int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
       return 0;
     }
     mid = AllocBlock();
-    dev_->PokeBlock(mid, std::vector<uint8_t>(kBlockSize, 0));
+    dev_->PokeBlock(mid, {});
     poke_ptr(ip->dindirect, outer, mid);
   }
   int64_t pbn = LoadPtr(dev_->PeekBlock(mid), inner);
@@ -455,45 +453,56 @@ int64_t FileSystem::BmapInstant(Inode* ip, int64_t lbn, bool alloc) {
 }
 
 Inode* FileSystem::CreateFileInstant(const std::string& fname, int64_t nbytes,
-                                     const std::function<uint8_t(int64_t)>& fill) {
+                                     const BlockFill& fill) {
   Inode* ip = Create(fname);
   if (ip == nullptr) {
     return nullptr;
   }
   const int64_t nblocks = (nbytes + kBlockSize - 1) / kBlockSize;
-  std::vector<uint8_t> block(kBlockSize);
   for (int64_t lbn = 0; lbn < nblocks; ++lbn) {
     const int64_t pbn = BmapInstant(ip, lbn, /*alloc=*/true);
     if (pbn == 0) {
       return nullptr;  // device full
     }
-    const int64_t base = lbn * kBlockSize;
-    const int64_t valid = std::min<int64_t>(kBlockSize, nbytes - base);
-    for (int64_t i = 0; i < valid; ++i) {
-      block[static_cast<size_t>(i)] = fill(base + i);
-    }
-    std::fill(block.begin() + valid, block.end(), 0);
-    dev_->PokeBlock(pbn, block);
+    const std::span<uint8_t> blk = dev_->MutableBlock(pbn);
+    const size_t valid = static_cast<size_t>(std::min(kBlockSize, nbytes - lbn * kBlockSize));
+    fill(lbn, blk.first(valid));
+    std::fill(blk.begin() + valid, blk.end(), 0);
   }
   ip->size = nbytes;
   return ip;
 }
 
-std::vector<uint8_t> FileSystem::ReadFileInstant(Inode* ip) {
-  std::vector<uint8_t> out;
-  out.reserve(static_cast<size_t>(ip->size));
+Inode* FileSystem::CreateFileInstant(const std::string& fname, int64_t nbytes,
+                                     const std::function<uint8_t(int64_t)>& fill) {
+  return CreateFileInstant(fname, nbytes, [&fill](int64_t lbn, std::span<uint8_t> bytes) {
+    const int64_t base = lbn * kBlockSize;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = fill(base + static_cast<int64_t>(i));
+    }
+  });
+}
+
+bool FileSystem::VisitFileInstant(Inode* ip, const BlockVisit& visit) {
   const int64_t nblocks = ip->SizeBlocks();
   for (int64_t lbn = 0; lbn < nblocks; ++lbn) {
     const int64_t pbn = BmapInstant(ip, lbn, /*alloc=*/false);
-    const int64_t base = lbn * kBlockSize;
-    const int64_t valid = std::min<int64_t>(kBlockSize, ip->size - base);
-    if (pbn == 0) {
-      out.insert(out.end(), static_cast<size_t>(valid), 0);
-    } else {
-      const std::vector<uint8_t> blk = dev_->PeekBlock(pbn);
-      out.insert(out.end(), blk.begin(), blk.begin() + valid);
+    const size_t valid = static_cast<size_t>(std::min(kBlockSize, ip->size - lbn * kBlockSize));
+    const std::span<const uint8_t> blk = pbn == 0 ? kZeroBlock : dev_->PeekBlock(pbn);
+    if (!visit(lbn, blk.first(valid))) {
+      return false;
     }
   }
+  return true;
+}
+
+std::vector<uint8_t> FileSystem::ReadFileInstant(Inode* ip) {
+  std::vector<uint8_t> out;
+  out.reserve(static_cast<size_t>(ip->size));
+  VisitFileInstant(ip, [&out](int64_t, std::span<const uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+    return true;
+  });
   return out;
 }
 

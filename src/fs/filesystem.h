@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -122,13 +123,27 @@ class FileSystem {
 
   // --- untimed helpers for experiment setup and verification ---
 
-  // Creates `fname` of `nbytes` whose contents are fill(i) at byte i,
-  // writing straight to the device (no simulated time).
+  // Fills `bytes`, the file's bytes in logical block `lbn` (kBlockSize of
+  // them, fewer in a short last block).
+  using BlockFill = std::function<void(int64_t lbn, std::span<uint8_t> bytes)>;
+  // Sees `bytes`, the file's bytes in logical block `lbn`; false stops.
+  using BlockVisit = std::function<bool(int64_t lbn, std::span<const uint8_t> bytes)>;
+
+  // Creates `fname` of `nbytes`, filling it a block at a time straight on
+  // the device (no simulated time).  Returns nullptr if the name exists or
+  // the device fills up.
+  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes, const BlockFill& fill);
+  // The same, with fill(i) the content of byte i.
   Inode* CreateFileInstant(const std::string& fname, int64_t nbytes,
                            const std::function<uint8_t(int64_t)>& fill);
 
-  // Reads the whole file straight from the device (no simulated time),
-  // bypassing the cache; pair with BufferCache::FlushDev for verification.
+  // Calls visit on each block of the file in order, with a view straight
+  // into the device (no simulated time, no copy; a hole reads as zeros),
+  // bypassing the cache: pair with BufferCache::FlushDev for verification.
+  // Returns false when a visit returned false.
+  bool VisitFileInstant(Inode* ip, const BlockVisit& visit);
+
+  // Reads the whole file straight from the device, as VisitFileInstant.
   std::vector<uint8_t> ReadFileInstant(Inode* ip);
 
   // Sequential read-ahead depth in blocks (4.2BSD reads one block ahead;

@@ -1,5 +1,7 @@
 #include "src/metrics/experiment.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -18,8 +20,6 @@
 namespace ikdp {
 
 namespace {
-
-uint8_t FilePattern(int64_t i) { return static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff); }
 
 std::unique_ptr<BlockDevice> MakeDisk(DiskKind kind, CpuSystem* cpu, Simulator* sim,
                                       const char* role) {
@@ -46,6 +46,31 @@ std::unique_ptr<BlockDevice> MakeDisk(DiskKind kind, CpuSystem* cpu, Simulator* 
 }
 
 }  // namespace
+
+void FillSourceBlock(int64_t lbn, std::span<uint8_t> bytes) {
+  static const std::array<uint8_t, kBlockSize> kPattern = [] {
+    std::array<uint8_t, kBlockSize> p{};
+    for (size_t i = 0; i < p.size(); ++i) {
+      p[i] = static_cast<uint8_t>((i * 2654435761u) >> 5 & 0xff);
+    }
+    return p;
+  }();
+  std::copy_n(kPattern.begin(), bytes.size(), bytes.begin());
+  for (size_t k = 0; k < std::min<size_t>(bytes.size(), 8); ++k) {
+    bytes[k] = static_cast<uint8_t>(static_cast<uint64_t>(lbn) >> (8 * k));
+  }
+}
+
+bool MatchesSource(FileSystem* fs, Inode* ip, int64_t nbytes) {
+  if (ip == nullptr || ip->size != nbytes) {
+    return false;
+  }
+  std::array<uint8_t, kBlockSize> want;
+  return fs->VisitFileInstant(ip, [&want](int64_t lbn, std::span<const uint8_t> got) {
+    FillSourceBlock(lbn, std::span<uint8_t>(want).first(got.size()));
+    return std::equal(got.begin(), got.end(), want.begin());
+  });
+}
 
 const char* DiskKindName(DiskKind k) {
   switch (k) {
@@ -78,7 +103,7 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   // Pre-create the source file directly on the device: the measurement
   // starts with a cold read cache ("we ensured a read cache cold start
   // condition", Section 6.1).
-  Inode* src_ip = src_fs->CreateFileInstant("big", config.file_bytes, FilePattern);
+  Inode* src_ip = src_fs->CreateFileInstant("big", config.file_bytes, FillSourceBlock);
   if (src_ip == nullptr) {
     return result;
   }
@@ -122,15 +147,8 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   // Verify the destination byte-for-byte (after pushing residual delayed
   // metadata writes straight to the device).
   kernel.cache().FlushAllInstant();
-  Inode* dst_ip = dst_fs->Lookup("copy");
-  if (dst_ip == nullptr || dst_ip->size != config.file_bytes) {
+  if (!MatchesSource(dst_fs, dst_fs->Lookup("copy"), config.file_bytes)) {
     return result;
-  }
-  const std::vector<uint8_t> back = dst_fs->ReadFileInstant(dst_ip);
-  for (int64_t i = 0; i < config.file_bytes; ++i) {
-    if (back[static_cast<size_t>(i)] != FilePattern(i)) {
-      return result;
-    }
   }
 
   result.ok = true;

@@ -13,9 +13,10 @@
 //  * throughput = bytes / elapsed (Table 2, measured with the test program
 //    disabled).
 //
-// Every run verifies the destination file's bytes against the source pattern
+// Every run verifies the destination file's bytes against the source content
 // before reporting, so a throughput number can never come from a broken
-// copy.
+// copy.  Each source block carries its own logical block number, so a block
+// landing at the wrong offset fails verification too.
 
 #ifndef SRC_METRICS_EXPERIMENT_H_
 #define SRC_METRICS_EXPERIMENT_H_
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "src/hw/costs.h"
@@ -32,7 +34,9 @@
 
 namespace ikdp {
 
+class FileSystem;
 class Kernel;
+struct Inode;
 
 enum class DiskKind { kRam, kRz56, kRz58 };
 
@@ -81,6 +85,15 @@ struct ExperimentResult {
   // Always in [0, 1]; the harness asserts non-negativity every run.
   double idle_fraction = 0;
 };
+
+// The source file's content: logical block `lbn` holds one fixed 8 KB
+// pattern with its first 8 bytes replaced by lbn (little-endian), cut to
+// bytes.size() for a short last block.  A FileSystem::BlockFill.
+void FillSourceBlock(int64_t lbn, std::span<uint8_t> bytes);
+
+// True when `ip` on `fs` is exactly `nbytes` of FillSourceBlock content, as
+// the device holds it now.
+bool MatchesSource(FileSystem* fs, Inode* ip, int64_t nbytes);
 
 // Runs one copy experiment on a fresh machine.
 ExperimentResult RunCopyExperiment(const ExperimentConfig& config);

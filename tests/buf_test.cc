@@ -27,6 +27,12 @@ std::vector<uint8_t> Pattern(int64_t blkno) {
   return v;
 }
 
+// A copy of what the device stores in block `blkno`.
+std::vector<uint8_t> Stored(const BlockDevice& dev, int64_t blkno) {
+  const std::span<const uint8_t> blk = dev.PeekBlock(blkno);
+  return {blk.begin(), blk.end()};
+}
+
 class BufTest : public ::testing::Test {
  protected:
   BufTest()
@@ -93,7 +99,7 @@ TEST_F(BufTest, BwriteRoundTripsThroughDevice) {
     *b->data = Pattern(7);
     co_await cache_.Bwrite(p, b);
   });
-  EXPECT_EQ(ram_.PeekBlock(7), Pattern(7));
+  EXPECT_EQ(Stored(ram_, 7), Pattern(7));
 }
 
 TEST_F(BufTest, BdwriteDefersDeviceWrite) {
@@ -121,7 +127,7 @@ TEST_F(BufTest, FlushDevWritesDelayedBlocksAndWaits) {
     EXPECT_EQ(cache_.PendingWrites(&scsi_), 0);
   });
   for (int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(scsi_.PeekBlock(100 + i), Pattern(100 + i));
+    EXPECT_EQ(Stored(scsi_, 100 + i), Pattern(100 + i));
   }
 }
 
@@ -137,7 +143,7 @@ TEST_F(BufTest, LruVictimIsFlushedWhenDirty) {
   });
   EXPECT_GT(cache_.stats().delwri_flushes, 0u);
   for (int64_t i = 0; i < 32; ++i) {
-    EXPECT_EQ(ram_.PeekBlock(i), Pattern(i)) << "block " << i;
+    EXPECT_EQ(Stored(ram_, i), Pattern(i)) << "block " << i;
   }
 }
 
@@ -225,14 +231,14 @@ TEST_F(BufTest, DelwriVictimIsWrittenBeforeFrameReuse) {
       if (f == victim) {
         reused = true;
         EXPECT_EQ(ram_.stats().writes, 1u) << "flush must precede reuse";
-        EXPECT_EQ(ram_.PeekBlock(0), Pattern(0));
+        EXPECT_EQ(Stored(ram_, 0), Pattern(0));
       }
       cache_.Brelse(f);
     }
     EXPECT_TRUE(reused);
   });
   EXPECT_GT(cache_.stats().delwri_flushes, 0u);
-  EXPECT_EQ(ram_.PeekBlock(0), Pattern(0));
+  EXPECT_EQ(Stored(ram_, 0), Pattern(0));
 }
 
 TEST_F(BufTest, DelwriVictimWriteErrorIsCounted) {
@@ -267,7 +273,7 @@ TEST_F(BufTest, DelwriVictimWriteFailureRedirtiesAndRetries) {
     // Cycle the LRU with paced reads (the SCSI write takes ~20 ms of
     // simulated time) until the redirtied buffer is re-victimized and the
     // retried write lands.  Deterministic; the bound is just a backstop.
-    for (int64_t i = 100; i < 400 && scsi_.PeekBlock(3) != Pattern(3); ++i) {
+    for (int64_t i = 100; i < 400 && Stored(scsi_, 3) != Pattern(3); ++i) {
       Buf* f = co_await cache_.Bread(p, &ram_, i);
       cache_.Brelse(f);
       co_await cpu_.Use(p, Milliseconds(2));
@@ -275,7 +281,7 @@ TEST_F(BufTest, DelwriVictimWriteFailureRedirtiesAndRetries) {
   });
   EXPECT_EQ(cache_.stats().delwri_write_errors, 1u);
   EXPECT_EQ(cache_.stats().delwri_data_lost, 0u);
-  EXPECT_EQ(scsi_.PeekBlock(3), Pattern(3));  // the data survived the fault
+  EXPECT_EQ(Stored(scsi_, 3), Pattern(3));  // the data survived the fault
 }
 
 TEST_F(BufTest, DelwriRepeatedWriteFailureBoundsRetriesAndCountsLoss) {
@@ -316,7 +322,7 @@ TEST_F(BufTest, FsyncWriteErrorKeepsDataForRetry) {
     fail_writes = false;
     co_await cache_.FlushDev(p, &scsi_);
   });
-  EXPECT_EQ(scsi_.PeekBlock(5), Pattern(5));
+  EXPECT_EQ(Stored(scsi_, 5), Pattern(5));
   EXPECT_EQ(cache_.stats().delwri_data_lost, 0u);
 }
 
@@ -423,7 +429,7 @@ TEST_F(BufTest, TransientHeaderSharesDataArea) {
   EXPECT_TRUE(wrote);
   // Zero-copy path: the bytes landed on the RAM disk without an intermediate
   // cache-to-cache copy.
-  EXPECT_EQ(ram_.PeekBlock(20), Pattern(6));
+  EXPECT_EQ(Stored(ram_, 20), Pattern(6));
 }
 
 TEST_F(BufTest, BreadAsyncFailsWhenNoBufferAvailable) {
@@ -473,7 +479,7 @@ TEST_F(BufTest, PendingWritesTracksAsyncWrites) {
     co_await cache_.FlushDev(p, &scsi_);
     EXPECT_EQ(cache_.PendingWrites(&scsi_), 0);
   });
-  EXPECT_EQ(scsi_.PeekBlock(50), Pattern(50));
+  EXPECT_EQ(Stored(scsi_, 50), Pattern(50));
 }
 
 TEST_F(BufTest, RamDiskWriteChargesCopyToCaller) {

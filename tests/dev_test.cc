@@ -1,8 +1,11 @@
 // Unit tests for the device layer: DiskDriver (disksort, interrupts),
-// RamDisk, PacedSink, FrameSource, NullDevice.
+// RamDisk, the block store both share, PacedSink, FrameSource, NullDevice.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "src/buf/buffer_cache.h"
@@ -233,6 +236,83 @@ TEST_F(DevTest, DiskDriverPipelinesQueuedRequests) {
   // ride the media/cache, so well under 16 * (seek + rotation).
   EXPECT_LT(sim_.Now() - t0, Milliseconds(120));
 }
+
+// The block-store contract, which both devices share (src/buf/buf.h).
+class DevStoreTest : public DevTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  DevStoreTest() : cache_(&cpu_, 4) {
+    if (GetParam()) {
+      dev_ = std::make_unique<RamDisk>(&cpu_, 16 << 20);
+    } else {
+      dev_ = std::make_unique<DiskDriver>(&cpu_, &sim_, Rz56Params());
+    }
+  }
+
+  // Runs one transfer of `b` through the device's strategy routine.
+  void Transfer(Buf& b) {
+    bool done = false;
+    b.Set(kBufCall);
+    b.iodone = [&done](Buf&) { done = true; };
+    dev_->Strategy(b);
+    sim_.Run();
+    ASSERT_TRUE(done);
+  }
+
+  static bool IsZero(std::span<const uint8_t> bytes) {
+    return std::ranges::all_of(bytes, [](uint8_t v) { return v == 0; });
+  }
+
+  BufferCache cache_;
+  std::unique_ptr<BlockDevice> dev_;
+};
+
+TEST_P(DevStoreTest, NeverWrittenBlockReadsZeros) {
+  EXPECT_TRUE(IsZero(dev_->PeekBlock(9)));
+  Buf b = MakeIoBuf(dev_.get(), 9, /*read=*/true, &cache_);
+  std::fill(b.data->begin(), b.data->end(), 0xEE);
+  Transfer(b);
+  EXPECT_TRUE(IsZero(*b.data));
+  EXPECT_EQ(dev_->StoredBlocks(), 0u);
+}
+
+TEST_P(DevStoreTest, ShortPokeIsZeroPadded) {
+  dev_->PokeBlock(4, std::vector<uint8_t>(kBlockSize, 0xAB));
+  dev_->PokeBlock(4, std::vector<uint8_t>(100, 0xCD));
+  const std::span<const uint8_t> blk = dev_->PeekBlock(4);
+  ASSERT_EQ(blk.size(), static_cast<size_t>(kBlockSize));
+  EXPECT_TRUE(std::ranges::all_of(blk.first(100), [](uint8_t v) { return v == 0xCD; }));
+  EXPECT_TRUE(IsZero(blk.subspan(100)));
+}
+
+TEST_P(DevStoreTest, DiscardedBlockReadsZeros) {
+  Buf w = MakeIoBuf(dev_.get(), 6, /*read=*/false, &cache_);
+  std::fill(w.data->begin(), w.data->end(), 0x77);
+  Transfer(w);
+  ASSERT_EQ(dev_->PeekBlock(6)[0], 0x77);
+  dev_->Discard(6);
+  EXPECT_TRUE(IsZero(dev_->PeekBlock(6)));
+  Buf r = MakeIoBuf(dev_.get(), 6, /*read=*/true, &cache_);
+  Transfer(r);
+  EXPECT_TRUE(IsZero(*r.data));
+  EXPECT_EQ(dev_->StoredBlocks(), 0u);
+}
+
+TEST_P(DevStoreTest, StoresOnlyWrittenBlocks) {
+  EXPECT_EQ(dev_->StoredBlocks(), 0u);
+  constexpr int kWrites = 5;
+  for (int i = 0; i < kWrites; ++i) {
+    Buf w = MakeIoBuf(dev_.get(), 100 + 7 * i, /*read=*/false, &cache_);
+    (*w.data)[0] = static_cast<uint8_t>(i + 1);
+    Transfer(w);
+    EXPECT_EQ(dev_->StoredBlocks(), static_cast<size_t>(i + 1));
+  }
+  EXPECT_EQ(dev_->PeekBlock(100 + 7 * 3)[0], 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDevices, DevStoreTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "RamDisk" : "DiskDriver";
+                         });
 
 }  // namespace
 }  // namespace ikdp

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -268,7 +270,7 @@ std::vector<int64_t> FileBlocks(BlockDevice* dev, const Inode& ip) {
   }
   if (ip.indirect != 0) {
     blocks.push_back(ip.indirect);
-    const std::vector<uint8_t> ind = dev->PeekBlock(ip.indirect);
+    const std::span<const uint8_t> ind = dev->PeekBlock(ip.indirect);
     for (int64_t i = 0; i < kPtrsPerBlock; ++i) {
       uint32_t pbn = 0;
       std::memcpy(&pbn, ind.data() + i * 4, 4);
@@ -287,13 +289,15 @@ void ExpectRemovedBlocksReadZero(FileSystem* fs) {
   ASSERT_NE(ip, nullptr);
   const std::vector<int64_t> blocks = FileBlocks(fs->dev(), *ip);
   ASSERT_EQ(blocks.size(), 21u);
-  const std::vector<uint8_t> zeros(kBlockSize, 0);
+  auto is_zero = [fs](int64_t pbn) {
+    return std::ranges::equal(fs->dev()->PeekBlock(pbn), kZeroBlock);
+  };
   for (int64_t pbn : blocks) {
-    ASSERT_NE(fs->dev()->PeekBlock(pbn), zeros) << "block " << pbn;
+    ASSERT_FALSE(is_zero(pbn)) << "block " << pbn;
   }
   ASSERT_TRUE(fs->Remove("gone"));
   for (int64_t pbn : blocks) {
-    EXPECT_EQ(fs->dev()->PeekBlock(pbn), zeros) << "block " << pbn;
+    EXPECT_TRUE(is_zero(pbn)) << "block " << pbn;
   }
 }
 
@@ -306,16 +310,23 @@ TEST_F(FsTest, RemovedBlocksReadZeroOnDiskDriver) {
   EXPECT_EQ(disk.StoredBlocks(), 0u);
 }
 
-// 200 timed O_TRUNC rewrites of one file, alternating cp and scp, on an
-// RZ58.  Each rewrite frees the previous copy's blocks; the disk's block
-// store must track the live blocks instead of every block ever written.
-TEST(FsDiscardTest, TruncRewritesKeepDiskStoreBounded) {
+// 200 timed O_TRUNC rewrites of one file, alternating cp and scp, on each
+// block device.  Each rewrite frees the previous copy's blocks; the device's
+// block store must track the live blocks instead of every block ever written.
+class FsDiscardTest : public ::testing::TestWithParam<bool> {};  // true: RamDisk
+
+TEST_P(FsDiscardTest, TruncRewritesKeepDiskStoreBounded) {
   constexpr int64_t kBytes = 16 * kBlockSize;  // into the single-indirect block
   constexpr int kRewrites = 200;
   Simulator sim;
   Kernel kernel(&sim, DecStation5000Costs());
-  DiskDriver disk(&kernel.cpu(), &sim, Rz58Params());
-  FileSystem* fs = kernel.MountFs(&disk, "fs");
+  std::unique_ptr<BlockDevice> disk;
+  if (GetParam()) {
+    disk = std::make_unique<RamDisk>(&kernel.cpu(), 16 << 20);
+  } else {
+    disk = std::make_unique<DiskDriver>(&kernel.cpu(), &sim, Rz58Params());
+  }
+  FileSystem* fs = kernel.MountFs(disk.get(), "fs");
   ASSERT_NE(fs->CreateFileInstant("src", kBytes, Fill), nullptr);
   std::vector<uint8_t> expect(kBytes);
   for (int64_t i = 0; i < kBytes; ++i) {
@@ -339,8 +350,8 @@ TEST(FsDiscardTest, TruncRewritesKeepDiskStoreBounded) {
       }
       ++verified;
       const int64_t live = fs->TotalDataBlocks() - fs->FreeBlocks();
-      EXPECT_LE(static_cast<int64_t>(disk.StoredBlocks()), live) << "rewrite " << i;
-      max_stored = std::max(max_stored, disk.StoredBlocks());
+      EXPECT_LE(static_cast<int64_t>(disk->StoredBlocks()), live) << "rewrite " << i;
+      max_stored = std::max(max_stored, disk->StoredBlocks());
     }
   });
   sim.Run();
@@ -349,6 +360,11 @@ TEST(FsDiscardTest, TruncRewritesKeepDiskStoreBounded) {
   // Source and destination: 16 data blocks and one indirect block each.
   EXPECT_EQ(max_stored, 34u);
 }
+
+INSTANTIATE_TEST_SUITE_P(BothDevices, FsDiscardTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "RamDisk" : "DiskDriver";
+                         });
 
 // Parameterized sweep: write files of many sizes and verify contents through
 // the timed path (covers direct, indirect and double-indirect shapes).

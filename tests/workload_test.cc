@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/dev/ram_disk.h"
 #include "src/metrics/experiment.h"
 #include "src/metrics/tables.h"
@@ -53,6 +57,46 @@ TEST_F(WorkloadTest, CpCopiesAndSyncs) {
   for (int64_t i = 0; i < kBytes; ++i) {
     ASSERT_EQ(back[static_cast<size_t>(i)], Fill(i)) << i;
   }
+}
+
+// The copy check compares every block with the source generator, and each
+// source block carries its logical block number, so a destination block
+// that lands at another block's offset (a bmap, splice or disksort mapping
+// bug) fails verification even though every block holds pattern bytes.
+TEST_F(WorkloadTest, VerificationCatchesSwappedDestinationBlocks) {
+  constexpr int64_t kBytes = 10 * kBlockSize + 100;  // short last block
+  ASSERT_NE(src_fs_->CreateFileInstant("f", kBytes, FillSourceBlock), nullptr);
+  CopyResult result;
+  kernel_.Spawn("cp", [&](Process& p) -> Task<> {
+    co_await CpProgram(kernel_, p, "src:f", "dst:g", 8192, &result);
+  });
+  sim_.Run();
+  ASSERT_TRUE(result.ok);
+  kernel_.cache().FlushAllInstant();
+  Inode* ip = dst_fs_->Lookup("g");
+  ASSERT_TRUE(MatchesSource(dst_fs_, ip, kBytes));
+  EXPECT_FALSE(MatchesSource(dst_fs_, ip, kBytes - 1));
+
+  const int64_t a = ip->direct[2];
+  const int64_t b = ip->direct[5];
+  const std::span<const uint8_t> view_a = dst_.PeekBlock(a);
+  const std::vector<uint8_t> old_a(view_a.begin(), view_a.end());
+  dst_.PokeBlock(a, dst_.PeekBlock(b));
+  dst_.PokeBlock(b, old_a);
+  EXPECT_FALSE(MatchesSource(dst_fs_, ip, kBytes));
+}
+
+TEST(SourceContentTest, BlocksCarryTheirNumberEvenWhenShort) {
+  std::vector<uint8_t> whole(kBlockSize);
+  FillSourceBlock(0x0807060504030201, whole);
+  EXPECT_EQ(std::vector<uint8_t>(whole.begin(), whole.begin() + 8),
+            (std::vector<uint8_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+  std::vector<uint8_t> other(kBlockSize);
+  FillSourceBlock(0, other);
+  EXPECT_TRUE(std::equal(whole.begin() + 8, whole.end(), other.begin() + 8));
+  std::vector<uint8_t> tail(3);
+  FillSourceBlock(0x030201, tail);
+  EXPECT_EQ(tail, (std::vector<uint8_t>{1, 2, 3}));
 }
 
 TEST_F(WorkloadTest, ScpCopiesViaSplice) {
