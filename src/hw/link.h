@@ -10,6 +10,7 @@
 #define SRC_HW_LINK_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>

@@ -438,7 +438,7 @@ void CpuSystem::Post(Process& p, int sig) {
   }
 }
 
-void CpuSystem::RunInterrupt(SimDuration overhead, std::function<void()> body) {
+void CpuSystem::RunInterrupt(SimDuration overhead, EventFn body) {
   IKDP_KRACE_COMMUTE(this, "CpuSystem::intr_queue_");
   // Capture the attribution tag at raise time: the kspan cursor names the
   // request being worked on, and a raiser at softclock level (a callout

@@ -103,7 +103,7 @@ class CpuSystem {
   // Runs `body` at interrupt level as soon as the CPU finishes any interrupt
   // work already in progress.  `overhead` is charged before any
   // ChargeInterrupt() additions made by the body.
-  IKDP_CTX_ANY void RunInterrupt(SimDuration overhead, std::function<void()> body);
+  IKDP_CTX_ANY void RunInterrupt(SimDuration overhead, EventFn body);
 
   // Adds `t` to the cost of the interrupt-level work currently executing.
   // Must only be called from within a RunInterrupt body.
@@ -212,7 +212,7 @@ class CpuSystem {
 
   struct PendingInterrupt {
     SimDuration overhead;
-    std::function<void()> body;
+    EventFn body;
     // Attribution tag captured when the interrupt was raised: the kspan
     // cursor, plus whether the raiser ran at softclock level (classifying
     // the work as kSoftclock rather than kInterrupt).  The body runs under

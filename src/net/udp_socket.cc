@@ -4,15 +4,9 @@
 #include <cassert>
 #include <utility>
 
-namespace ikdp {
+#include "src/sim/sim_state.h"
 
-namespace {
-// Process-wide datagram serial: the single-host simulation mints one per
-// accepted SendAsync so kUdpSend/kUdpSent/kUdpRecv records pair across
-// sockets within one trace log.  Monotonic, never reset — pairing only
-// needs uniqueness, not density.
-uint64_t g_datagram_serial = 0;
-}  // namespace
+namespace ikdp {
 
 UdpSocket::UdpSocket(CpuSystem* cpu, int64_t sndbuf_bytes, int64_t rcvbuf_bytes)
     : cpu_(cpu), sndbuf_bytes_(sndbuf_bytes), rcvbuf_bytes_(rcvbuf_bytes) {}
@@ -49,7 +43,11 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> do
   // events attribute to the request that queued the datagram, however long
   // the propagation delay defers them.
   const SpanId span = CurrentKspan().span;
-  const uint64_t serial = g_datagram_serial + 1;
+  // One serial per accepted SendAsync, counted per run (SimState), so
+  // kUdpSend/kUdpSent/kUdpRecv records pair across sockets within one trace
+  // log and a run's serials do not depend on what ran before it.
+  uint64_t& last_serial = CurrentSimState().datagram_serial;
+  const uint64_t serial = last_serial + 1;
   // Snapshot the payload: the wire carries the bytes as they were when the
   // datagram was queued, and the sender is free to recycle its buffer once
   // `done` fires (before the propagation delay has elapsed).
@@ -78,7 +76,7 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> do
     ++stats_.dgrams_dropped_wire;
     return false;
   }
-  ++g_datagram_serial;
+  last_serial = serial;
   if (TraceLog* t = cpu_->trace()) {
     t->Record(cpu_->sim()->Now(), TraceKind::kUdpSend, static_cast<int64_t>(serial), nbytes);
   }

@@ -79,22 +79,38 @@ void Kernel::SyscallExit(Process& p, const char* name) {
 // invariant is ever broken.
 int Kernel::Install(Process& p, std::shared_ptr<File> f) {
   ktable_lock_.AcquireUncontended();
-  ProcFiles& pf = files_[&p];
-  const int fd = pf.next_fd++;
+  const size_t pid = static_cast<size_t>(p.pid());
+  if (pid >= files_.size()) {
+    files_.resize(pid + 1);
+  }
+  ProcFiles& pf = files_[pid];
+  size_t fd = pf.low_free;
+  while (fd < pf.fds.size() && pf.fds[fd] != nullptr) {
+    ++fd;
+  }
+  if (fd >= pf.fds.size()) {
+    pf.fds.resize(fd + 1);
+  }
   pf.fds[fd] = std::move(f);
+  pf.low_free = fd + 1;
   ktable_lock_.Release();
-  return fd;
+  return static_cast<int>(fd);
+}
+
+std::shared_ptr<File>* Kernel::FdSlot(Process& p, int fd) {
+  const size_t pid = static_cast<size_t>(p.pid());
+  if (pid >= files_.size() || fd < ProcFiles::kFirstFd ||
+      static_cast<size_t>(fd) >= files_[pid].fds.size()) {
+    return nullptr;
+  }
+  std::shared_ptr<File>& slot = files_[pid].fds[static_cast<size_t>(fd)];
+  return slot != nullptr ? &slot : nullptr;
 }
 
 std::shared_ptr<File> Kernel::GetFile(Process& p, int fd) {
   ktable_lock_.AcquireUncontended();
-  auto pit = files_.find(&p);
-  if (pit == files_.end()) {
-    ktable_lock_.Release();
-    return nullptr;
-  }
-  auto fit = pit->second.fds.find(fd);
-  std::shared_ptr<File> f = fit == pit->second.fds.end() ? nullptr : fit->second;
+  std::shared_ptr<File>* slot = FdSlot(p, fd);
+  std::shared_ptr<File> f = slot != nullptr ? *slot : nullptr;
   ktable_lock_.Release();
   return f;
 }
@@ -132,8 +148,13 @@ Task<int> Kernel::Open(Process& p, const std::string& path, uint32_t flags) {
 Task<int> Kernel::Close(Process& p, int fd) {
   co_await SyscallEnter(p, "close");
   ktable_lock_.AcquireUncontended();
-  auto pit = files_.find(&p);
-  const int result = (pit != files_.end() && pit->second.fds.erase(fd) > 0) ? 0 : -1;
+  int result = -1;
+  if (std::shared_ptr<File>* slot = FdSlot(p, fd)) {
+    slot->reset();
+    ProcFiles& pf = files_[static_cast<size_t>(p.pid())];
+    pf.low_free = std::min(pf.low_free, static_cast<size_t>(fd));
+    result = 0;
+  }
   ktable_lock_.Release();
   SyscallExit(p, "close");
   co_return result;

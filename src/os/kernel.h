@@ -233,9 +233,14 @@ class Kernel {
   const Stats& stats() const { return stats_; }
 
  private:
+  // One process's descriptor table, indexed by fd (the 4.2BSD u_ofile[]
+  // array).  Install takes the lowest free fd >= kFirstFd, as open(2) and
+  // ufalloc() do; `low_free` is a hint: no fd in [kFirstFd, low_free) is
+  // free.
   struct ProcFiles {
-    std::map<int, std::shared_ptr<File>> fds;
-    int next_fd = 3;  // 0-2 reserved, as tradition demands
+    static constexpr int kFirstFd = 3;  // 0-2 reserved, as tradition demands
+    std::vector<std::shared_ptr<File>> fds;
+    size_t low_free = kFirstFd;
   };
 
   struct Itimer {
@@ -256,6 +261,8 @@ class Kernel {
   IKDP_CTX_PROCESS void SyscallExit(Process& p, const char* name);
 
   IKDP_EXCLUDES(ktable) int Install(Process& p, std::shared_ptr<File> f);
+  // The table entry for an open `fd`, or nullptr (EBADF).
+  IKDP_REQUIRES(ktable) std::shared_ptr<File>* FdSlot(Process& p, int fd);
 
   // Builds splice endpoints from an open file.  Returns nullptr on
   // unsupported/invalid combinations, with `err` set to why: kErrInval for
@@ -295,7 +302,9 @@ class Kernel {
   // exists for contended SMP futures (tests/lockdep_test.cc exercises it).
   // Outermost rank: it may be held around calls into cache/ring/engine.
   SleepLock ktable_lock_ IKDP_LOCK_RANK(ktable, 10) = SleepLock("ktable", 10);
-  std::map<Process*, ProcFiles> files_ IKDP_GUARDED_BY(lock:ktable);
+  // Indexed by pid: every Process this kernel sees comes from cpu_.Spawn,
+  // which numbers them densely from 1.
+  std::vector<ProcFiles> files_ IKDP_GUARDED_BY(lock:ktable);
   std::map<Process*, Itimer> itimers_;
   std::map<Process*, std::map<int, std::unique_ptr<SpliceRing>>> rings_;
   int next_ring_id_ = 1;

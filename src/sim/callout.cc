@@ -27,7 +27,7 @@ SimTime CalloutTable::NextTickAfter(SimTime now) const {
   return (now / tick_ + 1) * tick_;
 }
 
-CalloutId CalloutTable::Timeout(std::function<void()> fn, int ticks) {
+CalloutId CalloutTable::Timeout(EventFn fn, int ticks) {
   assert(ticks >= 1);
   const SimTime when = NextTickAfter(sim_->Now()) + static_cast<SimTime>(ticks - 1) * tick_;
   lock_.Acquire();
@@ -45,7 +45,7 @@ CalloutId CalloutTable::Timeout(std::function<void()> fn, int ticks) {
   return id;
 }
 
-CalloutId CalloutTable::ScheduleHead(std::function<void()> fn) {
+CalloutId CalloutTable::ScheduleHead(EventFn fn) {
   const SimTime when = NextTickAfter(sim_->Now());
   lock_.Acquire();
   const CalloutId id = ++next_id_;

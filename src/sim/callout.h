@@ -51,11 +51,11 @@ class CalloutTable {
   CalloutTable& operator=(const CalloutTable&) = delete;
 
   // Classic BSD timeout(): run `fn` after `ticks` clock ticks (>= 1).
-  IKDP_CTX_ANY CalloutId Timeout(std::function<void()> fn, int ticks);
+  IKDP_CTX_ANY CalloutId Timeout(EventFn fn, int ticks);
 
   // Schedules `fn` at the head of the callout list: it fires at the next
   // softclock tick, before any other entry expiring on that tick.
-  IKDP_CTX_ANY CalloutId ScheduleHead(std::function<void()> fn);
+  IKDP_CTX_ANY CalloutId ScheduleHead(EventFn fn);
 
   // Removes a pending callout.  Returns true if it had not yet fired.
   IKDP_CTX_ANY bool Untimeout(CalloutId id);
@@ -86,7 +86,7 @@ class CalloutTable {
  private:
   struct Entry {
     CalloutId id;
-    std::function<void()> fn;
+    EventFn fn;
     bool head;  // head-of-list entries run before FIFO entries on the tick
   };
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/kern/ctx.h"
+#include "src/sim/event_queue.h"
 
 namespace ikdp {
 
@@ -65,11 +66,11 @@ std::string KraceDetector::Race::Describe() const {
                 "concurrent with %s in event #%llu (%s, %s:%d) — no "
                 "happens-before chain; a legal tie-break permutation reorders "
                 "them",
-                field, obj, static_cast<long long>(time),
-                AccessKindName(prior.kind), static_cast<unsigned long long>(prior.event),
-                prior.ctx, prior.file, prior.line, AccessKindName(current.kind),
-                static_cast<unsigned long long>(current.event), current.ctx, current.file,
-                current.line);
+                field, obj, static_cast<long long>(time), AccessKindName(prior.kind),
+                static_cast<unsigned long long>(EventSeq(prior.event)), prior.ctx, prior.file,
+                prior.line, AccessKindName(current.kind),
+                static_cast<unsigned long long>(EventSeq(current.event)), current.ctx,
+                current.file, current.line);
   return std::string(buf);
 }
 
@@ -197,11 +198,11 @@ void KraceDetector::ReportRace(const FieldKey& key, const AccessRec& prior,
   }
 }
 
-uint64_t KraceDetector::TieKey(uint64_t seed, EventId id) {
+uint64_t KraceDetector::TieKey(uint64_t seed, uint64_t seq) {
   if (seed == 0) {
-    return id;  // historical behaviour: insertion order
+    return seq;  // historical behaviour: schedule order
   }
-  return Mix64(id ^ seed);
+  return Mix64(seq ^ seed);
 }
 
 }  // namespace ikdp

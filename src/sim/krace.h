@@ -147,8 +147,9 @@ class KraceDetector {
   void SetPerturbSeed(uint64_t seed) { seed_ = seed; }
   uint64_t perturb_seed() const { return seed_; }
 
-  // The same-timestamp tie-break key for event `id` under `seed`.
-  static uint64_t TieKey(uint64_t seed, EventId id);
+  // The same-timestamp tie-break key for the event with schedule sequence
+  // number `seq` (EventSeq of its id) under `seed`.
+  static uint64_t TieKey(uint64_t seed, uint64_t seq);
 
  private:
   struct FieldKey {

@@ -1,7 +1,7 @@
 // SimState: the per-simulation state of the simulated kernel — lock
 // counters, execution context, kspan cursor and collector, the krace
-// detector and the lockdep validator — so that no number from one run
-// includes counts from another.  Each Simulator owns one; every accessor
+// detector, the lockdep validator and the UDP datagram serial — so that no
+// number from one run includes counts from another.  Each Simulator owns one; every accessor
 // (GlobalLockStats, CurrentExecContext, CurrentKspan, Kspan, AttachKspan,
 // Krace, Lockdep) resolves through CurrentSimState(), like NetBSD's
 // curcpu().  Code that runs with no Simulator sees the thread's host state,
@@ -57,6 +57,8 @@ struct SimState {
   KspanCollector* collector;
   KraceDetector krace;
   LockdepValidator lockdep;
+  // The last UDP datagram serial minted this run (src/net/udp_socket.cc).
+  uint64_t datagram_serial = 0;
 };
 
 namespace sim_state_internal {

@@ -19,14 +19,14 @@ Simulator::~Simulator() {
   SwapCurrentSimState(enclosing_);
 }
 
-EventId Simulator::After(SimDuration delay, std::function<void()> fn) {
+EventId Simulator::After(SimDuration delay, EventFn fn) {
   if (delay < 0) {
     delay = 0;
   }
   return At(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::At(SimTime when, std::function<void()> fn) {
+EventId Simulator::At(SimTime when, EventFn fn) {
   assert(when >= now_ && "scheduling into the past");
   const EventId id = queue_.Schedule(when, std::move(fn));
   if (state_.krace.enabled()) {
@@ -66,7 +66,7 @@ bool Simulator::Step() {
   }
   SimTime when = 0;
   EventId id = kInvalidEventId;
-  std::function<void()> fn = queue_.PopNext(&when, &id);
+  EventFn fn = queue_.PopNext(&when, &id);
   assert(when >= now_ && "event queue went backwards");
   now_ = when;
   ++events_executed_;

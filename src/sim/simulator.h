@@ -10,7 +10,6 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 #include "src/sim/event_queue.h"
@@ -36,10 +35,10 @@ class Simulator {
   // Schedules `fn` to run `delay` from now.  Negative delays are clamped to
   // zero (the event fires "immediately", i.e. after the current event and any
   // earlier-scheduled same-time events).
-  EventId After(SimDuration delay, std::function<void()> fn);
+  EventId After(SimDuration delay, EventFn fn);
 
   // Schedules `fn` at an absolute time, which must not be in the past.
-  EventId At(SimTime when, std::function<void()> fn);
+  EventId At(SimTime when, EventFn fn);
 
   // Cancels a scheduled event.  Returns true if it was still pending.
   bool Cancel(EventId id);

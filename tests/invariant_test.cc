@@ -9,6 +9,7 @@
 
 #include <map>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "src/dev/disk_driver.h"
@@ -17,6 +18,7 @@
 #include "src/metrics/report.h"
 #include "src/os/kernel.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/krace.h"
 #include "src/sim/random.h"
 
 namespace ikdp {
@@ -28,62 +30,80 @@ uint8_t Fill(int64_t i) { return static_cast<uint8_t>(i * 7 + 1); }
 
 class EventQueueFuzz : public ::testing::TestWithParam<uint64_t> {};
 
+// Each RNG seed runs under tie seed 0 (schedule order) and perturbation
+// seeds 1-4.  Interleaves schedule, cancel, NextTime and pop.
 TEST_P(EventQueueFuzz, MatchesReferenceModel) {
-  Rng rng(GetParam());
-  EventQueue q;
-  // Reference: firing time -> insertion sequence (fire order within a time).
-  struct ModelEvent {
-    EventId id;
-    int payload;
-  };
-  std::multimap<SimTime, ModelEvent> model;
-  std::vector<int> fired_q;
-  std::vector<int> fired_model;
-  int next_payload = 0;
-  SimTime now = 0;
+  for (uint64_t tie_seed = 0; tie_seed <= 4; ++tie_seed) {
+    SCOPED_TRACE(testing::Message() << "tie seed " << tie_seed);
+    Rng rng(GetParam());
+    EventQueue q(tie_seed);
+    // Reference: firing time -> events at that time.  Within a time the
+    // lowest (TieKey of the schedule sequence, id) fires first; under tie
+    // seed 0 that is the lowest id.
+    struct ModelEvent {
+      EventId id;
+      int payload;
+    };
+    std::multimap<SimTime, ModelEvent> model;
+    std::vector<int> fired_q;
+    int next_payload = 0;
+    EventId last_id = kInvalidEventId;
+    SimTime now = 0;
+    auto fire_key = [tie_seed](EventId id) {
+      return std::pair(KraceDetector::TieKey(tie_seed, EventSeq(id)), id);
+    };
 
-  for (int step = 0; step < 2000; ++step) {
-    const uint64_t op = rng.Below(10);
-    if (op < 5) {
-      // Schedule at now + random delay.
-      const SimTime when = now + static_cast<SimTime>(rng.Below(1000));
-      const int payload = next_payload++;
-      const EventId id = q.Schedule(when, [payload, &fired_q] { fired_q.push_back(payload); });
-      model.emplace(when, ModelEvent{id, payload});
-    } else if (op < 7 && !model.empty()) {
-      // Cancel a random live event.
-      auto it = model.begin();
-      std::advance(it, static_cast<int64_t>(rng.Below(model.size())));
-      EXPECT_TRUE(q.Cancel(it->second.id));
-      EXPECT_FALSE(q.Cancel(it->second.id));  // double cancel refused
-      model.erase(it);
-    } else if (!q.empty()) {
-      // Pop the earliest event; it must match the model's earliest (ties by
-      // insertion order = lowest id).
-      auto it = model.begin();
-      auto best = it;
-      for (; it != model.end() && it->first == best->first; ++it) {
-        if (it->second.id < best->second.id) {
-          best = it;
+    for (int step = 0; step < 2000; ++step) {
+      const uint64_t op = rng.Below(10);
+      if (op < 5) {
+        // Schedule at now + random delay (small, so ties are common).
+        const SimTime when = now + static_cast<SimTime>(rng.Below(100));
+        const int payload = next_payload++;
+        const EventId id =
+            q.Schedule(when, [payload, &fired_q] { fired_q.push_back(payload); });
+        ASSERT_GT(id, last_id) << "ids must increase in schedule order";
+        last_id = id;
+        model.emplace(when, ModelEvent{id, payload});
+      } else if (op < 7 && !model.empty()) {
+        // Cancel a random live event.
+        auto it = model.begin();
+        std::advance(it, static_cast<int64_t>(rng.Below(model.size())));
+        EXPECT_TRUE(q.Cancel(it->second.id));
+        EXPECT_FALSE(q.Cancel(it->second.id));  // double cancel refused
+        model.erase(it);
+      } else if (!q.empty()) {
+        // Pop the earliest event; it must match the model's earliest.
+        auto it = model.begin();
+        auto best = it;
+        for (; it != model.end() && it->first == best->first; ++it) {
+          if (fire_key(it->second.id) < fire_key(best->second.id)) {
+            best = it;
+          }
         }
+        SimTime when = 0;
+        EventId id = kInvalidEventId;
+        q.PopNext(&when, &id)();
+        EXPECT_EQ(when, best->first);
+        EXPECT_EQ(id, best->second.id);
+        EXPECT_GE(when, now);
+        now = when;
+        ASSERT_EQ(fired_q.back(), best->second.payload) << "step " << step;
+        EXPECT_FALSE(q.Cancel(id));  // fired events are not cancellable
+        model.erase(best);
       }
+      ASSERT_EQ(q.size(), model.size()) << "step " << step;
+      if (!model.empty()) {
+        ASSERT_EQ(q.NextTime(), model.begin()->first) << "step " << step;
+      }
+    }
+    // Drain the remainder; each fires once.
+    const size_t fired_before = fired_q.size();
+    while (!q.empty()) {
       SimTime when = 0;
       q.PopNext(&when)();
-      EXPECT_EQ(when, best->first);
-      EXPECT_GE(when, now);
-      now = when;
-      fired_model.push_back(best->second.payload);
-      model.erase(best);
-      ASSERT_EQ(fired_q.back(), fired_model.back()) << "step " << step;
     }
-    ASSERT_EQ(q.size(), model.size()) << "step " << step;
+    EXPECT_EQ(fired_q.size() - fired_before, model.size());
   }
-  // Drain the remainder.
-  while (!q.empty()) {
-    SimTime when = 0;
-    q.PopNext(&when)();
-  }
-  EXPECT_EQ(fired_q.size(), fired_model.size() + (fired_q.size() - fired_model.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Values(11, 22, 33, 44));

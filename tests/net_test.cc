@@ -287,5 +287,34 @@ TEST_F(NetTest, ChecksumCostScalesWithSize) {
   EXPECT_EQ(c.UdpPacketTime(0), c.net_proto_packet);
 }
 
+// The kUdpSend serials of one traced two-datagram send in a fresh run.
+std::vector<int64_t> UdpSendSerialsOfOneRun() {
+  Simulator sim;
+  CpuSystem cpu(&sim, DecStation5000Costs());
+  TraceLog trace;
+  cpu.set_trace(&trace);
+  NetworkLink wire(&sim, EthernetParams());
+  UdpSocket a(&cpu);
+  UdpSocket b(&cpu);
+  a.ConnectTo(&b, &wire);
+  EXPECT_TRUE(a.SendAsync(Payload("one"), 3, nullptr));
+  EXPECT_TRUE(a.SendAsync(Payload("two"), 3, nullptr));
+  sim.Run();
+  std::vector<int64_t> serials;
+  for (const TraceRecord& r : trace.Snapshot()) {
+    if (r.kind == TraceKind::kUdpSend) {
+      serials.push_back(r.a);
+    }
+  }
+  return serials;
+}
+
+TEST(NetSerialTest, DatagramSerialsRestartWithEachRun) {
+  const std::vector<int64_t> first = UdpSendSerialsOfOneRun();
+  const std::vector<int64_t> second = UdpSendSerialsOfOneRun();
+  EXPECT_EQ(first, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(second, first);
+}
+
 }  // namespace
 }  // namespace ikdp

@@ -280,6 +280,60 @@ TEST_F(OsTest, FdTablesArePerProcess) {
   EXPECT_EQ(cross_read, -1);
 }
 
+TEST_F(OsTest, OpenReusesTheLowestClosedFd) {
+  Run([&](Process& p) -> Task<> {
+    const int a = co_await kernel_.Open(p, "fs:a", kOpenWrite | kOpenCreate);
+    const int b = co_await kernel_.Open(p, "fs:b", kOpenWrite | kOpenCreate);
+    const int c = co_await kernel_.Open(p, "fs:c", kOpenWrite | kOpenCreate);
+    EXPECT_EQ(a, 3);
+    EXPECT_EQ(b, 4);
+    EXPECT_EQ(c, 5);
+    EXPECT_EQ(co_await kernel_.Close(p, b), 0);
+    EXPECT_EQ(co_await kernel_.Open(p, "fs:d", kOpenWrite | kOpenCreate), b);
+    EXPECT_EQ(co_await kernel_.Open(p, "fs:e", kOpenWrite | kOpenCreate), 6);
+    // Two holes: the lower one is filled first.
+    EXPECT_EQ(co_await kernel_.Close(p, c), 0);
+    EXPECT_EQ(co_await kernel_.Close(p, a), 0);
+    EXPECT_EQ(co_await kernel_.Dup(p, b), a);
+    EXPECT_EQ(co_await kernel_.Dup(p, b), c);
+  });
+}
+
+TEST_F(OsTest, BadDescriptorsAreRejected) {
+  Run([&](Process& p) -> Task<> {
+    const int fd = co_await kernel_.Open(p, "fs:x", kOpenWrite | kOpenCreate);
+    EXPECT_EQ(co_await kernel_.Close(p, fd), 0);
+    for (const int bad : {fd, 0, 1, 2, -1, 1000}) {
+      std::vector<uint8_t> buf;
+      EXPECT_EQ(co_await kernel_.Read(p, bad, 10, &buf), -1) << "fd " << bad;
+      EXPECT_EQ(co_await kernel_.Close(p, bad), -1) << "fd " << bad;
+      EXPECT_EQ(co_await kernel_.Dup(p, bad), -1) << "fd " << bad;
+      EXPECT_EQ(kernel_.GetFile(p, bad), nullptr) << "fd " << bad;
+    }
+  });
+}
+
+TEST_F(OsTest, ProcessesNumberFdsIndependently) {
+  std::vector<int> fds_a;
+  std::vector<int> fds_b;
+  kernel_.Spawn("a", [&](Process& p) -> Task<> {
+    fds_a.push_back(co_await kernel_.Open(p, "fs:qa", kOpenWrite | kOpenCreate));
+    fds_a.push_back(co_await kernel_.Open(p, "fs:qa", kOpenRead));
+    co_await kernel_.Close(p, fds_a[0]);
+    co_await kernel_.SleepFor(p, Milliseconds(10));
+    fds_a.push_back(co_await kernel_.Open(p, "fs:qa", kOpenRead));
+  });
+  kernel_.Spawn("b", [&](Process& p) -> Task<> {
+    for (int i = 0; i < 3; ++i) {
+      fds_b.push_back(co_await kernel_.Open(p, "fs:qb", kOpenWrite | kOpenCreate));
+    }
+  });
+  sim_.Run();
+  ASSERT_EQ(kernel_.cpu().alive(), 0);
+  EXPECT_EQ(fds_a, (std::vector<int>{3, 4, 3}));  // a's hole, not b's opens
+  EXPECT_EQ(fds_b, (std::vector<int>{3, 4, 5}));
+}
+
 TEST_F(OsTest, SyscallsChargeTrapOverhead) {
   Process* proc = nullptr;
   kernel_.Spawn("t", [&](Process& p) -> Task<> {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/kern/lock.h"
@@ -115,6 +118,105 @@ TEST(EventQueueTest, NextTimeSkipsCancelled) {
   q.Schedule(20, [] {});
   q.Cancel(a);
   EXPECT_EQ(q.NextTime(), 20);
+}
+
+TEST(EventQueueTest, IdsIncreaseInScheduleOrderAcrossSlotReuse) {
+  EventQueue q;
+  SimTime when = 0;
+  const EventId a = q.Schedule(10, [] {});
+  q.PopNext(&when);
+  const EventId b = q.Schedule(10, [] {});  // reuses a's slot
+  const EventId c = q.Schedule(5, [] {});
+  EXPECT_LT(a, b);
+  EXPECT_LT(b, c);
+  EXPECT_EQ(EventSeq(a), 1u);
+  EXPECT_EQ(EventSeq(b), 2u);
+  EXPECT_EQ(EventSeq(c), 3u);
+  EXPECT_EQ(q.arena_slots(), 2u);
+}
+
+TEST(EventQueueTest, StaleIdOfAReusedSlotIsRefused) {
+  EventQueue q;
+  SimTime when = 0;
+  const EventId a = q.Schedule(10, [] {});
+  q.PopNext(&when);
+  int fired = 0;
+  const EventId b = q.Schedule(20, [&] { ++fired; });
+  EXPECT_FALSE(q.Cancel(a));  // same slot, different event
+  EXPECT_EQ(q.size(), 1u);
+  q.PopNext(&when)();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(q.Cancel(b));
+}
+
+// Counts how many times a capture is destroyed; moved-from copies do not
+// count.
+struct DestroyCounter {
+  explicit DestroyCounter(int* n) : destroyed(n) {}
+  DestroyCounter(DestroyCounter&& o) noexcept : destroyed(std::exchange(o.destroyed, nullptr)) {}
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (destroyed != nullptr) {
+      ++*destroyed;
+    }
+  }
+  int* destroyed;
+};
+
+// Schedules three events whose closures capture `Capture` (built from a
+// destroy counter): one fires, one is cancelled, one is still pending when
+// the queue is destroyed.  Each closure must be destroyed exactly once.
+template <typename MakeCapture>
+void ExpectEachClosureDestroyedOnce(MakeCapture make) {
+  int destroyed = 0;
+  int fired = 0;
+  {
+    EventQueue q;
+    q.Schedule(10, [c = make(&destroyed), &fired] { ++fired; });
+    const EventId cancelled = q.Schedule(20, [c = make(&destroyed), &fired] { ++fired; });
+    q.Schedule(30, [c = make(&destroyed), &fired] { ++fired; });
+    EXPECT_EQ(destroyed, 0);
+    SimTime when = 0;
+    q.PopNext(&when)();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(destroyed, 1);  // the fired closure died with PopNext's result
+    EXPECT_TRUE(q.Cancel(cancelled));
+    EXPECT_EQ(destroyed, 2);  // Cancel destroys at once
+  }
+  EXPECT_EQ(destroyed, 3);  // the pending one died with the queue
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, InlineClosuresAreDestroyedExactlyOnce) {
+  ExpectEachClosureDestroyedOnce([](int* n) { return DestroyCounter(n); });
+}
+
+TEST(EventQueueTest, MoveOnlyCapturesAreDestroyedExactlyOnce) {
+  ExpectEachClosureDestroyedOnce([](int* n) { return std::make_unique<DestroyCounter>(n); });
+}
+
+TEST(EventQueueTest, CapturesLargerThanInlineAreDestroyedExactlyOnce) {
+  struct Big {
+    DestroyCounter counter;
+    std::array<char, EventFn::kInlineSize> pad{};
+  };
+  static_assert(sizeof(Big) > EventFn::kInlineSize);
+  ExpectEachClosureDestroyedOnce([](int* n) { return Big{DestroyCounter(n)}; });
+}
+
+TEST(EventQueueTest, ScheduleCancelCyclesDoNotGrowTheArena) {
+  EventQueue q;
+  int fired = 0;
+  q.Schedule(Seconds(1000), [&] { ++fired; });  // long-lived
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(q.Cancel(q.Schedule(i, [&] { ++fired; })));
+  }
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.arena_slots(), 2u);
+  SimTime when = 0;
+  q.PopNext(&when)();
+  EXPECT_EQ(when, Seconds(1000));
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
