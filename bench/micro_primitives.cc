@@ -1,19 +1,31 @@
 // google-benchmark microbenchmarks of the simulator's host-side primitives:
 // event queue, callout table, coroutine tasks, buffer cache operations,
-// filesystem block mapping and descriptor lookup.  These measure the
-// *simulator's* execution cost (host CPU), not simulated time — they exist
-// to keep the engine fast enough for the large parameter sweeps in the
-// ablation benches.
+// filesystem block mapping, descriptor lookup, the CPU attribution ledger
+// and the UDP datagram path.  These measure the *simulator's* execution cost
+// (host CPU), not simulated time — they exist to keep the engine fast enough
+// for the large parameter sweeps in the ablation benches.
+//
+// This binary counts heap allocations (its own operator new).  Cases that
+// call ReportAllocs show `allocs_per_iter`; those declared allocation-free
+// in steady state make the binary exit 1 if their timed loop allocates, so
+// micro_primitives_smoke gates them.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 
 #include "src/buf/buffer_cache.h"
 #include "src/dev/ram_disk.h"
 #include "src/fs/filesystem.h"
 #include "src/hw/costs.h"
+#include "src/hw/link.h"
+#include "src/kern/charge_ledger.h"
 #include "src/kern/cpu.h"
+#include "src/net/udp_socket.h"
 #include "src/os/kernel.h"
 #include "src/sim/callout.h"
 #include "src/sim/event_queue.h"
@@ -21,8 +33,49 @@
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+bool g_steady_state_allocated = false;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// GCC pairs the inlined free() with the builtin operator new it knows, not
+// with the malloc above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace ikdp {
 namespace {
+
+// Counts the heap allocations from construction to Report(), which sets
+// the case's `allocs_per_iter` counter.  With `must_be_zero`, a nonzero
+// count fails the binary.
+class AllocCount {
+ public:
+  AllocCount() : start_(g_allocs.load(std::memory_order_relaxed)) {}
+
+  void Report(benchmark::State& state, bool must_be_zero) const {
+    const uint64_t n = g_allocs.load(std::memory_order_relaxed) - start_;
+    state.counters["allocs_per_iter"] =
+        static_cast<double>(n) / static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+    if (must_be_zero && n != 0) {
+      g_steady_state_allocated = true;
+      state.SkipWithError("allocates in steady state");
+    }
+  }
+
+ private:
+  uint64_t start_;
+};
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   EventQueue q;
@@ -78,7 +131,7 @@ void BM_EventQueueRearmAtDepth1k(benchmark::State& state) {
 BENCHMARK(BM_EventQueueRearmAtDepth1k);
 
 // Schedule + pop of a closure with a 40-byte capture (a `this` pointer plus
-// a std::function, like NetworkLink's transmit-done event).
+// a std::function, like a splice sink's transmit-complete forwarder).
 void BM_EventQueueClosure40B(benchmark::State& state) {
   EventQueue q;
   SimTime when = 0;
@@ -126,6 +179,87 @@ void BM_CalloutTimeout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_CalloutTimeout);
+
+// The splice write side's re-arm: one head-of-list callout per tick.
+void BM_CalloutScheduleHeadTick(benchmark::State& state) {
+  Simulator sim;
+  CalloutTable callouts(&sim, 256);
+  int fired = 0;
+  auto tick = [&] {
+    callouts.ScheduleHead([&fired] { ++fired; });
+    callouts.ScheduleHead([&fired] { ++fired; });
+    sim.Run();
+  };
+  for (int i = 0; i < 4; ++i) {
+    tick();  // warm the bucket storage and the event arena
+  }
+  const AllocCount allocs;
+  for (auto _ : state) {
+    tick();
+  }
+  allocs.Report(state, /*must_be_zero=*/true);
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_CalloutScheduleHeadTick);
+
+// One CPU ledger charge (CpuSystem::Attribute's body), cycling over a few
+// subsystems; Arg(1) tags each charge with one of 64 spans.
+void BM_CpuAttributeCharge(benchmark::State& state) {
+  const bool spanned = state.range(0) != 0;
+  static const char* const kSubsystems[] = {"process", "sched", "net", "disk", "splice"};
+  ChargeLedger ledger;
+  uint64_t i = 0;
+  // One full period of the (bucket, subsystem, span) cycle creates every key.
+  for (int w = 0; w < kNumChargeBuckets * 5 * 64; ++w, ++i) {
+    ledger.Add(static_cast<ChargeBucket>(i % kNumChargeBuckets), kSubsystems[i % 5],
+               spanned ? 1 + i % 64 : kNoSpan, 1);
+  }
+  const AllocCount allocs;
+  for (auto _ : state) {
+    ledger.Add(static_cast<ChargeBucket>(i % kNumChargeBuckets), kSubsystems[i % 5],
+               spanned ? 1 + i % 64 : kNoSpan, 1);
+    ++i;
+  }
+  allocs.Report(state, /*must_be_zero=*/true);
+  benchmark::DoNotOptimize(ledger);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuAttributeCharge)->Arg(0)->Arg(1);
+
+// One 1 KB datagram: SendAsync -> link -> delivery interrupt -> RecvAsync.
+void BM_UdpDatagramRoundTrip(benchmark::State& state) {
+  Simulator sim;
+  CpuSystem cpu(&sim, DecStation5000Costs());
+  NetworkLink wire(&sim, LoopbackParams());
+  UdpSocket a(&cpu);
+  UdpSocket b(&cpu);
+  a.ConnectTo(&b, &wire);
+  BufData payload = MakeBufData();
+  payload->assign(1024, 0x5a);
+  int64_t received = 0;
+  auto round_trip = [&] {
+    a.SendAsync(payload, 1024, [&received] { benchmark::DoNotOptimize(received); });
+    b.RecvAsync(1024, [&received](BufData d, int64_t n) {
+      received += n;
+      benchmark::DoNotOptimize(d);
+    });
+    sim.Run();
+  };
+  for (int i = 0; i < 4; ++i) {
+    round_trip();  // warm the payload pool, queues and event arena
+  }
+  const AllocCount allocs;
+  for (auto _ : state) {
+    round_trip();
+  }
+  allocs.Report(state, /*must_be_zero=*/true);
+  if (received != (state.iterations() + 4) * 1024) {
+    state.SkipWithError("a datagram was lost");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UdpDatagramRoundTrip);
 
 void BM_TaskSpawnResume(benchmark::State& state) {
   for (auto _ : state) {
@@ -225,4 +359,12 @@ BENCHMARK(BM_Rng);
 }  // namespace
 }  // namespace ikdp
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return g_steady_state_allocated ? 1 : 0;
+}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <utility>
 
 namespace ikdp {
@@ -31,7 +30,7 @@ LinkParams LoopbackParams() {
 NetworkLink::NetworkLink(Simulator* sim, LinkParams params)
     : sim_(sim), params_(std::move(params)) {}
 
-bool NetworkLink::Send(int64_t payload_bytes, Deliver deliver, std::function<void()> on_sent) {
+bool NetworkLink::Send(int64_t payload_bytes, Deliver deliver, EventFn on_sent) {
   assert(payload_bytes >= 0);
   if (queued_ >= params_.tx_queue_frames) {
     ++stats_.frames_dropped;
@@ -51,8 +50,7 @@ void NetworkLink::StartNext() {
     return;
   }
   busy_ = true;
-  Frame frame = std::move(queue_.front());
-  queue_.pop_front();
+  Frame frame = queue_.pop_front();
   --queued_;
   const int64_t fragments = std::max<int64_t>(
       1, (frame.payload_bytes + params_.mtu_bytes - 1) / params_.mtu_bytes);
@@ -81,19 +79,35 @@ void NetworkLink::StartNext() {
   }
   // The transmitter frees after `tx`; the receiver sees the datagram after
   // `tx + propagation` (+ any injected jitter), or never.
-  sim_->After(tx, [this, on_sent = std::move(frame.on_sent)] {
-    if (on_sent) {
-      on_sent();
-    }
-    StartNext();
-  });
+  tx_on_sent_ = std::move(frame.on_sent);
+  sim_->After(tx, [this] { FinishTx(); });
   if (!lost) {
-    sim_->After(tx + params_.propagation_delay + jitter,
-                [deliver = std::move(frame.deliver), bytes = frame.payload_bytes] {
-                  if (deliver) {
-                    deliver(bytes);
-                  }
-                });
+    uint32_t slot;
+    if (free_arrival_slots_.empty()) {
+      slot = static_cast<uint32_t>(arriving_.size());
+      arriving_.emplace_back();
+    } else {
+      slot = free_arrival_slots_.back();
+      free_arrival_slots_.pop_back();
+    }
+    arriving_[slot] = std::move(frame);
+    sim_->After(tx + params_.propagation_delay + jitter, [this, slot] { Arrive(slot); });
+  }
+}
+
+void NetworkLink::FinishTx() {
+  EventFn on_sent = std::move(tx_on_sent_);
+  if (on_sent) {
+    on_sent();
+  }
+  StartNext();
+}
+
+void NetworkLink::Arrive(uint32_t slot) {
+  Frame frame = std::move(arriving_[slot]);
+  free_arrival_slots_.push_back(slot);
+  if (frame.deliver) {
+    frame.deliver(frame.payload_bytes);
   }
 }
 

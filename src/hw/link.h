@@ -10,13 +10,14 @@
 #define SRC_HW_LINK_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/hw/fault.h"
 #include "src/kern/ctx.h"
+#include "src/sim/fifo.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -40,7 +41,7 @@ LinkParams LoopbackParams();
 
 class NetworkLink {
  public:
-  using Deliver = std::function<void(int64_t frame_bytes)>;
+  using Deliver = InlineFn<void(int64_t frame_bytes)>;
 
   NetworkLink(Simulator* sim, LinkParams params);
 
@@ -51,9 +52,9 @@ class NetworkLink {
   // frames, each paying the per-frame overhead); `deliver` fires at the
   // receiver once it has fully arrived, `on_sent` (optional) at the sender
   // once it has left the interface.  Returns false (and drops the datagram)
-  // if the transmit queue is full.
-  IKDP_CTX_ANY bool Send(int64_t payload_bytes, Deliver deliver,
-                         std::function<void()> on_sent = nullptr);
+  // if the transmit queue is full.  Neither callback is ever invoked from
+  // inside Send.
+  IKDP_CTX_ANY bool Send(int64_t payload_bytes, Deliver deliver, EventFn on_sent = nullptr);
 
   const LinkParams& params() const { return params_; }
   bool Idle() const { return !busy_ && queued_ == 0; }
@@ -82,9 +83,9 @@ class NetworkLink {
 
  private:
   struct Frame {
-    int64_t payload_bytes;
+    int64_t payload_bytes = 0;
     Deliver deliver;
-    std::function<void()> on_sent;
+    EventFn on_sent;
   };
 
   struct FaultState {
@@ -94,10 +95,21 @@ class NetworkLink {
   };
 
   void StartNext();
+  // The frame on the wire has left the interface.
+  void FinishTx();
+  // The frame propagating in arrival slot `slot` reaches the receiver.
+  void Arrive(uint32_t slot);
 
   Simulator* sim_;
   LinkParams params_;
-  std::deque<Frame> queue_;
+  Fifo<Frame> queue_;
+  // The sender callback of the frame on the wire.
+  EventFn tx_on_sent_;
+  // Frames propagating to the receiver (several at once, and reordered by
+  // jitter), by slot; freed slots are reused, so the events that deliver
+  // them carry a slot number instead of the callback.
+  std::vector<Frame> arriving_;
+  std::vector<uint32_t> free_arrival_slots_;
   int queued_ = 0;
   bool busy_ = false;
   std::unique_ptr<FaultState> fault_state_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -22,25 +21,9 @@ CpuSystem::CpuSystem(Simulator* sim, CostConfig costs) : sim_(sim), costs_(costs
 
 CpuSystem::~CpuSystem() = default;
 
-bool CpuSystem::ChargeKey::operator<(const ChargeKey& o) const {
-  if (bucket != o.bucket) {
-    return bucket < o.bucket;
-  }
-  // Compare subsystem names by content: distinct literals with equal text
-  // must land in one entry.
-  const int c = std::strcmp(subsystem, o.subsystem);
-  if (c != 0) {
-    return c < 0;
-  }
-  return span < o.span;
-}
-
 void CpuSystem::Attribute(ChargeBucket bucket, const char* subsystem, SpanId span,
                           SimDuration t) {
-  if (t == 0) {
-    return;
-  }
-  attribution_[ChargeKey{bucket, subsystem, span}] += t;
+  ledger_.Add(bucket, subsystem, span, t);
 }
 
 void CpuSystem::SetSpan(Process& p, SpanId span) {
@@ -51,10 +34,7 @@ void CpuSystem::SetSpan(Process& p, SpanId span) {
 }
 
 bool CpuSystem::CheckAttributionClosure(std::string* err) const {
-  SimDuration sums[kNumChargeBuckets] = {};
-  for (const auto& [key, t] : attribution_) {
-    sums[static_cast<int>(key.bucket)] += t;
-  }
+  const std::array<SimDuration, kNumChargeBuckets> sums = ledger_.BucketSums();
   // Operator buckets are refinements, not new ledger totals: kKopProcess
   // work was granted through Use machinery (process_work), kKopInterrupt /
   // kKopSoftclock through the interrupt engine (interrupt_work).
@@ -496,8 +476,7 @@ void CpuSystem::DrainInterrupts() {
     return;
   }
   IKDP_KRACE_COMMUTE(this, "CpuSystem::intr_queue_");
-  PendingInterrupt work = std::move(intr_queue_.front());
-  intr_queue_.pop_front();
+  PendingInterrupt work = intr_queue_.pop_front();
   in_interrupt_ = true;
   intr_bucket_ = work.softclock ? ChargeBucket::kSoftclock : ChargeBucket::kInterrupt;
   IKDP_KRACE_WRITE(this, "CpuSystem::intr_charge_");

@@ -35,8 +35,10 @@
 #include <vector>
 
 #include "src/hw/costs.h"
+#include "src/kern/charge_ledger.h"
 #include "src/kern/ctx.h"
 #include "src/kern/process.h"
+#include "src/sim/fifo.h"
 #include "src/sim/kspan.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
@@ -149,7 +151,8 @@ class CpuSystem {
 
   // --- per-span attribution (src/sim/kspan.h) ---
   //
-  // Every ledger charge is mirrored into a (context, subsystem, span) map:
+  // Every ledger charge is mirrored into a (context, subsystem, span)
+  // ChargeLedger (src/kern/charge_ledger.h):
   // process bursts carry the running process's span, switch costs the span
   // of the process being dispatched, interrupt/softclock work the kspan
   // cursor at charge time (captured at RunInterrupt for the base overhead,
@@ -165,30 +168,18 @@ class CpuSystem {
   // ledger totals: kKopProcess counts into process_work, kKopInterrupt and
   // kKopSoftclock into interrupt_work — the Stats identity is unchanged,
   // only the attribution mirror is finer.
-  enum class ChargeBucket : uint8_t {
-    kProcess = 0,
-    kSwitch,
-    kInterrupt,
-    kSoftclock,
-    kKopProcess,
-    kKopInterrupt,
-    kKopSoftclock,
-  };
-  static constexpr int kNumChargeBuckets = 7;
-
-  struct ChargeKey {
-    ChargeBucket bucket = ChargeBucket::kProcess;
-    const char* subsystem = "";  // static storage, compared by content
-    SpanId span = kNoSpan;
-    bool operator<(const ChargeKey& o) const;
-  };
+  using ChargeBucket = ikdp::ChargeBucket;
+  using ChargeKey = ikdp::ChargeKey;
+  static constexpr int kNumChargeBuckets = ikdp::kNumChargeBuckets;
 
   // Sets `p`'s request span (Process::span) and, when `p` is the running
   // process, refreshes the live kspan cursor so records written before the
   // next suspension already carry the new span.
   IKDP_CTX_PROCESS void SetSpan(Process& p, SpanId span);
 
-  const std::map<ChargeKey, SimDuration>& attribution() const { return attribution_; }
+  // The attribution mirror as one entry per key ever charged, built when
+  // called (see ChargeLedger::ToMap).  For end-of-run consumers.
+  std::map<ChargeKey, SimDuration> attribution() const { return ledger_.ToMap(); }
 
   // True when the attribution mirror sums exactly to stats_: per-bucket,
   //   Σ kProcess + Σ kKopProcess == process_work,
@@ -301,7 +292,7 @@ class CpuSystem {
   TraceLog* trace_ = nullptr;
 
   // Interrupt engine.
-  std::deque<PendingInterrupt> intr_queue_ IKDP_GUARDED_BY(any);
+  Fifo<PendingInterrupt> intr_queue_ IKDP_GUARDED_BY(any);
   SimTime intr_busy_until_ = 0;
   bool intr_drain_armed_ = false;
   bool in_interrupt_ = false;
@@ -309,7 +300,7 @@ class CpuSystem {
   // own charge; ChargeInterrupt() asserts this dynamically too.
   SimDuration intr_charge_ IKDP_GUARDED_BY(interrupt) = 0;
 
-  // Mirrors a charge into the attribution map (see attribution()).  Every
+  // Mirrors a charge into the attribution ledger (see attribution()).  Every
   // stats_ mutation site calls this with the same delta, which is what makes
   // CheckAttributionClosure exact.
   void Attribute(ChargeBucket bucket, const char* subsystem, SpanId span, SimDuration t);
@@ -319,7 +310,7 @@ class CpuSystem {
   Stats stats_ IKDP_GUARDED_BY(any);
   // The per-span mirror of stats_.  Same writers, same commutativity
   // argument, host-read-only consumers — GUARDED_BY(any) like the ledger.
-  std::map<ChargeKey, SimDuration> attribution_ IKDP_GUARDED_BY(any);
+  ChargeLedger ledger_ IKDP_GUARDED_BY(any);
   // Classification of the interrupt work currently draining (which bucket
   // ChargeInterrupt additions land in).  Written only while in_interrupt_.
   ChargeBucket intr_bucket_ IKDP_GUARDED_BY(interrupt) = ChargeBucket::kInterrupt;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/net/payload_pool.h"
 #include "src/sim/sim_state.h"
 
 namespace ikdp {
@@ -16,7 +17,7 @@ void UdpSocket::ConnectTo(UdpSocket* peer, NetworkLink* link) {
   link_ = link;
 }
 
-bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> done) {
+bool UdpSocket::SendAsync(BufData data, int64_t nbytes, EventFn done) {
   assert(nbytes >= 0);  // zero-length datagrams are legal UDP (end-of-stream marker)
   if (peer_ == nullptr || link_ == nullptr) {
     return false;
@@ -51,31 +52,22 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> do
   // Snapshot the payload: the wire carries the bytes as they were when the
   // datagram was queued, and the sender is free to recycle its buffer once
   // `done` fires (before the propagation delay has elapsed).
-  BufData wire_copy = std::make_shared<std::vector<uint8_t>>(
-      data->begin(), data->begin() + std::min<int64_t>(nbytes, data->size()));
-  wire_copy->resize(static_cast<size_t>(nbytes), 0);
-  const bool accepted = link_->Send(
-      nbytes,
-      [peer, wire_copy = std::move(wire_copy), nbytes, span, serial](int64_t) {
-        KspanScope scope("net", span);
-        peer->Deliver(wire_copy, nbytes, serial);
-      },
-      [this, nbytes, span, serial, done = std::move(done)] {
-        KspanScope scope("net", span);
-        if (TraceLog* t = cpu_->trace()) {
-          t->Record(cpu_->sim()->Now(), TraceKind::kUdpSent, static_cast<int64_t>(serial),
-                    nbytes);
-        }
-        snd_inflight_ -= nbytes;
-        cpu_->Wakeup(SendChannel());
-        if (done) {
-          done();
-        }
-      });
+  BufData wire_copy = PayloadPool::ForCurrentRun().Snapshot(data, nbytes);
+  // Both closures fit InlineFn's inline storage: the delivery carries the
+  // datagram, the leave-interface event only the socket (the rest waits in
+  // tx_pending_).
+  auto deliver = [peer, wire_copy = std::move(wire_copy), nbytes, span, serial](int64_t) mutable {
+    KspanScope scope("net", span);
+    peer->Deliver(std::move(wire_copy), nbytes, serial);
+  };
+  static_assert(NetworkLink::Deliver::kStoresInline<decltype(deliver)>);
+  const bool accepted =
+      link_->Send(nbytes, std::move(deliver), [this, serial] { OnSent(serial); });
   if (!accepted) {
     ++stats_.dgrams_dropped_wire;
     return false;
   }
+  tx_pending_.push_back(TxPending{std::move(done), nbytes, span, serial});
   last_serial = serial;
   if (TraceLog* t = cpu_->trace()) {
     t->Record(cpu_->sim()->Now(), TraceKind::kUdpSend, static_cast<int64_t>(serial), nbytes);
@@ -84,6 +76,22 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, std::function<void()> do
   ++stats_.dgrams_sent;
   stats_.bytes_sent += nbytes;
   return true;
+}
+
+void UdpSocket::OnSent(uint64_t serial) {
+  TxPending tx = tx_pending_.pop_front();
+  assert(tx.serial == serial);
+  (void)serial;
+  KspanScope scope("net", tx.span);
+  if (TraceLog* t = cpu_->trace()) {
+    t->Record(cpu_->sim()->Now(), TraceKind::kUdpSent, static_cast<int64_t>(tx.serial),
+              tx.nbytes);
+  }
+  snd_inflight_ -= tx.nbytes;
+  cpu_->Wakeup(SendChannel());
+  if (tx.done) {
+    tx.done();
+  }
 }
 
 void UdpSocket::Deliver(BufData data, int64_t nbytes, uint64_t serial) {
@@ -122,7 +130,7 @@ bool UdpSocket::CancelRecv() {
   return true;
 }
 
-bool UdpSocket::RecvAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) {
+bool UdpSocket::RecvAsync(int64_t max_bytes, RecvDone done) {
   if (recv_pending_ || max_bytes <= 0) {
     return false;
   }
@@ -137,13 +145,11 @@ void UdpSocket::TryCompleteRecv() {
   if (!recv_pending_ || rcv_queue_.empty()) {
     return;
   }
-  Datagram d = std::move(rcv_queue_.front());
-  rcv_queue_.pop_front();
+  Datagram d = rcv_queue_.pop_front();
   rcv_queued_bytes_ -= d.nbytes;
   const int64_t n = std::min(d.nbytes, recv_max_);  // truncation, UDP-style
   recv_pending_ = false;
-  auto done = std::move(recv_done_);
-  recv_done_ = nullptr;
+  RecvDone done = std::move(recv_done_);
   done(std::move(d.data), n);
 }
 

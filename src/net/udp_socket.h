@@ -21,14 +21,14 @@
 #define SRC_NET_UDP_SOCKET_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <utility>
 
 #include "src/buf/buf.h"
 #include "src/hw/link.h"
 #include "src/kern/cpu.h"
 #include "src/kern/ctx.h"
+#include "src/sim/fifo.h"
+#include "src/sim/inline_fn.h"
 
 namespace ikdp {
 
@@ -45,14 +45,19 @@ class UdpSocket {
 
   // --- kernel-level asynchronous API ---
 
-  // Sends one datagram of `nbytes`.  `done` fires when the datagram has left
-  // the interface (send-buffer space released).  Returns false if there is
-  // no room, no peer, or the interface queue rejected it.
-  IKDP_CTX_ANY bool SendAsync(BufData data, int64_t nbytes, std::function<void()> done);
+  // Sends one datagram of `nbytes`.  `done` (may be null) fires when the
+  // datagram has left the interface (send-buffer space released).  Returns
+  // false if there is no room, no peer, or the interface queue rejected it.
+  // The wire carries a snapshot of the first `nbytes` of `data`,
+  // zero-padded; `data` may be null when `nbytes` is 0 (an end-of-stream
+  // datagram).
+  IKDP_CTX_ANY bool SendAsync(BufData data, int64_t nbytes, EventFn done);
+
+  using RecvDone = InlineFn<void(BufData, int64_t)>;
 
   // Delivers the next datagram (truncated to `max_bytes`, UDP-style) to
   // `done` as soon as one is available.  One outstanding request at a time.
-  IKDP_CTX_ANY bool RecvAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done);
+  IKDP_CTX_ANY bool RecvAsync(int64_t max_bytes, RecvDone done);
 
   // Drops the outstanding RecvAsync, if any; its `done` will never fire.
   // Returns true when a pending receive was dropped.  Splice teardown uses
@@ -85,13 +90,25 @@ class UdpSocket {
  private:
   struct Datagram {
     BufData data;
-    int64_t nbytes;
+    int64_t nbytes = 0;
+  };
+
+  // A datagram on the interface, not yet sent.  The link completes a
+  // socket's datagrams in the order it sent them.
+  struct TxPending {
+    EventFn done;
+    int64_t nbytes = 0;
+    SpanId span = kNoSpan;
+    uint64_t serial = 0;
   };
 
   // Receive-side entry, called from the link: raises the network interrupt
   // itself (RunInterrupt), so callable from any context.  `serial` is the
   // datagram serial minted at SendAsync, for kUdpRecv trace pairing.
   IKDP_CTX_ANY void Deliver(BufData data, int64_t nbytes, uint64_t serial);
+
+  // Datagram `serial`, the oldest in tx_pending_, has left the interface.
+  IKDP_CTX_ANY void OnSent(uint64_t serial);
 
   // Completes a pending RecvAsync if there is data (runs at interrupt level
   // on the delivery path, in process context from RecvAsync).
@@ -105,12 +122,13 @@ class UdpSocket {
   NetworkLink* link_ = nullptr;
 
   int64_t snd_inflight_ = 0;
-  std::deque<Datagram> rcv_queue_;
+  Fifo<TxPending> tx_pending_;
+  Fifo<Datagram> rcv_queue_;
   int64_t rcv_queued_bytes_ = 0;
 
   bool recv_pending_ = false;
   int64_t recv_max_ = 0;
-  std::function<void(BufData, int64_t)> recv_done_;
+  RecvDone recv_done_;
 
   Stats stats_;
 };

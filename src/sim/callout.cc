@@ -9,7 +9,7 @@
 namespace ikdp {
 
 // Callout-list krace probes are COMMUTE, not WRITE: arming distinct ids on a
-// tick and erasing distinct ids are order-insensitive map operations, and the
+// tick and erasing distinct ids are order-insensitive operations, and the
 // one thing that is order-sensitive — the intra-tick run order of entries
 // armed by different same-timestamp events — is invisible to happens-before
 // detection anyway (the whole tick runs as one RunTick event) and is covered
@@ -34,10 +34,9 @@ CalloutId CalloutTable::Timeout(EventFn fn, int ticks) {
   const CalloutId id = ++next_id_;
   IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
   IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
-  buckets_[when].push_back(Entry{id, std::move(fn), /*head=*/false});
-  pending_[id] = when;
+  BucketFor(when).push_back(Entry{id, std::move(fn), /*head=*/false});
+  ++pending_;
   if (KraceEnabled()) Krace().ChannelRelease(&buckets_);
-  ArmSoftclock(when);
   lock_.Release();
   if (trace_ != nullptr) {
     trace_->Record(sim_->Now(), TraceKind::kCalloutArm, static_cast<int64_t>(id), ticks);
@@ -49,19 +48,18 @@ CalloutId CalloutTable::ScheduleHead(EventFn fn) {
   const SimTime when = NextTickAfter(sim_->Now());
   lock_.Acquire();
   const CalloutId id = ++next_id_;
-  auto& bucket = buckets_[when];
+  IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
+  IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
+  std::vector<Entry>& entries = BucketFor(when);
   // Head entries run before FIFO entries; among themselves they keep
   // insertion order (first ScheduleHead call on a tick runs first, matching
   // a list where each insert-at-head is drained in the original order by the
   // splice engine's per-descriptor sequencing — the exact intra-tick order is
   // not observable by the modelled workloads).
-  auto it = std::find_if(bucket.begin(), bucket.end(), [](const Entry& e) { return !e.head; });
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
-  bucket.insert(it, Entry{id, std::move(fn), /*head=*/true});
-  pending_[id] = when;
+  auto it = std::find_if(entries.begin(), entries.end(), [](const Entry& e) { return !e.head; });
+  entries.insert(it, Entry{id, std::move(fn), /*head=*/true});
+  ++pending_;
   if (KraceEnabled()) Krace().ChannelRelease(&buckets_);
-  ArmSoftclock(when);
   lock_.Release();
   if (trace_ != nullptr) {
     trace_->Record(sim_->Now(), TraceKind::kCalloutArm, static_cast<int64_t>(id), 0);
@@ -71,69 +69,67 @@ CalloutId CalloutTable::ScheduleHead(EventFn fn) {
 
 bool CalloutTable::Untimeout(CalloutId id) {
   lock_.Acquire();
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    lock_.Release();
-    return false;
-  }
-  const SimTime when = it->second;
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
-  pending_.erase(it);
-  auto bucket_it = buckets_.find(when);
-  if (bucket_it != buckets_.end()) {
-    auto& entries = bucket_it->second;
-    entries.erase(
-        std::remove_if(entries.begin(), entries.end(), [id](const Entry& e) { return e.id == id; }),
-        entries.end());
-    if (entries.empty()) {
-      buckets_.erase(bucket_it);
-      auto armed_it = armed_.find(when);
-      if (armed_it != armed_.end()) {
-        IKDP_KRACE_COMMUTE(this, "CalloutTable::armed_");
-        sim_->Cancel(armed_it->second);
-        armed_.erase(armed_it);
-      }
+  for (auto b = buckets_.begin(); b != buckets_.end(); ++b) {
+    std::vector<Entry>& entries = b->entries;
+    auto it = std::find_if(entries.begin(), entries.end(),
+                           [id](const Entry& e) { return e.id == id; });
+    if (it == entries.end()) {
+      continue;
     }
+    IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
+    IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
+    entries.erase(it);
+    --pending_;
+    if (entries.empty()) {
+      sim_->Cancel(b->armed);
+      spare_.push_back(std::move(entries));
+      buckets_.erase(b);
+    }
+    lock_.Release();
+    return true;
   }
   lock_.Release();
-  return true;
+  return false;
 }
 
-void CalloutTable::ArmSoftclock(SimTime when) {
-  if (armed_.count(when) > 0) {
-    return;
+std::vector<CalloutTable::Entry>& CalloutTable::BucketFor(SimTime when) {
+  auto b = std::lower_bound(buckets_.begin(), buckets_.end(), when,
+                            [](const Bucket& x, SimTime t) { return x.when < t; });
+  if (b != buckets_.end() && b->when == when) {
+    return b->entries;
   }
   // Keyed insert under a unique tick time: simultaneous armers of one tick
-  // reach the same final state in either order (the second sees the first's
-  // entry and returns above).
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::armed_");
-  armed_[when] = sim_->At(when, [this, when] { RunTick(when); });
+  // reach the same final state in either order (the second finds the
+  // first's bucket above).
+  std::vector<Entry> storage;
+  if (!spare_.empty()) {
+    storage = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  const EventId armed = sim_->At(when, [this, when] { RunTick(when); });
+  return buckets_.insert(b, Bucket{when, armed, std::move(storage)})->entries;
 }
 
 void CalloutTable::RunTick(SimTime when) {
   if (KraceEnabled()) Krace().ChannelAcquire(&buckets_);
   lock_.Acquire();
   IKDP_KRACE_COMMUTE(this, "CalloutTable::buckets_");
-  IKDP_KRACE_COMMUTE(this, "CalloutTable::armed_");
-  armed_.erase(when);
-  auto it = buckets_.find(when);
-  if (it == buckets_.end()) {
-    lock_.Release();
-    return;
-  }
+  IKDP_KRACE_COMMUTE(this, "CalloutTable::pending_");
+  // Ticks fire in time order, so this tick's bucket is the first one (an
+  // emptied bucket's event was cancelled with it).
+  assert(!buckets_.empty() && buckets_.front().when == when);
+  assert(running_.empty());
   // Detach the bucket first: callouts frequently re-schedule themselves, and
   // fresh ScheduleHead() calls from inside a handler must land on the *next*
   // tick, not this one (NextTickAfter is strict, so they do).  The handlers
   // below run with the lock dropped — re-arming acquires it again.
-  std::vector<Entry> entries = std::move(it->second);
-  buckets_.erase(it);
+  running_.swap(buckets_.front().entries);
+  spare_.push_back(std::move(buckets_.front().entries));
+  buckets_.erase(buckets_.begin());
+  pending_ -= running_.size();
   ++softclock_runs_;
   if (trace_ != nullptr) {
-    trace_->Record(when, TraceKind::kSoftclockRun, static_cast<int64_t>(entries.size()));
-  }
-  for (Entry& e : entries) {
-    pending_.erase(e.id);
+    trace_->Record(when, TraceKind::kSoftclockRun, static_cast<int64_t>(running_.size()));
   }
   lock_.Release();
   // Everything below runs at softclock level: the observer (softclock CPU
@@ -141,11 +137,12 @@ void CalloutTable::RunTick(SimTime when) {
   // interrupt level (RunInterrupt) nest their own guard on top.
   ContextGuard at_softclock(ExecContext::kSoftclock);
   if (observer_) {
-    observer_(static_cast<int>(entries.size()));
+    observer_(static_cast<int>(running_.size()));
   }
-  for (Entry& e : entries) {
+  for (Entry& e : running_) {
     e.fn();
   }
+  running_.clear();
 }
 
 }  // namespace ikdp

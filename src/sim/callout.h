@@ -17,9 +17,9 @@
 #ifndef SRC_SIM_CALLOUT_H_
 #define SRC_SIM_CALLOUT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "src/kern/ctx.h"
@@ -57,7 +57,8 @@ class CalloutTable {
   // softclock tick, before any other entry expiring on that tick.
   IKDP_CTX_ANY CalloutId ScheduleHead(EventFn fn);
 
-  // Removes a pending callout.  Returns true if it had not yet fired.
+  // Removes a pending callout.  Returns true if it had not yet fired.  Like
+  // 4.2BSD untimeout(), walks the pending entries.
   IKDP_CTX_ANY bool Untimeout(CalloutId id);
 
   // Duration of one clock tick.
@@ -68,7 +69,7 @@ class CalloutTable {
   // Number of callouts currently pending (for tests).
   size_t Pending() const {
     SpinGuard g(lock_);
-    return pending_.size();
+    return pending_;
   }
 
   // Total softclock activations (for stats).
@@ -90,13 +91,22 @@ class CalloutTable {
     bool head;  // head-of-list entries run before FIFO entries on the tick
   };
 
+  // The callouts expiring on one tick, and the softclock event armed for it.
+  // A bucket exists exactly while it holds entries.
+  struct Bucket {
+    SimTime when;
+    EventId armed;
+    std::vector<Entry> entries;  // run order: head entries, then FIFO
+  };
+
   // The absolute time of the next tick edge strictly after `now`.
   SimTime NextTickAfter(SimTime now) const;
 
-  // Makes sure a softclock event is scheduled for tick time `when`.
+  // The bucket for tick time `when`, created (with its softclock event
+  // armed, and entry storage reused from a drained bucket) if absent.
   // Called with the callout lock held (IKDP_REQUIRES seeds the kcheck
   // entry-held fixpoint and becomes requires_capability under TSA).
-  IKDP_REQUIRES(callout) void ArmSoftclock(SimTime when);
+  IKDP_REQUIRES(callout) std::vector<Entry>& BucketFor(SimTime when);
 
   // Runs all entries expiring at tick `when` at softclock level.
   IKDP_CTX_SOFTCLOCK void RunTick(SimTime when);
@@ -111,12 +121,17 @@ class CalloutTable {
   // ordering channel still carries the arm -> run happens-before edge for
   // krace.  `mutable` lets const accessors (Pending) lock.
   mutable SpinLock lock_ IKDP_LOCK_RANK(callout, 90) = SpinLock("callout", 90);
-  // tick time -> entries expiring on that tick, in insertion order (head
-  // entries are prepended).  Armed/filled from any context, drained by
-  // RunTick at softclock.
-  std::map<SimTime, std::vector<Entry>> buckets_ IKDP_GUARDED_BY(lock:callout);
-  std::map<SimTime, EventId> armed_ IKDP_GUARDED_BY(lock:callout);
-  std::map<CalloutId, SimTime> pending_ IKDP_GUARDED_BY(lock:callout);
+  // Pending ticks in ascending time order.  Armed/filled from any context,
+  // drained by RunTick at softclock.
+  std::vector<Bucket> buckets_ IKDP_GUARDED_BY(lock:callout);
+  // Emptied entry vectors, capacity kept, for the next new bucket: arming
+  // a callout allocates nothing once the table has warmed up.
+  std::vector<std::vector<Entry>> spare_ IKDP_GUARDED_BY(lock:callout);
+  // Callouts armed and neither fired nor removed.
+  size_t pending_ IKDP_GUARDED_BY(lock:callout) = 0;
+  // The tick RunTick is dispatching, detached from buckets_ so handlers can
+  // re-arm; cleared (capacity kept) when the tick is done.
+  std::vector<Entry> running_ IKDP_GUARDED_BY(softclock);
   CalloutId next_id_ IKDP_GUARDED_BY(lock:callout) = 0;
   uint64_t softclock_runs_ = 0;
   std::function<void(int)> observer_;

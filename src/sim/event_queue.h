@@ -33,12 +33,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <new>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/time.h"
 
 namespace ikdp {
@@ -57,113 +54,6 @@ inline constexpr int kSlotBits = 24;
 // The schedule sequence number of `id` (1 for the first event scheduled on
 // a queue): what krace reports print.
 inline constexpr uint64_t EventSeq(EventId id) { return id >> kSlotBits; }
-
-// A move-only `void()` callable.  Callables of up to kInlineSize bytes (with
-// at most pointer alignment and a non-throwing move) are stored inline;
-// larger ones are moved to the heap.  Lambdas and std::function objects
-// (copied from lvalues) convert implicitly.
-class EventFn {
- public:
-  static constexpr size_t kInlineSize = 48;
-
-  EventFn() = default;
-
-  template <typename F, typename D = std::decay_t<F>>
-    requires(!std::is_same_v<D, EventFn> && std::is_invocable_r_v<void, D&>)
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): closures convert
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      D* heap = new D(std::forward<F>(f));
-      std::memcpy(buf_, &heap, sizeof(heap));
-      ops_ = &kHeapOps<D>;
-    }
-  }
-
-  EventFn(EventFn&& other) noexcept { Take(other); }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      Take(other);
-    }
-    return *this;
-  }
-
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-
-  ~EventFn() { Reset(); }
-
-  void operator()() { ops_->call(buf_); }
-
- private:
-  // `relocate` move-constructs at dst and destroys src; nullptr means a
-  // bytewise copy suffices.  `destroy` nullptr means nothing to destroy.
-  struct Ops {
-    void (*call)(void*);
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void*);
-  };
-
-  template <typename D>
-  static constexpr bool kFitsInline = sizeof(D) <= kInlineSize &&
-                                      alignof(D) <= alignof(void*) &&
-                                      std::is_nothrow_move_constructible_v<D>;
-
-  template <typename D>
-  static constexpr bool kTrivial =
-      std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>;
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
-      [](void* p) { (*static_cast<D*>(p))(); },
-      kTrivial<D> ? nullptr
-                  : +[](void* dst, void* src) {
-                      ::new (dst) D(std::move(*static_cast<D*>(src)));
-                      static_cast<D*>(src)->~D();
-                    },
-      kTrivial<D> ? nullptr : +[](void* p) { static_cast<D*>(p)->~D(); },
-  };
-
-  // The inline buffer holds only the pointer, so moving is a bytewise copy.
-  template <typename D>
-  static D* HeapPtr(void* p) {
-    D* heap;
-    std::memcpy(&heap, p, sizeof(heap));
-    return heap;
-  }
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* p) { (*HeapPtr<D>(p))(); },
-      nullptr,
-      [](void* p) { delete HeapPtr<D>(p); },
-  };
-
-  void Take(EventFn& other) {
-    ops_ = other.ops_;
-    if (ops_ == nullptr) {
-      return;
-    }
-    if (ops_->relocate != nullptr) {
-      ops_->relocate(buf_, other.buf_);
-    } else {
-      std::memcpy(buf_, other.buf_, kInlineSize);
-    }
-    other.ops_ = nullptr;
-  }
-
-  void Reset() {
-    if (ops_ != nullptr && ops_->destroy != nullptr) {
-      ops_->destroy(buf_);
-    }
-    ops_ = nullptr;
-  }
-
-  alignas(void*) unsigned char buf_[kInlineSize];
-  const Ops* ops_ = nullptr;
-};
 
 class EventQueue {
  public:

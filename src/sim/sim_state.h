@@ -1,7 +1,8 @@
 // SimState: the per-simulation state of the simulated kernel — lock
 // counters, execution context, kspan cursor and collector, the krace
-// detector, the lockdep validator and the UDP datagram serial — so that no
-// number from one run includes counts from another.  Each Simulator owns one; every accessor
+// detector, the lockdep validator, the UDP datagram serial and payload
+// pool — so that no number from one run includes counts from another.  Each
+// Simulator owns one; every accessor
 // (GlobalLockStats, CurrentExecContext, CurrentKspan, Kspan, AttachKspan,
 // Krace, Lockdep) resolves through CurrentSimState(), like NetBSD's
 // curcpu().  Code that runs with no Simulator sees the thread's host state,
@@ -21,6 +22,7 @@
 #define SRC_SIM_SIM_STATE_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "src/kern/ctx.h"
 #include "src/sim/krace.h"
@@ -59,6 +61,9 @@ struct SimState {
   LockdepValidator lockdep;
   // The last UDP datagram serial minted this run (src/net/udp_socket.cc).
   uint64_t datagram_serial = 0;
+  // This run's datagram payload buffers (src/net/payload_pool.h), created by
+  // the first send; typed there, so the simulator core needs no net header.
+  std::shared_ptr<void> payload_pool;
 };
 
 namespace sim_state_internal {

@@ -17,9 +17,10 @@ bool SocketSpliceSource::StartRead(int64_t index, std::function<void(SpliceChunk
 
 bool SocketSpliceSink::StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) {
   CpuSystem* cpu = cpu_;
-  return sock_->SendAsync(chunk.data, chunk.nbytes, [cpu, done = std::move(done)] {
+  return sock_->SendAsync(chunk.data, chunk.nbytes, [cpu, done = std::move(done)]() mutable {
     // Transmit-complete interrupt.
-    cpu->RunInterrupt(cpu->costs().interrupt_overhead, [done] { done(true); });
+    cpu->RunInterrupt(cpu->costs().interrupt_overhead,
+                      [done = std::move(done)] { done(true); });
   });
 }
 

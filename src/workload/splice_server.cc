@@ -80,6 +80,12 @@ struct ClientState {
   std::deque<size_t> queue;     // assigned requests; front is active
   std::deque<Expected> expect;  // deliveries outstanding
   std::function<void(BufData, int64_t)> on_recv;
+
+  // Arms the next receive: a small forwarder to on_recv, not a copy of it.
+  // The clients vector is sized once, so `this` stays valid for the run.
+  UdpSocket::RecvDone recv_done() {
+    return [this](BufData d, int64_t n) { on_recv(std::move(d), n); };
+  }
 };
 
 uint8_t ObjectByte(int object, int64_t i) {
@@ -215,9 +221,9 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
           end_request(k, /*error=*/false);
         }
       }
-      me.client_sock->RecvAsync(config.object_bytes, me.on_recv);
+      me.client_sock->RecvAsync(config.object_bytes, me.recv_done());
     };
-    c.client_sock->RecvAsync(config.object_bytes, c.on_recv);
+    c.client_sock->RecvAsync(config.object_bytes, c.recv_done());
   }
 
   // Poisson arrival chain.  Arrival events are host bookkeeping: they mint

@@ -3,14 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/hw/costs.h"
+#include "src/kern/charge_ledger.h"
 #include "src/kern/cpu.h"
 #include "src/kern/process.h"
 #include "src/sim/callout.h"
 #include "src/sim/krace.h"
+#include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
 namespace ikdp {
@@ -603,6 +610,116 @@ TEST_F(CpuKraceTest, InterruptRaisedByCalloutBodyIsOrdered) {
   EXPECT_TRUE(interrupt_ran);
   EXPECT_TRUE(Krace().races().empty())
       << Krace().races()[0].Describe();
+}
+
+// --- the attribution ledger (src/kern/charge_ledger.h) ---
+
+using LedgerRow = std::tuple<int, std::string, SpanId, SimDuration>;
+
+// A charge map flattened to comparable rows: bucket, subsystem text, span,
+// total, in map order.
+std::vector<LedgerRow> Rows(const std::map<ChargeKey, SimDuration>& m) {
+  std::vector<LedgerRow> rows;
+  for (const auto& [key, t] : m) {
+    rows.emplace_back(static_cast<int>(key.bucket), key.subsystem, key.span, t);
+  }
+  return rows;
+}
+
+// Model-based fuzz: random charges into a ChargeLedger and into the plain
+// map it replaced must give the same entries and bucket sums.
+TEST(ChargeLedgerTest, MatchesAMapReferenceOnRandomCharges) {
+  // Equal texts at distinct addresses must merge into one subsystem.
+  static const char kNetA[] = "net";
+  static const char kNetB[] = "net";
+  static const char kDiskA[] = "disk";
+  const std::string disk_b = "disk";
+  const std::string net_c = std::string("n") + "et";
+  ASSERT_NE(static_cast<const void*>(kNetA), static_cast<const void*>(kNetB));
+  const char* const subsystems[] = {kNetA, kNetB, net_c.c_str(), kDiskA, disk_b.c_str(),
+                                    "process", "sched", "kop", ""};
+  const SpanId spans[] = {kNoSpan, kNoSpan, 1, 2, 77, SpanId{1} << 40};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ChargeLedger ledger;
+    std::map<ChargeKey, SimDuration> ref;
+    std::vector<std::pair<ChargeKey, SimDuration>> history;
+    for (int i = 0; i < 2000; ++i) {
+      ChargeKey key{static_cast<ChargeBucket>(rng.Below(kNumChargeBuckets)),
+                    subsystems[rng.Below(std::size(subsystems))],
+                    spans[rng.Below(std::size(spans))]};
+      SimDuration t = static_cast<SimDuration>(rng.Below(2001)) - 1000;
+      // Every fifth charge refunds an earlier one exactly, so some entries
+      // net to zero and must still be listed.
+      if (!history.empty() && rng.Below(5) == 0) {
+        const auto& [k, earlier] = history[rng.Below(history.size())];
+        key = k;
+        t = -earlier;
+      }
+      ledger.Add(key.bucket, key.subsystem, key.span, t);
+      if (t != 0) {
+        ref[key] += t;
+        history.emplace_back(key, t);
+      }
+    }
+    EXPECT_EQ(Rows(ledger.ToMap()), Rows(ref)) << "seed " << seed;
+    std::array<SimDuration, kNumChargeBuckets> sums = {};
+    for (const auto& [key, t] : ref) {
+      sums[static_cast<int>(key.bucket)] += t;
+    }
+    EXPECT_EQ(ledger.BucketSums(), sums) << "seed " << seed;
+  }
+}
+
+TEST(ChargeLedgerTest, ZeroChargeCreatesNoEntryButARefundKeepsOne) {
+  ChargeLedger ledger;
+  ledger.Add(ChargeBucket::kSwitch, "sched", kNoSpan, 0);
+  ledger.Add(ChargeBucket::kSwitch, "sched", 5, 0);
+  EXPECT_TRUE(ledger.ToMap().empty());
+  ledger.Add(ChargeBucket::kSwitch, "sched", kNoSpan, 40);
+  ledger.Add(ChargeBucket::kSwitch, "sched", kNoSpan, -40);
+  ledger.Add(ChargeBucket::kSwitch, "sched", 5, 7);
+  ledger.Add(ChargeBucket::kSwitch, "sched", 5, -7);
+  EXPECT_EQ(Rows(ledger.ToMap()), (std::vector<LedgerRow>{{1, "sched", kNoSpan, 0},
+                                                         {1, "sched", 5, 0}}));
+}
+
+// Preemptions that land inside a context switch's lead-in refund part of
+// the switch charge; the built map and the closure must still agree with
+// the ledger totals.
+TEST_F(CpuTest, AttributionAgreesWithClosureAfterPreemptionRefunds) {
+  CostConfig costs = ZeroCosts();
+  costs.context_switch = Microseconds(100);
+  CpuSystem cpu(&sim_, costs);
+  int chan = 0;
+  cpu.Spawn("io", [&](Process& p) -> Task<> {
+    for (int i = 0; i < 3; ++i) {
+      co_await cpu.Sleep(p, &chan, kPriBio);
+      co_await cpu.Use(p, Microseconds(20));
+      p.ResetPriority();
+    }
+  });
+  Process* hog = cpu.Spawn("hog", [&](Process& p) -> Task<> {
+    co_await cpu.Use(p, Milliseconds(5));
+  });
+  cpu.SetSpan(*hog, 9);
+  // Wake the sleeper 50 us into each of the hog's switch lead-ins.
+  for (SimTime t : {Microseconds(150), Microseconds(470), Microseconds(790)}) {
+    sim_.At(t, [&] { cpu.Wakeup(&chan); });
+  }
+  sim_.Run();
+  const CpuSystem::Stats& st = cpu.stats();
+  ASSERT_LT(st.context_switch, static_cast<SimDuration>(st.switches) * costs.context_switch)
+      << "no switch charge was refunded";
+  std::string err;
+  EXPECT_TRUE(cpu.CheckAttributionClosure(&err)) << err;
+  std::array<SimDuration, kNumChargeBuckets> sums = {};
+  for (const auto& [key, t] : cpu.attribution()) {
+    sums[static_cast<int>(key.bucket)] += t;
+  }
+  EXPECT_EQ(sums[static_cast<int>(ChargeBucket::kProcess)], st.process_work);
+  EXPECT_EQ(sums[static_cast<int>(ChargeBucket::kSwitch)], st.context_switch);
+  EXPECT_EQ(sums[static_cast<int>(ChargeBucket::kInterrupt)], st.interrupt_work);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/fifo.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/random.h"
 #include "src/sim/sim_state.h"
 #include "src/sim/simulator.h"
@@ -219,6 +221,125 @@ TEST(EventQueueTest, ScheduleCancelCyclesDoNotGrowTheArena) {
   EXPECT_EQ(fired, 1);
 }
 
+// --- InlineFn<R(Args...)> ---
+
+TEST(InlineFnTest, ReturnsAValue) {
+  InlineFn<int(int, int)> add = [](int a, int b) { return a + b; };
+  EXPECT_EQ(add(40, 2), 42);
+  InlineFn<std::string(const std::string&)> twice = [](const std::string& x) { return x + x; };
+  EXPECT_EQ(twice("ab"), "abab");
+}
+
+TEST(InlineFnTest, ByValueMoveOnlyArgumentsAreMovedIn) {
+  InlineFn<int(std::unique_ptr<int>)> take = [](std::unique_ptr<int> p) { return *p; };
+  EXPECT_EQ(take(std::make_unique<int>(7)), 7);
+
+  // A shared payload (BufData's type) passed by value arrives without an
+  // extra reference when the caller moves it.
+  using Payload = std::shared_ptr<std::vector<uint8_t>>;
+  long seen_uses = 0;
+  InlineFn<void(Payload, int64_t)> recv = [&](Payload d, int64_t n) {
+    seen_uses = d.use_count();
+    EXPECT_EQ(static_cast<int64_t>(d->size()), n);
+  };
+  Payload d = std::make_shared<std::vector<uint8_t>>(3);
+  recv(std::move(d), 3);
+  EXPECT_EQ(d, nullptr);
+  EXPECT_EQ(seen_uses, 1);
+}
+
+TEST(InlineFnTest, ReferenceArgumentsBindThrough) {
+  InlineFn<void(int&)> bump = [](int& x) { ++x; };
+  int v = 1;
+  bump(v);
+  bump(v);
+  EXPECT_EQ(v, 3);
+}
+
+TEST(InlineFnTest, HeapFallbackTakesArguments) {
+  struct Big {
+    std::array<int64_t, 8> k{};
+    int operator()(int i, std::unique_ptr<int> p) const { return static_cast<int>(k[i]) + *p; }
+  };
+  static_assert(!InlineFn<int(int, std::unique_ptr<int>)>::kStoresInline<Big>);
+  Big big;
+  big.k[3] = 30;
+  InlineFn<int(int, std::unique_ptr<int>)> f = big;
+  InlineFn<int(int, std::unique_ptr<int>)> moved = std::move(f);
+  EXPECT_FALSE(f);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(moved(3, std::make_unique<int>(12)), 42);
+}
+
+TEST(InlineFnTest, EmptyAndNullAreFalse) {
+  InlineFn<void(int)> a;
+  InlineFn<void(int)> b = nullptr;
+  EXPECT_FALSE(a);
+  EXPECT_FALSE(b);
+  b = [](int) {};
+  EXPECT_TRUE(b);
+  b = nullptr;
+  EXPECT_FALSE(b);
+}
+
+// Builds inline- and heap-stored closures with arguments, moves them around
+// and calls them: each capture is destroyed exactly once.
+TEST(InlineFnTest, EachClosureIsDestroyedExactlyOnce) {
+  struct Pad {
+    std::array<char, InlineFn<int(int)>::kInlineSize> bytes{};
+  };
+  int destroyed = 0;
+  {
+    InlineFn<int(int)> small = [c = DestroyCounter(&destroyed)](int x) { return x + 1; };
+    InlineFn<int(int)> large = [c = DestroyCounter(&destroyed), pad = Pad{}](int x) {
+      return x + static_cast<int>(pad.bytes[0]) + 2;
+    };
+    InlineFn<int(int)> unique = [c = std::make_unique<DestroyCounter>(&destroyed)](int x) {
+      return x + 3;
+    };
+    InlineFn<int(int)> hop = std::move(small);
+    small = std::move(large);
+    large = std::move(unique);
+    EXPECT_EQ(hop(1) + small(1) + large(1), 2 + 3 + 4);
+    EXPECT_EQ(destroyed, 0);
+    hop = nullptr;
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 3);
+}
+
+// --- Fifo ---
+
+TEST(FifoTest, KeepsOrderWhenGrowingAroundTheRing) {
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave so the head is mid-ring whenever the ring grows.
+  for (int round = 1; round <= 40; ++round) {
+    for (int i = 0; i < round; ++i) {
+      q.push_back(next_in++);
+    }
+    for (int i = 0; i < round / 2; ++i) {
+      EXPECT_EQ(q.pop_front(), next_out++);
+    }
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.pop_front(), next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(FifoTest, PoppedSlotsReleaseTheirElements) {
+  Fifo<std::shared_ptr<int>> q;
+  auto p = std::make_shared<int>(1);
+  q.push_back(p);
+  q.push_back(p);
+  EXPECT_EQ(p.use_count(), 3);
+  q.pop_front();
+  EXPECT_EQ(p.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(p.use_count(), 1);
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   std::vector<SimTime> seen;
@@ -371,6 +492,64 @@ TEST_F(CalloutTest, UntimeoutAfterFireReturnsFalse) {
   CalloutId id = callouts_.Timeout([] {}, 1);
   sim_.Run();
   EXPECT_FALSE(callouts_.Untimeout(id));
+}
+
+TEST_F(CalloutTest, UntimeoutHeadAndFifoEntriesOnOneTick) {
+  std::vector<int> order;
+  const CalloutId fifo1 = callouts_.Timeout([&] { order.push_back(1); }, 1);
+  const CalloutId head1 = callouts_.ScheduleHead([&] { order.push_back(-1); });
+  callouts_.ScheduleHead([&] { order.push_back(-2); });
+  callouts_.Timeout([&] { order.push_back(2); }, 1);
+  EXPECT_EQ(callouts_.Pending(), 4u);
+  EXPECT_TRUE(callouts_.Untimeout(head1));
+  EXPECT_TRUE(callouts_.Untimeout(fifo1));
+  EXPECT_FALSE(callouts_.Untimeout(head1));
+  EXPECT_EQ(callouts_.Pending(), 2u);
+  sim_.Run();
+  EXPECT_EQ(order, (std::vector<int>{-2, 2}));
+  EXPECT_EQ(callouts_.Pending(), 0u);
+  EXPECT_EQ(callouts_.softclock_runs(), 1u);
+}
+
+TEST_F(CalloutTest, UntimeoutOfFiredOrUnknownIdIsRefused) {
+  const CalloutId early = callouts_.Timeout([] {}, 1);
+  const CalloutId late = callouts_.Timeout([] {}, 3);
+  sim_.RunUntil(callouts_.TickDuration());
+  EXPECT_FALSE(callouts_.Untimeout(early));  // fired on tick 1
+  EXPECT_FALSE(callouts_.Untimeout(kInvalidCalloutId));
+  EXPECT_FALSE(callouts_.Untimeout(late + 100));  // never issued
+  EXPECT_EQ(callouts_.Pending(), 1u);
+  EXPECT_TRUE(callouts_.Untimeout(late));
+}
+
+TEST_F(CalloutTest, EmptiedTickCancelsItsSoftclock) {
+  const CalloutId only = callouts_.Timeout([] {}, 2);
+  callouts_.Timeout([] {}, 1);
+  EXPECT_EQ(sim_.PendingEvents(), 2u);  // one softclock per tick
+  EXPECT_TRUE(callouts_.Untimeout(only));
+  EXPECT_EQ(sim_.PendingEvents(), 1u);
+  sim_.Run();
+  EXPECT_EQ(callouts_.softclock_runs(), 1u);
+  EXPECT_EQ(sim_.Now(), callouts_.TickDuration());
+}
+
+TEST_F(CalloutTest, PendingCountsAcrossTicks) {
+  for (int ticks = 1; ticks <= 3; ++ticks) {
+    callouts_.Timeout([] {}, ticks);
+    callouts_.Timeout([] {}, ticks);
+  }
+  callouts_.ScheduleHead([] {});
+  EXPECT_EQ(callouts_.Pending(), 7u);
+  sim_.RunUntil(callouts_.TickDuration());
+  EXPECT_EQ(callouts_.Pending(), 4u);
+  // A handler re-arming itself stays pending across its own tick.
+  callouts_.Timeout([&] { callouts_.ScheduleHead([] {}); }, 1);
+  EXPECT_EQ(callouts_.Pending(), 5u);
+  sim_.RunUntil(2 * callouts_.TickDuration());
+  EXPECT_EQ(callouts_.Pending(), 3u);
+  sim_.Run();
+  EXPECT_EQ(callouts_.Pending(), 0u);
+  EXPECT_EQ(callouts_.softclock_runs(), 3u);
 }
 
 TEST_F(CalloutTest, IndependentTablesDoNotInterfere) {
