@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "src/dev/disk_driver.h"
+#include "src/fs/filesystem.h"
 #include "src/hw/disk.h"
+#include "src/metrics/experiment.h"
 #include "src/os/kernel.h"
 
 using namespace ikdp;
@@ -25,8 +27,6 @@ using namespace ikdp;
 namespace {
 
 constexpr int64_t kBytes = 4 << 20;
-
-uint8_t Fill(int64_t i) { return static_cast<uint8_t>(i * 3); }
 
 struct Outcome {
   double aggregate_kbs = 0;
@@ -52,7 +52,8 @@ Outcome RunConcurrent(int nsplices, bool shared_disks) {
   std::vector<int64_t> moved(nsplices, -1);
   for (int i = 0; i < nsplices; ++i) {
     const int pair = shared_disks ? 0 : i;
-    src_fs[pair]->CreateFileInstant(std::string("f").append(std::to_string(i)), kBytes, Fill);
+    src_fs[pair]->CreateFileInstant(std::string("f").append(std::to_string(i)), kBytes,
+                                    FillSourceBlock);
     kernel.Spawn("scp" + std::to_string(i), [&, i, pair](Process& p) -> Task<> {
       const std::string src =
           std::string("s").append(std::to_string(pair)).append(":f").append(std::to_string(i));
@@ -65,10 +66,15 @@ Outcome RunConcurrent(int nsplices, bool shared_disks) {
     });
   }
   sim.Run();
+  // Each destination must hold its source byte for byte, as the device has it
+  // once residual delayed writes are pushed out.
+  kernel.cache().FlushAllInstant();
   Outcome out;
   out.min_kbs = 1e18;
   for (int i = 0; i < nsplices; ++i) {
-    if (moved[i] != kBytes || done[i] <= 0) {
+    FileSystem* fs = dst_fs[shared_disks ? 0 : i];
+    if (moved[i] != kBytes || done[i] <= 0 ||
+        !MatchesSource(fs, fs->Lookup(std::string("g").append(std::to_string(i))), kBytes)) {
       out.ok = false;
       continue;
     }

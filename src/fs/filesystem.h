@@ -148,7 +148,7 @@ class FileSystem {
 
   // Sequential read-ahead depth in blocks (4.2BSD reads one block ahead;
   // the paper's future work contemplates deeper buffering strategies —
-  // swept by bench/ablate_readahead).  0 disables read-ahead.
+  // swept by bench/ablate's readahead sweep).  0 disables read-ahead.
   void set_read_ahead_blocks(int n) { read_ahead_blocks_ = n; }
   int read_ahead_blocks() const { return read_ahead_blocks_; }
 

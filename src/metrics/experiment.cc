@@ -21,6 +21,10 @@ namespace ikdp {
 
 namespace {
 
+// The test program's unit of work, and cp's read/write size.
+constexpr SimDuration kTestOpCost = Milliseconds(1);
+constexpr int64_t kCpChunk = 8192;
+
 std::unique_ptr<BlockDevice> MakeDisk(DiskKind kind, CpuSystem* cpu, Simulator* sim,
                                       const char* role) {
   // The two disks of a run get distinct names ("RZ56.src" / "RZ56.dst"):
@@ -99,6 +103,8 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   std::unique_ptr<BlockDevice> dst_dev = MakeDisk(config.disk, &kernel.cpu(), &sim, "dst");
   FileSystem* src_fs = kernel.MountFs(src_dev.get(), "srcfs");
   FileSystem* dst_fs = kernel.MountFs(dst_dev.get(), "dstfs");
+  src_fs->set_read_ahead_blocks(config.read_ahead_blocks);
+  dst_fs->set_read_ahead_blocks(config.read_ahead_blocks);
 
   // Pre-create the source file directly on the device: the measurement
   // starts with a cold read cache ("we ensured a read cache cold start
@@ -110,8 +116,8 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
 
   TestProgramState test_state;
   if (config.with_test_program) {
-    kernel.Spawn("test", [&kernel, &config, &test_state](Process& p) -> Task<> {
-      co_await TestProgram(kernel, p, config.test_op_cost, &test_state);
+    kernel.Spawn("test", [&kernel, &test_state](Process& p) -> Task<> {
+      co_await TestProgram(kernel, p, kTestOpCost, &test_state);
     });
   }
 
@@ -123,7 +129,7 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
                  if (config.use_splice) {
                    co_await ScpProgram(kernel, p, src_path, dst_path, &copy);
                  } else {
-                   co_await CpProgram(kernel, p, src_path, dst_path, config.cp_chunk, &copy);
+                   co_await CpProgram(kernel, p, src_path, dst_path, kCpChunk, &copy);
                  }
                  test_state.stop = true;
                });
@@ -176,7 +182,7 @@ ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
     // elapsed / op_cost operations (no contention, no interrupts), so the
     // slowdown factor is elapsed / (ops x op_cost).
     const double ideal_ops = static_cast<double>(copy.end - copy.start) /
-                             static_cast<double>(config.test_op_cost);
+                             static_cast<double>(kTestOpCost);
     result.slowdown = result.test_ops > 0
                           ? ideal_ops / static_cast<double>(result.test_ops)
                           : 0.0;

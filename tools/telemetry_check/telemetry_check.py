@@ -16,12 +16,13 @@ invariants each schema promises.  Dispatches on the top-level "schema" field:
                         nanoseconds.
 
   ikdp.bench.v1         every bench's row table (BENCH_aio/fault/server/kop/
-                        cache.json): dispatched on "bench" to a declaration
-                        in BENCHES — required int/number/bool row fields,
-                        the required mode set, the row booleans that are
-                        hard gates, and the cross-field invariants (ordered
-                        percentiles, request and stream accounting, byte
-                        conservation, the kop win conditions).  Every entry
+                        cache/ablate.json): dispatched on "bench" to a
+                        declaration in BENCHES — required int/number/
+                        string/bool row fields, the required mode set, the
+                        row booleans that are hard gates, and the
+                        cross-field invariants (ordered percentiles, request
+                        and stream accounting, byte conservation, the kop
+                        win conditions, ablation idle fractions).  Every entry
                         of "gates" (the bench's own checks) must be true.
 
 Exit status: 0 when every file validates, 1 on any finding, 2 on usage
@@ -167,8 +168,8 @@ def check_lock_counters(path, counters, out):
 
 MODES = {"sync", "fasync", "ring"}
 
-# Per-bench ikdp.bench.v1 declarations: the int/number/bool/hard-gate fields
-# every row carries, its mode set, the `key` no two rows share (default:
+# Per-bench ikdp.bench.v1 declarations: the int/number/string/bool/hard-gate
+# fields every row carries, its mode set, the `key` no two rows share (default:
 # mode), and (finding, predicate) rules over each (row, config) and, once
 # every mode has a complete row, over the rows by mode.
 BENCHES = {
@@ -231,6 +232,14 @@ BENCHES = {
         ]),
     # Host wall-clock sweeps: a cache row carries nbufs, a queue row sched.
     "cache_scaling": dict(key=("nbufs", "sched", "depth"), nums=["sim_ms"]),
+    # One row per run of the mechanism and sizing ablation sweeps.
+    "ablate": dict(
+        key=("sweep", "disk", "setting", "path"),
+        strs=["sweep", "disk", "setting", "path"],
+        nums=["throughput_kbs", "slowdown", "elapsed_s", "idle_fraction"],
+        hard_gates=["verified"],
+        row_rules=[("idle_fraction outside [0, 1]",
+                    lambda r, c: 0.0 <= r["idle_fraction"] <= 1.0)]),
 }
 
 
@@ -259,6 +268,7 @@ def check_bench(path, doc, out):
     hard_gates = decl.get("hard_gates", [])
     required = [("integer", f, is_int) for f in decl.get("ints", [])]
     required += [("numeric", f, is_num) for f in decl.get("nums", [])]
+    required += [("string", f, lambda v: isinstance(v, str)) for f in decl.get("strs", [])]
     required += [("boolean", f, lambda v: isinstance(v, bool))
                  for f in decl.get("bools", []) + hard_gates]
     seen, by_mode = set(), {}

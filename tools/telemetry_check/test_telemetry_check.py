@@ -133,6 +133,29 @@ def clean_kop_bench():
                      [clean_kop_row(m) for m in ("inkernel", "user")])
 
 
+def clean_cache_bench():
+    rows = [{"nbufs": n, "ops": 1000, "wall_ms": 1.5, "sim_ms": 0.0,
+             "hits": 990, "misses": 10} for n in (64, 512)]
+    rows += [{"sched": s, "depth": 4, "requests": 2000, "sim_ms": 120.5,
+              "coalesced": 3, "sort_passes": 7, "max_depth": 4}
+             for s in ("fifo", "clook")]
+    return bench_doc("cache_scaling", {}, rows)
+
+
+def clean_ablate_row(sweep, disk, setting, path):
+    return {
+        "sweep": sweep, "disk": disk, "setting": setting, "path": path,
+        "throughput_kbs": 1060, "slowdown": 1.83, "elapsed_s": 7.728,
+        "idle_fraction": 0.12, "verified": True,
+    }
+
+
+def clean_ablate_bench():
+    return bench_doc("ablate", {"file_mb": 8, "test_op_ms": 1},
+                     [clean_ablate_row("cache_size", "RZ58", b, p)
+                      for b in ("25", "400") for p in ("cp", "scp")])
+
+
 # Every bench declaration with a clean document and its row hard gates.
 BENCH_CASES = [
     (clean_aio_bench, ("verified",)),
@@ -140,6 +163,8 @@ BENCH_CASES = [
                          "engine_quiet", "leaks_ok")),
     (clean_server_bench, ("spans_balanced", "closure_ok", "overhead_zero")),
     (clean_kop_bench, ("closure_ok", "spans_balanced")),
+    (clean_cache_bench, ()),
+    (clean_ablate_bench, ("verified",)),
 ]
 
 
@@ -277,6 +302,23 @@ class TelemetryCheckTest(unittest.TestCase):
         doc["rows"][4]["verified"] = False
         self.assert_finding(doc, "row mode=fasync, n=16: hard gate 'verified' is false")
 
+    def test_unverified_ablate_row_rejected(self):
+        doc = clean_ablate_bench()
+        doc["rows"][3]["verified"] = False
+        self.assert_finding(
+            doc, "row sweep=cache_size, disk=RZ58, setting=400, path=scp: "
+            "hard gate 'verified' is false")
+
+    def test_ablate_idle_fraction_outside_unit_rejected(self):
+        doc = clean_ablate_bench()
+        doc["rows"][0]["idle_fraction"] = -0.01
+        self.assert_finding(doc, "idle_fraction outside [0, 1]")
+
+    def test_ablate_row_without_key_string_rejected(self):
+        doc = clean_ablate_bench()
+        del doc["rows"][2]["setting"]
+        self.assert_finding(doc, "missing string 'setting'")
+
     def test_fault_stream_accounting_rejected(self):
         doc = clean_fault_bench()
         doc["rows"][3]["errored"] = 0
@@ -324,7 +366,8 @@ class TelemetryCheckTest(unittest.TestCase):
         paths = [os.path.join(REPO, p)
                  for p in ("BENCH_telemetry.json", "BENCH_aio_telemetry.json",
                            "BENCH_aio.json", "BENCH_fault.json",
-                           "BENCH_server.json", "BENCH_kop.json")]
+                           "BENCH_server.json", "BENCH_kop.json",
+                           "BENCH_cache.json", "BENCH_ablate.json")]
         present = [p for p in paths if os.path.exists(p)]
         if not present:
             self.skipTest("benches have not run in this tree")
