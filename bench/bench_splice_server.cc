@@ -1,12 +1,13 @@
 // SpliceServer SLO bench: 1000 clients, Poisson arrivals, Zipf objects,
 // file->UDP splices under all three submission modes.
 //
-// For each mode the identical pre-drawn request stream (same seed) is served
-// twice — once with the kspan collector detached and once attached — and the
-// two runs must agree on every simulated-time observable (end time, bytes,
-// completions, the CPU ledger): observability is free or it is broken.  The
-// spans-off run feeds the online SLO monitor (src/metrics/slo.h); the
-// spans-on run exports per-request artifacts for the ring mode:
+// For each mode the identical request stream (same seed, drawn on demand in
+// the same order) is served twice — once with the kspan collector detached
+// and once attached — and the two runs must agree on every simulated-time
+// observable (end time, bytes, completions, the CPU ledger): observability
+// is free or it is broken.  The spans-off run feeds the online SLO monitor
+// (src/metrics/slo.h); the spans-on run exports per-request artifacts for
+// the ring mode:
 //
 //   SERVER_spans.json   span trees as Chrome trace async slices (Perfetto)
 //   SERVER_folded.txt   flame-graph folded stacks of attributed CPU

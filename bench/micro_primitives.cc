@@ -5,9 +5,11 @@
 // (host CPU), not simulated time — they exist to keep the engine fast enough
 // for the large parameter sweeps in the ablation benches.
 //
-// This binary counts heap allocations (its own operator new).  Cases that
-// call ReportAllocs show `allocs_per_iter`; those declared allocation-free
-// in steady state make the binary exit 1 if their timed loop allocates, so
+// This binary counts heap allocations and the bytes they ask for (its own
+// operator new).  Cases that call ReportAllocs show `allocs_per_iter`; those
+// declared allocation-free in steady state make the binary exit 1 if their
+// timed loop allocates, and BM_KernelConstruct makes it exit 1 if building a
+// machine allocates more than kMaxKernelConstructBytes, so
 // micro_primitives_smoke gates them.
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 
 #include "src/buf/buffer_cache.h"
 #include "src/dev/ram_disk.h"
@@ -35,11 +38,13 @@
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
-bool g_steady_state_allocated = false;
+std::atomic<uint64_t> g_alloc_bytes{0};
+bool g_alloc_gate_failed = false;
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -68,7 +73,7 @@ class AllocCount {
     state.counters["allocs_per_iter"] =
         static_cast<double>(n) / static_cast<double>(std::max<int64_t>(state.iterations(), 1));
     if (must_be_zero && n != 0) {
-      g_steady_state_allocated = true;
+      g_alloc_gate_failed = true;
       state.SkipWithError("allocates in steady state");
     }
   }
@@ -347,6 +352,29 @@ void BM_KernelGetFile1kFds(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGetFile1kFds);
 
+// Building a default machine allocates headers and tables, not data: each
+// buffer-cache frame arrives with the first block its buffer maps, so 400
+// buffers cost their headers here, not 400 x 8 KB.
+constexpr uint64_t kMaxKernelConstructBytes = 256 << 10;
+
+void BM_KernelConstruct(benchmark::State& state) {
+  Simulator sim;
+  std::optional<Kernel> kernel;
+  uint64_t worst = 0;
+  for (auto _ : state) {
+    const uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    kernel.emplace(&sim, DecStation5000Costs());
+    worst = std::max(worst, g_alloc_bytes.load(std::memory_order_relaxed) - before);
+    kernel.reset();
+  }
+  state.counters["bytes_per_construct"] = static_cast<double>(worst);
+  if (worst > kMaxKernelConstructBytes) {
+    g_alloc_gate_failed = true;
+    state.SkipWithError("machine construction allocates more than 256 KiB");
+  }
+}
+BENCHMARK(BM_KernelConstruct);
+
 void BM_Rng(benchmark::State& state) {
   Rng rng(42);
   for (auto _ : state) {
@@ -366,5 +394,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return g_steady_state_allocated ? 1 : 0;
+  return g_alloc_gate_failed ? 1 : 0;
 }

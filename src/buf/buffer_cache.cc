@@ -26,7 +26,6 @@ BufferCache::BufferCache(CpuSystem* cpu, int nbufs) : cpu_(cpu), nbufs_(nbufs) {
   for (int i = 0; i < nbufs; ++i) {
     auto b = std::make_unique<Buf>();
     b->cache = this;
-    b->data = MakeBufData();
     FreelistPush(b.get(), /*front=*/false);
     pool_.push_back(std::move(b));
   }
@@ -156,6 +155,7 @@ void BufferCache::ValidateInvariants() const {
     assert(b->on_freelist == (b->free_prev != nullptr || b->free_next != nullptr ||
                               free_head_ == b));
     if (b->hashed) {
+      assert(b->data != nullptr && "hashed buffer without a frame");
       const Buf* found = nullptr;
       for (const Buf* c = hash_buckets_[BucketOf(b->dev, b->blkno)]; c != nullptr;
            c = c->hash_next) {
@@ -242,9 +242,14 @@ Buf* BufferCache::TryGetBlk(BlockDevice* dev, int64_t blkno, bool* was_hit) {
   // completion interrupt can attribute its work (src/sim/kspan.h).
   v->span = CurrentKspan().span;
   v->iodone = nullptr;
-  if (v->data.use_count() > 1) {
-    // The old data area is still aliased by an in-flight splice header; give
-    // this buffer a fresh frame rather than scribbling on shared bytes.
+  if (v->data.use_count() != 1) {
+    // A buffer gets its frame with its first identity, not at construction,
+    // so a cache holds only as many frames as blocks it has ever mapped.  A
+    // frame still aliased by an in-flight splice header is replaced rather
+    // than scribbled on.
+    if (v->data == nullptr) {
+      ++frames_;
+    }
     v->data = MakeBufData();
   }
   HashInsert(v);

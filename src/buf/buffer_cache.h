@@ -1,7 +1,10 @@
 // The 4.2BSD buffer cache ([LMK89] ch. 7), with the paper's extensions.
 //
 // A fixed pool of block buffers is indexed by (device, physical block) in a
-// hash table and recycled through an LRU free list.  Two client APIs exist:
+// hash table and recycled through an LRU free list.  Like the paper's
+// header-only getblk, a pool buffer holds no data memory until it first
+// takes a block identity; its kBlockSize frame is allocated then.  Two
+// client APIs exist:
 //
 //  * The classic process-context API — Bread/Breada/Bwrite/Bawrite/Bdwrite/
 //    Brelse/Biowait — used by the read()/write() file path.  These are
@@ -56,6 +59,11 @@ class BufferCache {
   BufferCache& operator=(const BufferCache&) = delete;
 
   int nbufs() const { return nbufs_; }
+
+  // Pool buffers holding a data frame.  A buffer gets its kBlockSize frame
+  // when it first takes a block identity, so this counts the blocks the
+  // cache has ever mapped, up to nbufs(); frames are never given back.
+  int frames() const { return frames_; }
 
   // --- process-context (coroutine) API ---
 
@@ -201,7 +209,9 @@ class BufferCache {
 
   CpuSystem* cpu_;
   const int nbufs_;
+  // Headers only until first use: TryGetBlk gives a buffer its frame.
   std::vector<std::unique_ptr<Buf>> pool_;
+  int frames_ = 0;
   // The cache lock (docs/klock.md): guards the hash table, the LRU free
   // list, the pending-write counts, and the transient-header registry.  It
   // ranks outside diskq (completion handlers re-enter Strategy through the

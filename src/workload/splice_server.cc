@@ -1,9 +1,12 @@
 #include "src/workload/splice_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "src/hw/link.h"
 #include "src/net/udp_socket.h"
 #include "src/os/kernel.h"
+#include "src/sim/fifo.h"
 #include "src/sim/kspan.h"
 #include "src/sim/random.h"
 
@@ -51,6 +55,15 @@ class Zipf {
   std::vector<double> cdf_;
 };
 
+// Index of a request's slot in the RequestTable.
+using Slot = uint32_t;
+inline constexpr Slot kNoSlot = UINT32_MAX;
+
+// One live request.  `next_queued` threads the client's request FIFO (front
+// is active) and `next_expected` its delivery FIFO (front is owed the next
+// datagram): the wire is FIFO and requests are serialized per client, so
+// crediting the front of the delivery FIFO attributes every datagram
+// correctly.
 struct Request {
   uint64_t id = 0;
   int client = 0;
@@ -59,33 +72,107 @@ struct Request {
   SimTime arrival = 0;
   SpanId span = kNoSpan;
   bool span_owned = false;
-  bool ended = false;
+  bool ended = false;            // left the system: hooks fired, client moved on
+  bool server_finished = false;  // the server holds nothing of it any more
   int64_t delivered = 0;
-  int src_fd = -1;  // server-side file fd while the stream is in flight
+  int64_t remaining = 0;  // bytes still owed while on the delivery FIFO
+  int src_fd = -1;        // server-side file fd while the stream is in flight
+  Slot next_queued = kNoSlot;
+  Slot next_expected = kNoSlot;
 };
 
-// One delivery the client is still owed (front = oldest request).  The wire
-// is FIFO and requests are serialized per client, so decrementing the front
-// entry attributes every datagram correctly.
-struct Expected {
-  size_t req = 0;
-  int64_t remaining = 0;
+// A FIFO of requests threaded through their slots by one link member.
+struct SlotFifo {
+  Slot head = kNoSlot;
+  Slot tail = kNoSlot;
+  bool empty() const { return head == kNoSlot; }
 };
 
+// Live requests in recycled slots.  A slot is taken at arrival and given
+// back once the request has ended and the server is done with it, so the
+// table holds the live requests, not the whole stream.  Slots live in a
+// deque: references stay valid while the table grows, and the server
+// coroutines hold them across suspensions.
+class RequestTable {
+ public:
+  Slot Take() {
+    Slot s;
+    if (free_.empty()) {
+      s = static_cast<Slot>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      s = free_.back();
+      free_.pop_back();
+      slots_[s] = Request{};
+    }
+    peak_live_ = std::max(peak_live_, ++live_);
+    return s;
+  }
+
+  // Gives the slot back once both sides are done with its request.
+  void ReleaseIfDone(Slot s) {
+    if (slots_[s].ended && slots_[s].server_finished) {
+      free_.push_back(s);
+      --live_;
+    }
+  }
+
+  Request& operator[](Slot s) { return slots_[s]; }
+  uint64_t peak_live() const { return peak_live_; }
+
+  void Push(SlotFifo& f, Slot s, Slot Request::*next) {
+    slots_[s].*next = kNoSlot;
+    if (f.empty()) {
+      f.head = s;
+    } else {
+      slots_[f.tail].*next = s;
+    }
+    f.tail = s;
+  }
+
+  void PopFront(SlotFifo& f, Slot Request::*next) {
+    const Slot s = f.head;
+    f.head = slots_[s].*next;
+    if (f.head == kNoSlot) {
+      f.tail = kNoSlot;
+    }
+    slots_[s].*next = kNoSlot;
+  }
+
+  // Unlinks `s` from `f` if it is there.
+  void Erase(SlotFifo& f, Slot s, Slot Request::*next) {
+    if (f.head == s) {
+      PopFront(f, next);
+      return;
+    }
+    for (Slot c = f.head; c != kNoSlot; c = slots_[c].*next) {
+      if (slots_[c].*next == s) {
+        slots_[c].*next = slots_[s].*next;
+        if (f.tail == s) {
+          f.tail = c;
+        }
+        slots_[s].*next = kNoSlot;
+        return;
+      }
+    }
+  }
+
+ private:
+  std::deque<Request> slots_;
+  std::vector<Slot> free_;
+  uint64_t live_ = 0;
+  uint64_t peak_live_ = 0;
+};
+
+// An idle client owns its two sockets and its wire; its requests live in
+// the RequestTable, threaded through their slots.
 struct ClientState {
   std::unique_ptr<UdpSocket> server_sock;
   std::unique_ptr<UdpSocket> client_sock;
   std::unique_ptr<NetworkLink> wire;
   int server_fd = -1;  // persistent fd (single-server modes only)
-  std::deque<size_t> queue;     // assigned requests; front is active
-  std::deque<Expected> expect;  // deliveries outstanding
-  std::function<void(BufData, int64_t)> on_recv;
-
-  // Arms the next receive: a small forwarder to on_recv, not a copy of it.
-  // The clients vector is sized once, so `this` stays valid for the run.
-  UdpSocket::RecvDone recv_done() {
-    return [this](BufData d, int64_t n) { on_recv(std::move(d), n); };
-  }
+  SlotFifo queue;      // assigned requests; front is active
+  SlotFifo expect;     // deliveries outstanding
 };
 
 uint8_t ObjectByte(int object, int64_t i) {
@@ -96,6 +183,7 @@ uint8_t ObjectByte(int object, int64_t i) {
 
 SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                                    const SpliceServerHooks& hooks) {
+  assert(config.n_clients > 0 && config.offered_rps > 0);
   SpliceServerResult result;
   const int total = config.total_requests;
   result.requests = static_cast<uint64_t>(total);
@@ -113,23 +201,21 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                           [i](int64_t j) { return ObjectByte(i, j); });
   }
 
-  // Pre-draw the whole request stream so every mode serves the identical
-  // arrival sequence for a given seed.
+  // The request stream is drawn one arrival ahead, when the previous
+  // arrival fires: gap, client, object, in that order, so a seed gives the
+  // same sequence in every mode and at every total_requests.
   Rng rng(config.seed);
   const double mean_ns = 1e9 / config.offered_rps;
   const Zipf zipf(config.n_objects, config.zipf_s);
-  std::vector<Request> reqs(static_cast<size_t>(total));
-  std::vector<SimTime> when(static_cast<size_t>(total));
-  SimTime t = 0;
-  for (int k = 0; k < total; ++k) {
-    t += ExpGap(rng, mean_ns);
-    when[static_cast<size_t>(k)] = t;
-    Request& r = reqs[static_cast<size_t>(k)];
-    r.id = static_cast<uint64_t>(k);
-    r.client = static_cast<int>(rng.Below(static_cast<uint64_t>(config.n_clients)));
-    r.object = zipf.Sample(rng);
-    r.nbytes = config.object_bytes;
-  }
+  SimTime next_when = 0;
+  int next_client = 0;
+  int next_object = 0;
+  auto draw_next = [&] {
+    next_when += ExpGap(rng, mean_ns);
+    next_client = static_cast<int>(rng.Below(static_cast<uint64_t>(config.n_clients)));
+    next_object = zipf.Sample(rng);
+  };
+  RequestTable reqs;
 
   // One private wire per client, like the paper's per-stream interfaces; the
   // requests contend for the server's CPU, disk, and cache — never for each
@@ -142,7 +228,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     c.server_sock->ConnectTo(c.client_sock.get(), c.wire.get());
   }
 
-  std::deque<size_t> ready;  // requests whose client is idle, oldest first
+  Fifo<Slot> ready;  // requests whose client is idle, oldest first
   Process* single_server = nullptr;  // kFasyncSigio / kRing server process
   int served = 0;                    // requests fully handled server-side
   int done_total = 0;                // requests ended (either side)
@@ -150,7 +236,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   uint64_t sigio_handled = 0;
 
   const bool single_mode = config.mode != SubmitMode::kSyncLoop;
-  auto ready_push = [&](size_t k) {
+  auto ready_push = [&](Slot k) {
     ready.push_back(k);
     server.cpu().Wakeup(&ready);
     if (single_mode && single_server != nullptr) {
@@ -160,7 +246,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
   };
 
-  auto end_request = [&](size_t k, bool error) {
+  auto end_request = [&](Slot k, bool error) {
     Request& r = reqs[k];
     if (r.ended) {
       return;
@@ -182,54 +268,73 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
     ++done_total;
     ClientState& c = clients[static_cast<size_t>(r.client)];
-    if (!c.queue.empty() && c.queue.front() == k) {
-      c.queue.pop_front();
+    if (c.queue.head == k) {
+      reqs.PopFront(c.queue, &Request::next_queued);
     }
+    reqs.ReleaseIfDone(k);
     if (!c.queue.empty()) {
-      ready_push(c.queue.front());
+      ready_push(c.queue.head);
     }
+  };
+
+  // The server holds nothing of request `k` any more (its stream finished,
+  // failed or never started).
+  auto server_done = [&](Slot k) {
+    reqs[k].server_finished = true;
+    reqs.ReleaseIfDone(k);
+  };
+
+  // The server starts streaming request `k`: its client is owed nbytes.
+  auto expect = [&](Slot k) {
+    Request& r = reqs[k];
+    r.remaining = r.nbytes;
+    reqs.Push(clients[static_cast<size_t>(r.client)].expect, k, &Request::next_expected);
   };
 
   // An aborted stream delivers nothing further; drop the client's pending
   // byte count for it so later requests' datagrams are not mis-credited.
-  auto drop_expected = [&](size_t k) {
-    ClientState& c = clients[static_cast<size_t>(reqs[k].client)];
-    for (auto it = c.expect.begin(); it != c.expect.end(); ++it) {
-      if (it->req == k) {
-        c.expect.erase(it);
-        return;
-      }
-    }
+  auto drop_expected = [&](Slot k) {
+    reqs.Erase(clients[static_cast<size_t>(reqs[k].client)].expect, k, &Request::next_expected);
   };
 
   // Clients: host-side datagram sinks, re-armed from the delivery interrupt.
-  for (int i = 0; i < config.n_clients; ++i) {
-    ClientState& c = clients[static_cast<size_t>(i)];
-    c.on_recv = [&, i](BufData, int64_t n) {
-      ClientState& me = clients[static_cast<size_t>(i)];
-      if (n > 0 && !me.expect.empty()) {
-        Expected& e = me.expect.front();
-        Request& r = reqs[e.req];
-        r.delivered += n;
-        e.remaining -= n;
-        if (hooks.on_progress) {
-          hooks.on_progress(r.id, sim.Now(), n);
-        }
-        if (e.remaining <= 0) {
-          const size_t k = e.req;
-          me.expect.pop_front();
-          end_request(k, /*error=*/false);
-        }
+  // One handler serves every client; each armed receive carries only the
+  // client's index.
+  std::function<void(int, int64_t)> on_recv;
+  auto recv_done = [&on_recv](int i) -> UdpSocket::RecvDone {
+    return [&on_recv, i](BufData, int64_t n) { on_recv(i, n); };
+  };
+  on_recv = [&](int i, int64_t n) {
+    ClientState& me = clients[static_cast<size_t>(i)];
+    if (n > 0 && !me.expect.empty()) {
+      const Slot k = me.expect.head;
+      Request& r = reqs[k];
+      r.delivered += n;
+      r.remaining -= n;
+      if (hooks.on_progress) {
+        hooks.on_progress(r.id, sim.Now(), n);
       }
-      me.client_sock->RecvAsync(config.object_bytes, me.recv_done());
-    };
-    c.client_sock->RecvAsync(config.object_bytes, c.recv_done());
+      if (r.remaining <= 0) {
+        reqs.PopFront(me.expect, &Request::next_expected);
+        end_request(k, /*error=*/false);
+      }
+    }
+    me.client_sock->RecvAsync(config.object_bytes, recv_done(i));
+  };
+  for (int i = 0; i < config.n_clients; ++i) {
+    clients[static_cast<size_t>(i)].client_sock->RecvAsync(config.object_bytes, recv_done(i));
   }
 
   // Poisson arrival chain.  Arrival events are host bookkeeping: they mint
-  // the request's root span, enqueue it, and wake the server.
+  // the request's root span, enqueue it, wake the server, and draw the next
+  // arrival.
   std::function<void(int)> arrive = [&](int k) {
-    Request& r = reqs[static_cast<size_t>(k)];
+    const Slot slot = reqs.Take();
+    Request& r = reqs[slot];
+    r.id = static_cast<uint64_t>(k);
+    r.client = next_client;
+    r.object = next_object;
+    r.nbytes = config.object_bytes;
     r.arrival = sim.Now();
     r.span_owned = KspanOwned();
     r.span = KspanBegin(r.arrival, "server.request", static_cast<int64_t>(r.id));
@@ -237,16 +342,19 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
       hooks.on_start(r.id, r.arrival);
     }
     ClientState& c = clients[static_cast<size_t>(r.client)];
-    c.queue.push_back(static_cast<size_t>(k));
-    if (c.queue.size() == 1) {
-      ready_push(static_cast<size_t>(k));
+    const bool idle = c.queue.empty();
+    reqs.Push(c.queue, slot, &Request::next_queued);
+    if (idle) {
+      ready_push(slot);
     }
     if (k + 1 < total) {
-      sim.At(when[static_cast<size_t>(k + 1)], [&arrive, k] { arrive(k + 1); });
+      draw_next();
+      sim.At(next_when, [&arrive, k] { arrive(k + 1); });
     }
   };
   if (total > 0) {
-    sim.At(when[0], [&arrive] { arrive(0); });
+    draw_next();
+    sim.At(next_when, [&arrive] { arrive(0); });
   }
 
   // Watchdog tick for the SLO monitor, self-rescheduling until the last
@@ -288,8 +396,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                   co_await server.cpu().Sleep(p, &ready, kPriWait, /*interruptible=*/false);
                   continue;
                 }
-                const size_t k = ready.front();
-                ready.pop_front();
+                const Slot k = ready.pop_front();
                 Request& r = reqs[k];
                 ClientState& c = clients[static_cast<size_t>(r.client)];
                 server.cpu().SetSpan(p, r.span);
@@ -302,7 +409,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                     co_await server.KopAttach(p, sfd, kop_id);
                   }
                   const int dfd = server.OpenSocket(p, c.server_sock.get());
-                  c.expect.push_back({k, r.nbytes});
+                  expect(k);
                   const int64_t moved = co_await server.Splice(p, sfd, dfd, r.nbytes);
                   co_await server.Close(p, sfd);
                   co_await server.Close(p, dfd);
@@ -312,6 +419,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                     end_request(k, /*error=*/true);
                   }
                 }
+                server_done(k);
                 ++served;
                 if (served >= total) {
                   server.cpu().Wakeup(&ready);  // release the other workers
@@ -333,7 +441,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
           c.server_fd = server.OpenSocket(p, c.server_sock.get());
           co_await server.Fcntl(p, c.server_fd, /*fasync=*/true);
         }
-        std::vector<size_t> inflight;
+        std::vector<Slot> inflight;
         while (served < total || !inflight.empty()) {
           bool progressed = false;
           // Probe completions first: SIGIO says "something finished", and
@@ -356,12 +464,12 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
               drop_expected(*it);
               end_request(*it, /*error=*/true);
             }
+            server_done(*it);
             it = inflight.erase(it);
             progressed = true;
           }
           while (!ready.empty()) {
-            const size_t k = ready.front();
-            ready.pop_front();
+            const Slot k = ready.pop_front();
             Request& r = reqs[k];
             ClientState& c = clients[static_cast<size_t>(r.client)];
             server.cpu().SetSpan(p, r.span);
@@ -369,13 +477,14 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
             if (r.src_fd < 0) {
               server.cpu().SetSpan(p, kNoSpan);
               end_request(k, /*error=*/true);
+              server_done(k);
               ++served;
               continue;
             }
             if (kop_id > 0) {
               co_await server.KopAttach(p, r.src_fd, kop_id);
             }
-            c.expect.push_back({k, r.nbytes});
+            expect(k);
             const int64_t rc = co_await server.Splice(p, r.src_fd, c.server_fd, r.nbytes);
             ++served;
             if (rc != 0) {
@@ -385,6 +494,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
               server.cpu().SetSpan(p, kNoSpan);
               drop_expected(k);
               end_request(k, /*error=*/true);
+              server_done(k);
               continue;
             }
             server.cpu().SetSpan(p, kNoSpan);
@@ -419,11 +529,13 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
         rc.max_inflight = config.ring_inflight;
         const int ring = co_await server.RingSetup(p, rc);
         std::vector<SpliceCqe> cqes(static_cast<size_t>(config.n_clients) + 8);
+        // CQE cookies are request ids; this finds each in-flight op's slot.
+        std::unordered_map<uint64_t, Slot> ring_slot;
+        ring_slot.reserve(static_cast<size_t>(rc.sq_entries));
         int inflight = 0;
         while (served < total || inflight > 0) {
           while (!ready.empty()) {
-            const size_t k = ready.front();
-            ready.pop_front();
+            const Slot k = ready.pop_front();
             Request& r = reqs[k];
             ClientState& c = clients[static_cast<size_t>(r.client)];
             server.cpu().SetSpan(p, r.span);
@@ -431,16 +543,18 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
             if (r.src_fd < 0) {
               server.cpu().SetSpan(p, kNoSpan);
               end_request(k, /*error=*/true);
+              server_done(k);
               ++served;
               continue;
             }
-            c.expect.push_back({k, r.nbytes});
+            expect(k);
             SpliceSqe sqe;
             sqe.src_fd = r.src_fd;
             sqe.dst_fd = c.server_fd;
             sqe.nbytes = r.nbytes;
-            sqe.cookie = static_cast<uint64_t>(k);
+            sqe.cookie = r.id;
             sqe.kop_id = kop_id;  // 0 = no operator; no per-request attach trap
+            ring_slot.emplace(r.id, k);
             server.RingPrepare(p, ring, sqe);
             // Submit-only enter under the request's span, so the minted
             // aio.op (and the splice stream under it) parents here.
@@ -462,7 +576,9 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
           const int got = server.RingHarvest(p, ring, cqes.data(),
                                              static_cast<int>(cqes.size()));
           for (int i = 0; i < got; ++i) {
-            const size_t k = static_cast<size_t>(cqes[static_cast<size_t>(i)].cookie);
+            auto op = ring_slot.extract(cqes[static_cast<size_t>(i)].cookie);
+            assert(!op.empty() && "CQE for an op this server never submitted");
+            const Slot k = op.mapped();
             Request& r = reqs[k];
             server.cpu().SetSpan(p, r.span);
             co_await server.Close(p, r.src_fd);
@@ -472,6 +588,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
               drop_expected(k);
               end_request(k, /*error=*/true);
             }
+            server_done(k);
             --inflight;
           }
         }
@@ -484,6 +601,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   sim.Run();
 
   result.end_time = last_end;
+  result.peak_live_requests = reqs.peak_live();
   result.sigio_handled = sigio_handled;
   for (const Process* p : procs) {
     result.server_traps += p->stats().syscall_traps;

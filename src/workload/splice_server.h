@@ -4,7 +4,10 @@
 // (default 1000) issue requests against a server that streams disk-resident
 // objects to each client's private UDP socket with splice.  Arrivals are a
 // Poisson process (exponential inter-arrival times) and object popularity is
-// Zipf-distributed, so the buffer cache sees a realistic hot set.  The same
+// Zipf-distributed, so the buffer cache sees a realistic hot set.  The
+// stream is drawn on demand in the same order (each arrival draws the next),
+// and a request's state lives in a recycled slot only while it is live, so
+// host memory follows the live requests, not total_requests.  The same
 // request stream can be served three ways — the SubmitMode axis the rest of
 // the suite measures:
 //
@@ -103,6 +106,10 @@ struct SpliceServerResult {
   uint64_t errored = 0;    // aborted server-side
   int64_t bytes = 0;       // total bytes delivered to clients
   SimTime end_time = 0;    // sim clock when the machine went quiet
+  // Most requests held at once: arrived, and not yet both ended and
+  // released by the server.  The request table's size, so host memory
+  // follows the live requests rather than total_requests.
+  uint64_t peak_live_requests = 0;
 
   uint64_t server_traps = 0;   // syscall traps across all server processes
   uint64_t sigio_handled = 0;  // SIGIO deliveries (kFasyncSigio / kRing)

@@ -377,6 +377,44 @@ TEST_F(BufTest, InvalidateDevForcesColdRead) {
   EXPECT_EQ(cache_.stats().misses, 2u);
 }
 
+// --- frames on first use ---
+
+TEST_F(BufTest, FreshCacheHasNoFrames) {
+  EXPECT_EQ(cache_.nbufs(), 16);
+  EXPECT_EQ(cache_.frames(), 0);
+}
+
+TEST_F(BufTest, FirstBreadAllocatesOneFrameAndRereadNone) {
+  ram_.PokeBlock(4, Pattern(4));
+  RunProc([&](Process& p) -> Task<> {
+    Buf* b = co_await cache_.Bread(p, &ram_, 4);
+    EXPECT_EQ(cache_.frames(), 1);
+    EXPECT_EQ(*b->data, Pattern(4));
+    cache_.Brelse(b);
+    Buf* again = co_await cache_.Bread(p, &ram_, 4);
+    EXPECT_EQ(again, b);
+    cache_.Brelse(again);
+  });
+  EXPECT_EQ(cache_.frames(), 1);
+  EXPECT_EQ(cache_.stats().hits, 1u);
+}
+
+TEST_F(BufTest, InvalidateDevKeepsFrames) {
+  RunProc([&](Process& p) -> Task<> {
+    for (int64_t i = 0; i < 3; ++i) {
+      cache_.Brelse(co_await cache_.Bread(p, &ram_, i));
+    }
+    EXPECT_EQ(cache_.frames(), 3);
+    cache_.InvalidateDev(&ram_);
+    EXPECT_EQ(cache_.frames(), 3);
+    // The invalidated buffers head the free list, so a cold re-read reuses
+    // one of their frames instead of allocating a fourth.
+    cache_.Brelse(co_await cache_.Bread(p, &ram_, 0));
+  });
+  EXPECT_EQ(cache_.frames(), 3);
+  EXPECT_EQ(ram_.stats().reads, 4u);
+}
+
 // --- splice (non-blocking) API ---
 
 TEST_F(BufTest, BreadAsyncDeliversViaIodone) {

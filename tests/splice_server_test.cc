@@ -150,6 +150,79 @@ TEST_P(SpliceServerModes, AggressiveWatchdogFlagsQueueing) {
   EXPECT_GT(slo.Report(r.end_time).stall_flags, 0u);
 }
 
+// The timeline of a run pinned to the values of the pre-drawn-stream
+// implementation: drawing the stream on demand and recycling request slots
+// must not move a simulated nanosecond.  Six clients at 1500 req/s keep
+// several requests queued per client, so the per-client FIFOs are exercised.
+TEST_P(SpliceServerModes, GoldenTimeline) {
+  SpliceServerConfig cfg = SmallConfig(GetParam());
+  cfg.n_clients = 6;
+  cfg.total_requests = 60;
+  cfg.offered_rps = 1500.0;
+  cfg.sync_workers = 3;
+  cfg.ring_inflight = 4;
+  cfg.seed = 11;
+  // FNV-1a over every request's (id, latency, bytes, error), in end order.
+  uint64_t digest = 1469598103934665603ull;
+  auto mix = [&digest](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  };
+  std::vector<SimTime> start(static_cast<size_t>(cfg.total_requests));
+  SpliceServerHooks hooks;
+  hooks.on_start = [&](uint64_t id, SimTime t) { start[id] = t; };
+  hooks.on_end = [&](uint64_t id, SimTime t, int64_t bytes, bool error) {
+    mix(id);
+    mix(static_cast<uint64_t>(t - start[id]));
+    mix(static_cast<uint64_t>(bytes));
+    mix(error ? 1 : 0);
+  };
+  const SpliceServerResult r = RunSpliceServer(cfg, hooks);
+  ASSERT_TRUE(r.ok) << r.closure_err;
+  EXPECT_EQ(r.completed, 60u);
+
+  struct Golden {
+    SimTime end_time;
+    uint64_t server_traps;
+    uint64_t sigio_handled;
+    uint64_t digest;
+  };
+  Golden want{};
+  switch (GetParam()) {
+    case SubmitMode::kSyncLoop:
+      want = {409110550, 240, 0, 0x0cd25b619e78068bull};
+      break;
+    case SubmitMode::kFasyncSigio:
+      want = {368952350, 846, 67, 0x0232519880cc30b0ull};
+      break;
+    case SubmitMode::kRing:
+      want = {393485550, 288, 59, 0x8cb7c46df67b3139ull};
+      break;
+  }
+  EXPECT_EQ(r.end_time, want.end_time);
+  EXPECT_EQ(r.server_traps, want.server_traps);
+  EXPECT_EQ(r.sigio_handled, want.sigio_handled);
+  EXPECT_EQ(digest, want.digest);
+}
+
+// Request state is held only while a request is live: under capacity, four
+// times the stream leaves the high-water of live requests where it was.
+TEST_P(SpliceServerModes, LiveRequestsStayBoundedAsTheStreamGrows) {
+  SpliceServerConfig cfg = SmallConfig(GetParam());
+  cfg.offered_rps = 100.0;
+  cfg.total_requests = 200;
+  const SpliceServerResult one = RunSpliceServer(cfg);
+  cfg.total_requests = 800;
+  const SpliceServerResult four = RunSpliceServer(cfg);
+  ASSERT_TRUE(one.ok) << one.closure_err;
+  ASSERT_TRUE(four.ok) << four.closure_err;
+  EXPECT_GT(one.peak_live_requests, 0u);
+  EXPECT_LE(four.peak_live_requests * 2, one.peak_live_requests * 3);
+  EXPECT_LE(four.peak_live_requests * 20, 800u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, SpliceServerModes,
                          ::testing::Values(SubmitMode::kSyncLoop, SubmitMode::kFasyncSigio,
                                            SubmitMode::kRing),
