@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the simulator's host-side primitives:
 // event queue, callout table, coroutine tasks, buffer cache operations,
-// filesystem block mapping, descriptor lookup, the CPU attribution ledger
-// and the UDP datagram path.  These measure the *simulator's* execution cost
-// (host CPU), not simulated time — they exist to keep the engine fast enough
-// for the large parameter sweeps in the ablation benches.
+// filesystem block mapping, descriptor lookup, the CPU attribution ledger,
+// a process's CPU charge and the UDP datagram path.  These measure the
+// *simulator's* execution cost (host CPU), not simulated time — they exist
+// to keep the engine fast enough for the large parameter sweeps in the
+// ablation benches.
 //
 // This binary counts heap allocations and the bytes they ask for (its own
 // operator new).  Cases that call ReportAllocs show `allocs_per_iter`; those
@@ -135,8 +136,9 @@ void BM_EventQueueRearmAtDepth1k(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueRearmAtDepth1k);
 
-// Schedule + pop of a closure with a 40-byte capture (a `this` pointer plus
-// a std::function, like a splice sink's transmit-complete forwarder).
+// Schedule + pop of a closure with a 40-byte capture (a pointer plus a
+// 32-byte callable object): a larger capture than any src/ event carries,
+// still inside EventFn's 48 inline bytes.
 void BM_EventQueueClosure40B(benchmark::State& state) {
   EventQueue q;
   SimTime when = 0;
@@ -265,6 +267,30 @@ void BM_UdpDatagramRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UdpDatagramRoundTrip);
+
+// The hottest closure on the request path: a process's `co_await cpu.Use`
+// (every syscall's CPU charge).  The timed loop runs inside the process,
+// one Use per iteration, after one Sleep/Wakeup cycle has warmed the sleep
+// path; Use keeps its arming closure inline, so the loop allocates nothing.
+void BM_CpuUseWarm(benchmark::State& state) {
+  Simulator sim;
+  CpuSystem cpu(&sim, DecStation5000Costs());
+  const int chan = 0;
+  cpu.Spawn("user", [&cpu, &chan, &state](Process& p) -> Task<> {
+    co_await cpu.Use(p, Microseconds(10));
+    co_await cpu.Sleep(p, &chan, kPriWait);
+    const AllocCount allocs;
+    for (auto _ : state) {
+      co_await cpu.Use(p, Microseconds(10));
+    }
+    allocs.Report(state, /*must_be_zero=*/true);
+  });
+  sim.Run();  // to the Sleep
+  cpu.Wakeup(&chan);
+  sim.Run();  // the timed loop
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuUseWarm);
 
 void BM_TaskSpawnResume(benchmark::State& state) {
   for (auto _ : state) {

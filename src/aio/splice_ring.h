@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "src/kern/ctx.h"
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/sim_state.h"
 #include "src/splice/splice_engine.h"
 
@@ -148,7 +148,7 @@ class SpliceRing {
     SpliceSqe sqe;
     std::unique_ptr<SpliceSource> source;
     std::unique_ptr<SpliceSink> sink;
-    std::function<void(int64_t)> on_moved;  // sink-side file state update
+    InlineFn<void(int64_t)> on_moved;  // sink-side file state update
     SpliceOptions opts;                     // engine tuning for this op
   };
 
@@ -215,7 +215,7 @@ class SpliceRing {
     enum class St { kQueued, kStarted, kRetired } st = St::kQueued;
     std::unique_ptr<SpliceSource> source;
     std::unique_ptr<SpliceSink> sink;
-    std::function<void(int64_t)> on_moved;
+    InlineFn<void(int64_t)> on_moved;
     SpliceOptions opts;
     SimTime submitted_at = 0;
     bool engine_called = false;        // handed to the splice engine

@@ -17,13 +17,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/kern/ctx.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/kspan.h"
 #include "src/sim/sim_state.h"
 #include "src/sim/time.h"
@@ -80,7 +80,7 @@ struct Buf {
   BufData data;                 // may alias another buffer's data
 
   // Completion hook, run by biodone() when kBufCall is set.
-  std::function<void(Buf&)> iodone;
+  InlineFn<void(Buf&)> iodone;
 
   // --- splice extensions (paper Section 5.2.3) ---
   // Written at splice setup (process or interrupt context, whichever issues

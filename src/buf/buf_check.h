@@ -18,7 +18,7 @@
 //
 // These are the same rules tools/kcheck enforces statically at call sites
 // (rule class "busy-flag misuse"); the hooks catch dynamic paths the static
-// call graph cannot see (completion std::functions, virtual endpoints).
+// call graph cannot see (completion callbacks, virtual endpoints).
 
 #ifndef SRC_BUF_BUF_CHECK_H_
 #define SRC_BUF_BUF_CHECK_H_

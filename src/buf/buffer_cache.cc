@@ -287,8 +287,7 @@ void BufferCache::IoDone(Buf* b) {
     b->Clear(kBufCall);
     b->Set(kBufDone);
     assert(b->iodone && "kBufCall buffer without an iodone hook");
-    auto fn = std::move(b->iodone);
-    b->iodone = nullptr;
+    auto fn = std::move(b->iodone);  // leaves b->iodone empty
     fn(*b);
     return;
   }
@@ -564,7 +563,7 @@ int BufferCache::PendingWrites(BlockDevice* dev) const {
 
 // --- splice (non-blocking) API ---
 
-bool BufferCache::BreadAsync(BlockDevice* dev, int64_t blkno, std::function<void(Buf&)> iodone) {
+bool BufferCache::BreadAsync(BlockDevice* dev, int64_t blkno, InlineFn<void(Buf&)> iodone) {
   ChargeIfInterrupt(cpu_->costs().bufcache_op);
   lock_.Acquire();
   bool hit = false;
@@ -616,7 +615,7 @@ void BufferCache::FreeTransientHeader(Buf* b) {
   transients_.erase(it);
 }
 
-void BufferCache::BawriteAsync(Buf* b, std::function<void(Buf&)> iodone) {
+void BufferCache::BawriteAsync(Buf* b, InlineFn<void(Buf&)> iodone) {
   assert(b->Has(kBufBusy));
   ChargeIfInterrupt(cpu_->costs().bufcache_op);
   b->Clear(kBufRead);

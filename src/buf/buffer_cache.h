@@ -121,7 +121,7 @@ class BufferCache {
   // a read with `iodone` installed (kBufCall); returns immediately.  If the
   // block is already cached and idle, `iodone` runs synchronously.  Returns
   // false when no buffer can be had without sleeping (caller retries later).
-  IKDP_CTX_ANY bool BreadAsync(BlockDevice* dev, int64_t blkno, std::function<void(Buf&)> iodone);
+  IKDP_CTX_ANY bool BreadAsync(BlockDevice* dev, int64_t blkno, InlineFn<void(Buf&)> iodone);
 
   // Paper's modified getblk: a transient header with NO data area, for the
   // splice write side.  Free with FreeTransientHeader (typically from the
@@ -131,7 +131,7 @@ class BufferCache {
 
   // Starts an asynchronous write of any busy buffer with `iodone` installed;
   // non-blocking, charges interrupt context if executing in one.
-  IKDP_CTX_ANY void BawriteAsync(Buf* b, std::function<void(Buf&)> iodone);
+  IKDP_CTX_ANY void BawriteAsync(Buf* b, InlineFn<void(Buf&)> iodone);
 
   // --- shared ---
 

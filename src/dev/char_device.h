@@ -13,20 +13,24 @@
 //  * ReadAsync: request a chunk; the device fires `done` with data when it
 //    has some (e.g. the next scanned-out frame).  Returns false when the
 //    direction is unsupported or a request is already pending.
+//
+// Callbacks are move-only InlineFns: a refused WriteAsync or ReadAsync drops
+// its `done`, so the caller builds a fresh one for every attempt.
 
 #ifndef SRC_DEV_CHAR_DEVICE_H_
 #define SRC_DEV_CHAR_DEVICE_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/buf/buf.h"
 #include "src/kern/ctx.h"
+#include "src/sim/inline_fn.h"
 
 namespace ikdp {
 
 class CharDevice {
  public:
+  using ReadDone = InlineFn<void(BufData, int64_t)>;
   virtual ~CharDevice() = default;
 
   virtual const char* Name() const = 0;
@@ -40,7 +44,7 @@ class CharDevice {
   // once the device has consumed them and can take more.  Returns false
   // (nothing scheduled) if the device cannot accept right now or does not
   // support writing.
-  IKDP_CTX_ANY virtual bool WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) {
+  IKDP_CTX_ANY virtual bool WriteAsync(BufData data, int64_t nbytes, EventFn done) {
     (void)data;
     (void)nbytes;
     (void)done;
@@ -50,7 +54,7 @@ class CharDevice {
   // Requests up to `max_bytes`.  When data is available `done` fires with a
   // buffer and the byte count.  Returns false if reading is unsupported or a
   // request is already outstanding.
-  IKDP_CTX_ANY virtual bool ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) {
+  IKDP_CTX_ANY virtual bool ReadAsync(int64_t max_bytes, ReadDone done) {
     (void)max_bytes;
     (void)done;
     return false;

@@ -23,11 +23,11 @@ void FrameSource::FillFrame(int64_t n, int64_t nbytes, std::vector<uint8_t>* out
   }
 }
 
-bool FrameSource::ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) {
-  if (request_pending_ || max_bytes <= 0) {
+bool FrameSource::ReadAsync(int64_t max_bytes, ReadDone done) {
+  assert(done && "an empty callback would read as no read pending");
+  if (request_done_ || max_bytes <= 0) {
     return false;
   }
-  request_pending_ = true;
   request_max_ = max_bytes;
   request_done_ = std::move(done);
   // The next frame boundary: frames scan out at t = k * frame_interval.
@@ -44,7 +44,7 @@ bool FrameSource::ReadAsync(int64_t max_bytes, std::function<void(BufData, int64
 }
 
 void FrameSource::DeliverChunk() {
-  assert(request_pending_);
+  assert(request_done_);
   const int64_t n = std::min(request_max_, frame_bytes_ - frame_offset_);
   BufData data = MakeBufData();
   data->resize(static_cast<size_t>(n));
@@ -58,9 +58,7 @@ void FrameSource::DeliverChunk() {
     frame_offset_ = 0;
     ++frames_produced_;
   }
-  request_pending_ = false;
-  auto done = std::move(request_done_);
-  request_done_ = nullptr;
+  ReadDone done = std::move(request_done_);
   done(std::move(data), n);
 }
 

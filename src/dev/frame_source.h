@@ -25,7 +25,7 @@ class FrameSource : public CharDevice {
   const char* Name() const override { return name_.c_str(); }
 
   bool SupportsRead() const override { return true; }
-  IKDP_CTX_ANY bool ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) override;
+  IKDP_CTX_ANY bool ReadAsync(int64_t max_bytes, ReadDone done) override;
 
   int64_t frame_bytes() const { return frame_bytes_; }
   SimDuration frame_interval() const { return frame_interval_; }
@@ -45,9 +45,9 @@ class FrameSource : public CharDevice {
   int64_t frames_produced_ = 0;
   int64_t frame_offset_ = 0;  // read position within the current frame
 
-  bool request_pending_ = false;
+  // The outstanding ReadAsync (empty when none) and its size limit.
+  ReadDone request_done_;
   int64_t request_max_ = 0;
-  std::function<void(BufData, int64_t)> request_done_;
 };
 
 }  // namespace ikdp

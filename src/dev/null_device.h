@@ -22,14 +22,10 @@ class NullDevice : public CharDevice {
 
   bool SupportsWrite() const override { return true; }
 
-  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) override {
+  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, EventFn done) override {
     (void)data;
     bytes_sunk_ += nbytes;
-    sim_->After(0, [done = std::move(done)] {
-      if (done) {
-        done();
-      }
-    });
+    sim_->After(0, done ? std::move(done) : EventFn([] {}));  // an event either way
     return true;
   }
 

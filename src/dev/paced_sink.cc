@@ -21,7 +21,7 @@ int64_t PacedSink::Backlog() const {
 
 int64_t PacedSink::WriteSpace() const { return std::max<int64_t>(0, fifo_bytes_ - Backlog()); }
 
-bool PacedSink::WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) {
+bool PacedSink::WriteAsync(BufData data, int64_t nbytes, EventFn done) {
   (void)data;  // contents are "played", not stored
   assert(nbytes > 0);
   if (Backlog() + nbytes > fifo_bytes_) {
@@ -30,11 +30,7 @@ bool PacedSink::WriteAsync(BufData data, int64_t nbytes, std::function<void()> d
   const SimTime start = std::max(sim_->Now(), drain_frontier_);
   drain_frontier_ = start + TransferTime(nbytes, rate_bps_);
   bytes_accepted_ += nbytes;
-  sim_->At(drain_frontier_, [done = std::move(done)] {
-    if (done) {
-      done();
-    }
-  });
+  sim_->At(drain_frontier_, done ? std::move(done) : EventFn([] {}));  // an event either way
   return true;
 }
 

@@ -29,7 +29,7 @@ class PacedSink : public CharDevice {
   const char* Name() const override { return name_.c_str(); }
 
   bool SupportsWrite() const override { return true; }
-  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) override;
+  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, EventFn done) override;
   int64_t WriteSpace() const override;
 
   // Total bytes ever consumed by the DAC clock side.

@@ -24,8 +24,8 @@ void StorePtr(std::span<uint8_t> block, int64_t index, int64_t value) {
 // The per-byte fill loop runs once per byte of every file created this way.
 // A fixed function alignment pins where the loop lands, so its cost does not
 // move with the size of unrelated code linked ahead of it.
-[[gnu::noinline, gnu::aligned(64)]] void FillPerByte(const std::function<uint8_t(int64_t)>& fill,
-                                                     int64_t base, std::span<uint8_t> bytes) {
+[[gnu::noinline, gnu::aligned(64)]] void FillPerByte(const FileSystem::ByteFill& fill, int64_t base,
+                                                     std::span<uint8_t> bytes) {
   for (size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] = fill(base + static_cast<int64_t>(i));
   }
@@ -484,7 +484,7 @@ Inode* FileSystem::CreateFileInstant(const std::string& fname, int64_t nbytes,
 }
 
 Inode* FileSystem::CreateFileInstant(const std::string& fname, int64_t nbytes,
-                                     const std::function<uint8_t(int64_t)>& fill) {
+                                     const ByteFill& fill) {
   return CreateFileInstant(fname, nbytes, [&fill](int64_t lbn, std::span<uint8_t> bytes) {
     FillPerByte(fill, lbn * kBlockSize, bytes);
   });

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -40,6 +39,7 @@
 #include "src/buf/buffer_cache.h"
 #include "src/kern/cpu.h"
 #include "src/kern/ctx.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/task.h"
 
 namespace ikdp {
@@ -125,17 +125,17 @@ class FileSystem {
 
   // Fills `bytes`, the file's bytes in logical block `lbn` (kBlockSize of
   // them, fewer in a short last block).
-  using BlockFill = std::function<void(int64_t lbn, std::span<uint8_t> bytes)>;
+  using BlockFill = InlineFn<void(int64_t lbn, std::span<uint8_t> bytes)>;
   // Sees `bytes`, the file's bytes in logical block `lbn`; false stops.
-  using BlockVisit = std::function<bool(int64_t lbn, std::span<const uint8_t> bytes)>;
+  using BlockVisit = InlineFn<bool(int64_t lbn, std::span<const uint8_t> bytes)>;
 
   // Creates `fname` of `nbytes`, filling it a block at a time straight on
   // the device (no simulated time).  Returns nullptr if the name exists or
   // the device fills up.
   Inode* CreateFileInstant(const std::string& fname, int64_t nbytes, const BlockFill& fill);
   // The same, with fill(i) the content of byte i.
-  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes,
-                           const std::function<uint8_t(int64_t)>& fill);
+  using ByteFill = InlineFn<uint8_t(int64_t i)>;
+  Inode* CreateFileInstant(const std::string& fname, int64_t nbytes, const ByteFill& fill);
 
   // Calls visit on each block of the file in order, with a view straight
   // into the device (no simulated time, no copy; a hole reads as zeros),

@@ -197,7 +197,7 @@ void DiskModel::StartNext() {
   int64_t total = 0;
   const bool is_read = batch.front().is_read;
   struct Done {
-    std::function<void(bool)> cb;
+    InlineFn<void(bool)> cb;
     int error;
     SpanId span;
   };

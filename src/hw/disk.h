@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <memory>
 #include <string>
@@ -124,7 +123,7 @@ struct DiskRequest {
   bool is_read = true;
   // Invoked in simulator event context; `ok` is false when the medium
   // reported an unrecoverable error for this request.
-  std::function<void(bool ok)> done;
+  InlineFn<void(bool ok)> done;
   // The kspan of the request that issued this transfer (src/sim/kspan.h);
   // rides the hardware queue so dispatch/complete trace records and the
   // completion callback attribute to the originating request.
@@ -154,7 +153,7 @@ class DiskModel {
   // Fault injection: requests for which `hook(offset, is_read)` returns true
   // complete with an error after their normal service time (a media error
   // is only detected once the heads get there).  Pass nullptr to clear.
-  using FaultHook = std::function<bool(int64_t offset, bool is_read)>;
+  using FaultHook = InlineFn<bool(int64_t offset, bool is_read)>;
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
   // Probabilistic fault plan (src/hw/fault.h), composed with the hook (the

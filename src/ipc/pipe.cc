@@ -17,7 +17,7 @@ int64_t Pipe::WriteSpace() const {
   return capacity_ - Buffered();
 }
 
-bool Pipe::WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) {
+bool Pipe::WriteAsync(BufData data, int64_t nbytes, EventFn done) {
   assert(nbytes >= 0);
   assert(nbytes <= capacity_ && "chunk larger than the pipe can ever hold");
   if (read_closed_ || write_closed_ || nbytes > WriteSpace()) {
@@ -40,11 +40,11 @@ bool Pipe::WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) 
   return true;
 }
 
-bool Pipe::ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) {
-  if (read_pending_ || read_closed_ || max_bytes <= 0) {
+bool Pipe::ReadAsync(int64_t max_bytes, ReadDone done) {
+  assert(done && "an empty callback would read as no read pending");
+  if (read_done_ || read_closed_ || max_bytes <= 0) {
     return false;
   }
-  read_pending_ = true;
   read_max_ = max_bytes;
   read_done_ = std::move(done);
   TryCompleteRead();
@@ -52,28 +52,25 @@ bool Pipe::ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> do
 }
 
 bool Pipe::CancelRead() {
-  if (!read_pending_) {
+  if (!read_done_) {
     return false;
   }
   // The parked reader's callback is dropped, never invoked; buffered bytes
   // stay in the ring for any future reader.
-  read_pending_ = false;
   read_done_ = nullptr;
   read_max_ = 0;
   return true;
 }
 
 void Pipe::TryCompleteRead() {
-  if (!read_pending_) {
+  if (!read_done_) {
     return;
   }
   const int64_t avail = Buffered();
   if (avail == 0 && !write_closed_) {
     return;  // wait for data
   }
-  read_pending_ = false;
-  auto done = std::move(read_done_);
-  read_done_ = nullptr;
+  ReadDone done = std::move(read_done_);
   if (avail == 0) {
     done(MakeBufData(), 0);  // EOF
     return;
@@ -88,7 +85,7 @@ void Pipe::TryCompleteRead() {
 
 void Pipe::FireDrainedWrites() {
   while (!write_dones_.empty() && write_dones_.front().drain_mark <= total_read_) {
-    auto done = std::move(write_dones_.front().done);
+    EventFn done = std::move(write_dones_.front().done);
     write_dones_.pop_front();
     done();
   }

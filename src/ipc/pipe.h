@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "src/dev/char_device.h"
 
@@ -42,8 +41,8 @@ class Pipe : public CharDevice {
   bool SupportsRead() const override { return true; }
 
   // CharDevice:
-  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, std::function<void()> done) override;
-  IKDP_CTX_ANY bool ReadAsync(int64_t max_bytes, std::function<void(BufData, int64_t)> done) override;
+  IKDP_CTX_ANY bool WriteAsync(BufData data, int64_t nbytes, EventFn done) override;
+  IKDP_CTX_ANY bool ReadAsync(int64_t max_bytes, ReadDone done) override;
   IKDP_CTX_ANY bool CancelRead() override;
   int64_t WriteSpace() const override;
 
@@ -64,7 +63,7 @@ class Pipe : public CharDevice {
  private:
   struct WriteDone {
     int64_t drain_mark;  // fires once total_read_ >= this
-    std::function<void()> done;
+    EventFn done;
   };
 
   // Delivers data (or EOF) to a pending reader if possible, then fires any
@@ -79,9 +78,9 @@ class Pipe : public CharDevice {
   bool write_closed_ = false;
   bool read_closed_ = false;
 
-  bool read_pending_ = false;
+  // The outstanding ReadAsync (empty when none) and its size limit.
+  ReadDone read_done_;
   int64_t read_max_ = 0;
-  std::function<void(BufData, int64_t)> read_done_;
 
   std::deque<WriteDone> write_dones_;
   Stats stats_;

@@ -67,7 +67,7 @@ bool CpuSystem::CheckAttributionClosure(std::string* err) const {
   return true;
 }
 
-Process* CpuSystem::Spawn(std::string name, std::function<Task<>(Process&)> factory) {
+Process* CpuSystem::Spawn(std::string name, InlineFn<Task<>(Process&)> factory) {
   auto proc = std::make_unique<Process>(next_pid_++, std::move(name));
   Process* p = proc.get();
   processes_.push_back(std::move(proc));
@@ -246,9 +246,6 @@ void CpuSystem::Activate(Process* p) {
       assert(current_ == p);
       current_ = nullptr;
       RequestDispatch();
-      if (on_exit_) {
-        on_exit_(*p);
-      }
     });
     return;
   }

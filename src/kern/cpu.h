@@ -28,7 +28,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,13 +63,10 @@ class CpuSystem {
   // the new process).  The process becomes runnable immediately and starts
   // executing when first dispatched.  The returned pointer stays valid until
   // the CpuSystem is destroyed.
-  Process* Spawn(std::string name, std::function<Task<>(Process&)> factory);
+  Process* Spawn(std::string name, InlineFn<Task<>(Process&)> factory);
 
   // Number of processes not yet dead.
   int alive() const { return alive_; }
-
-  // Invoked (if set) each time a process body runs to completion.
-  void set_on_exit(std::function<void(Process&)> cb) { on_exit_ = std::move(cb); }
 
   // --- process-context primitives (call only from the running process) ---
 
@@ -286,7 +282,6 @@ class CpuSystem {
   bool dispatch_pending_ = false;
   int alive_ = 0;
   int next_pid_ = 1;
-  std::function<void(Process&)> on_exit_;
 
   bool decay_armed_ = false;
   TraceLog* trace_ = nullptr;

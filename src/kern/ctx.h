@@ -19,7 +19,7 @@
 //    and callout table push guards around every dispatch, and the blocking
 //    primitives call AssertCanBlock(), so any rule kcheck enforces statically
 //    also aborts loudly at runtime if a dynamic path slips past the static
-//    call graph (e.g. through a std::function the analyzer cannot follow).
+//    call graph (e.g. through a stored callback the analyzer cannot follow).
 //
 // Annotation semantics (the contract, not the observed behaviour):
 //

@@ -11,11 +11,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/kspan.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -79,7 +79,7 @@ class Process {
   // --- signals ---
 
   // Installs a handler.  A null function resets to default (ignore).
-  void Sigaction(int sig, std::function<void()> handler) {
+  void Sigaction(int sig, EventFn handler) {
     if (handler) {
       handler_[sig] = std::move(handler);
     } else {
@@ -135,7 +135,7 @@ class Process {
   // Scheduler linkage.  The factory (typically a capturing lambda) must stay
   // alive as long as its coroutine frame: a lambda coroutine's captures live
   // in the closure object, not in the frame.
-  std::function<Task<>(Process&)> body_factory_;
+  InlineFn<Task<>(Process&)> body_factory_;
   Task<> body_;
   bool started_ = false;
   std::coroutine_handle<> resume_point_;
@@ -151,7 +151,7 @@ class Process {
   Process* sleep_next_ = nullptr;
 
   std::set<int> pending_signals_;
-  std::map<int, std::function<void()>> handler_;
+  std::map<int, EventFn> handler_;
 
   Stats stats_;
 };

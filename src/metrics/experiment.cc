@@ -90,7 +90,7 @@ const char* DiskKindName(DiskKind k) {
 
 ExperimentResult RunCopyExperiment(const ExperimentConfig& config) {
   ExperimentResult result;
-  result.config = config;
+  result.config = {config.disk, config.use_splice, config.with_test_program, config.file_bytes};
 
   Simulator sim;
   Kernel kernel(&sim, config.costs, config.cache_bufs, config.hz);

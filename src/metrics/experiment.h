@@ -22,13 +22,13 @@
 #define SRC_METRICS_EXPERIMENT_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
 
 #include "src/hw/costs.h"
 #include "src/kern/cpu.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/trace.h"
 #include "src/splice/splice_engine.h"
 
@@ -64,11 +64,12 @@ struct ExperimentConfig {
   // per-subsystem stats (e.g. CaptureKernelCounters) that the plain result
   // struct does not carry.
   TraceLog* trace = nullptr;
-  std::function<void(Kernel&)> inspect;
+  InlineFn<void(Kernel&)> inspect;
 };
 
 struct ExperimentResult {
-  ExperimentConfig config;
+  // The cell this result measured: the config's fields that name it.
+  struct { DiskKind disk; bool use_splice, with_test_program; int64_t file_bytes; } config{};
   bool ok = false;           // copy completed and contents verified
   int64_t bytes = 0;
   double elapsed_s = 0;

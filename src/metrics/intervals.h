@@ -24,10 +24,10 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/trace.h"
 
 namespace ikdp {
@@ -61,7 +61,7 @@ class IntervalPairer {
  public:
   // Receives each closed interval: its begin record and the record that
   // closed it (end.kind tells a consumer how it closed).
-  using Sink = std::function<void(const TraceRecord& begin, const TraceRecord& end)>;
+  using Sink = InlineFn<void(const TraceRecord& begin, const TraceRecord& end)>;
 
   // Feeds one record, handing every interval it closes to `sink`; kinds
   // that begin or end no pair are ignored.

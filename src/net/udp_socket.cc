@@ -119,22 +119,21 @@ void UdpSocket::Deliver(BufData data, int64_t nbytes, uint64_t serial) {
 }
 
 bool UdpSocket::CancelRecv() {
-  if (!recv_pending_) {
+  if (!recv_done_) {
     return false;
   }
   // Drop the parked receive; its callback never fires.  Queued datagrams
   // stay in the receive buffer for any future reader.
-  recv_pending_ = false;
   recv_done_ = nullptr;
   recv_max_ = 0;
   return true;
 }
 
 bool UdpSocket::RecvAsync(int64_t max_bytes, RecvDone done) {
-  if (recv_pending_ || max_bytes <= 0) {
+  assert(done && "an empty callback would read as no receive pending");
+  if (recv_done_ || max_bytes <= 0) {
     return false;
   }
-  recv_pending_ = true;
   recv_max_ = max_bytes;
   recv_done_ = std::move(done);
   TryCompleteRecv();
@@ -142,13 +141,12 @@ bool UdpSocket::RecvAsync(int64_t max_bytes, RecvDone done) {
 }
 
 void UdpSocket::TryCompleteRecv() {
-  if (!recv_pending_ || rcv_queue_.empty()) {
+  if (!recv_done_ || rcv_queue_.empty()) {
     return;
   }
   Datagram d = rcv_queue_.pop_front();
   rcv_queued_bytes_ -= d.nbytes;
   const int64_t n = std::min(d.nbytes, recv_max_);  // truncation, UDP-style
-  recv_pending_ = false;
   RecvDone done = std::move(recv_done_);
   done(std::move(d.data), n);
 }

@@ -126,9 +126,9 @@ class UdpSocket {
   Fifo<Datagram> rcv_queue_;
   int64_t rcv_queued_bytes_ = 0;
 
-  bool recv_pending_ = false;
-  int64_t recv_max_ = 0;
+  // The outstanding RecvAsync (empty when none) and its size limit.
   RecvDone recv_done_;
+  int64_t recv_max_ = 0;
 
   Stats stats_;
 };

@@ -49,8 +49,8 @@ void Kernel::RegisterCharDev(const std::string& name, CharDevice* dev) {
   char_devs_[name] = dev;
 }
 
-Process* Kernel::Spawn(const std::string& name, std::function<Task<>(Process&)> body) {
-  return cpu_.Spawn(name, std::move(body));
+Process* Kernel::Spawn(std::string name, InlineFn<Task<>(Process&)> body) {
+  return cpu_.Spawn(std::move(name), std::move(body));
 }
 
 // --- syscall plumbing ---
@@ -340,9 +340,8 @@ Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
 
 Task<std::unique_ptr<SpliceSink>> Kernel::MakeSink(Process& p, const std::shared_ptr<File>& f,
                                                    int64_t nbytes,
-                                                   std::function<void(int64_t)>* on_moved,
+                                                   InlineFn<void(int64_t)>* on_moved,
                                                    int* err) {
-  *on_moved = nullptr;
   *err = kErrInval;
   switch (f->kind()) {
     case File::Kind::kRegular: {
@@ -448,7 +447,7 @@ Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes)
     SyscallExit(p, "splice");
     co_return -1;
   }
-  std::function<void(int64_t)> on_moved;
+  InlineFn<void(int64_t)> on_moved;
   std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
   if (sink == nullptr) {
     src->splice_error = setup_err;
@@ -488,19 +487,20 @@ Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes)
     // can never observe "idle" while the stream is still moving.
     src->splice_active = true;
     dst->splice_active = true;
-    splice_.StartEx(std::move(source), std::move(sink), opts,
-                    [this, proc, on_moved, src, dst](const SpliceCompletion& c) {
-                      src->splice_error = c.error;
-                      dst->splice_error = c.error;
-                      src->splice_active = false;
-                      dst->splice_active = false;
-                      if (on_moved && !c.io_error) {
-                        on_moved(c.bytes_moved);
-                      }
-                      // "A calling program can opt to catch SIGIO to detect
-                      // the completion of an asynchronous splice."
-                      cpu_.Post(*proc, kSigIo);
-                    });
+    splice_.StartEx(
+        std::move(source), std::move(sink), opts,
+        [this, proc, on_moved = std::move(on_moved), src, dst](const SpliceCompletion& c) {
+          src->splice_error = c.error;
+          dst->splice_error = c.error;
+          src->splice_active = false;
+          dst->splice_active = false;
+          if (on_moved && !c.io_error) {
+            on_moved(c.bytes_moved);
+          }
+          // "A calling program can opt to catch SIGIO to detect
+          // the completion of an asynchronous splice."
+          cpu_.Post(*proc, kSigIo);
+        });
     co_await charge_setup();
     SyscallExit(p, "splice");
     co_return 0;
@@ -513,7 +513,7 @@ Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes)
   } w;
   SpliceDescriptor* d = splice_.StartEx(
       std::move(source), std::move(sink), opts,
-      [this, &w, on_moved, src, dst](const SpliceCompletion& c) {
+      [this, &w, on_moved = std::move(on_moved), src, dst](const SpliceCompletion& c) {
         src->splice_error = c.error;
         dst->splice_error = c.error;
         if (on_moved && !c.io_error) {
@@ -634,8 +634,7 @@ Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>
   std::vector<std::unique_ptr<SpliceSink>> sinks;
   if (source != nullptr) {
     for (const auto& d : dsts) {
-      std::function<void(int64_t)> unused;  // never set for non-file sinks
-      std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, d, resolved, &unused, &setup_err);
+      std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, d, resolved, nullptr, &setup_err);
       if (sink == nullptr) {
         break;
       }
@@ -801,7 +800,7 @@ Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::Prepa
   if (source == nullptr) {
     co_return -setup_err;  // kErrInval aliases kAioEInval, kErrIo kAioEIo
   }
-  std::function<void(int64_t)> on_moved;
+  InlineFn<void(int64_t)> on_moved;
   std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
   if (sink == nullptr) {
     co_return -setup_err;
@@ -934,7 +933,7 @@ Task<> Kernel::SleepFor(Process& p, SimDuration d) {
   SyscallExit(p, "sleep");
 }
 
-void Kernel::Sigaction(Process& p, int sig, std::function<void()> handler) {
+void Kernel::Sigaction(Process& p, int sig, EventFn handler) {
   p.Sigaction(sig, std::move(handler));
 }
 
@@ -946,17 +945,16 @@ void Kernel::Setitimer(Process& p, SimDuration interval) {
   }
   t.armed = true;
   Process* proc = &p;
-  std::function<void()> fire = [this, proc]() {
-    Itimer& timer = itimers_[proc];
-    if (!timer.armed) {
-      return;
-    }
-    cpu_.Post(*proc, kSigAlrm);
-    timer.callout = callouts_.Timeout([this, proc] { itimers_[proc].Refire(); }, timer.ticks);
-  };
-  // Store the refire closure so the callout chain can reschedule itself.
-  t.refire = std::move(fire);
-  t.callout = callouts_.Timeout([this, proc] { itimers_[proc].Refire(); }, t.ticks);
+  t.callout = callouts_.Timeout([this, proc] { FireItimer(proc); }, t.ticks);
+}
+
+void Kernel::FireItimer(Process* p) {
+  Itimer& timer = itimers_[p];
+  if (!timer.armed) {
+    return;
+  }
+  cpu_.Post(*p, kSigAlrm);
+  timer.callout = callouts_.Timeout([this, p] { FireItimer(p); }, timer.ticks);
 }
 
 void Kernel::StopItimer(Process& p) {

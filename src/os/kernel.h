@@ -21,7 +21,6 @@
 #define SRC_OS_KERNEL_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,6 +36,7 @@
 #include "src/kern/lock.h"
 #include "src/net/udp_socket.h"
 #include "src/sim/callout.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/simulator.h"
 #include "src/splice/splice_engine.h"
 #include "src/vfs/file.h"
@@ -92,7 +92,7 @@ class Kernel {
   void RegisterCharDev(const std::string& name, CharDevice* dev);
 
   // Spawns a process running `body`.
-  Process* Spawn(const std::string& name, std::function<Task<>(Process&)> body);
+  Process* Spawn(std::string name, InlineFn<Task<>(Process&)> body);
 
   // --- system calls ---
 
@@ -205,7 +205,7 @@ class Kernel {
   IKDP_CTX_PROCESS Task<> SleepFor(Process& p, SimDuration d);
 
   // Installs a signal handler (no trap cost; bookkeeping only).
-  void Sigaction(Process& p, int sig, std::function<void()> handler);
+  void Sigaction(Process& p, int sig, EventFn handler);
 
   // Arms a periodic interval timer posting SIGALRM (setitimer ITIMER_REAL).
   void Setitimer(Process& p, SimDuration interval);
@@ -247,14 +247,11 @@ class Kernel {
     CalloutId callout = kInvalidCalloutId;
     int64_t ticks = 1;
     bool armed = false;
-    std::function<void()> refire;  // reschedules the callout chain
-
-    void Refire() {
-      if (refire) {
-        refire();
-      }
-    }
   };
+
+  // One tick of p's interval timer: posts SIGALRM and re-arms the callout
+  // while the timer stays armed.
+  void FireItimer(Process* p);
 
   // Common syscall entry/exit.
   IKDP_CTX_PROCESS Task<> SyscallEnter(Process& p, const char* name);
@@ -275,11 +272,12 @@ class Kernel {
   IKDP_CTX_PROCESS Task<std::unique_ptr<SpliceSource>> MakeSource(
       Process& p, const std::shared_ptr<File>& f, int64_t nbytes, bool sink_is_file,
       int64_t* resolved_bytes, int* err);
-  // `on_moved` receives a completion hook that updates sink-side file state
+  // A regular-file sink sets `on_moved` (null where the caller admits no
+  // file sink) to a completion hook that updates sink-side file state
   // (inode size, seek offset) once the byte count is known.
   IKDP_CTX_PROCESS Task<std::unique_ptr<SpliceSink>> MakeSink(
       Process& p, const std::shared_ptr<File>& f, int64_t nbytes,
-      std::function<void(int64_t)>* on_moved, int* err);
+      InlineFn<void(int64_t)>* on_moved, int* err);
 
   // Resolves one SQE into engine endpoints (same validation as Splice).
   // Returns 0 and fills `out`, or -errno.

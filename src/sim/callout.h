@@ -19,7 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/kern/ctx.h"
@@ -78,7 +78,7 @@ class CalloutTable {
   // Optional hook invoked with the total run duration each time softclock
   // dispatches a batch of callouts; the kernel scheduler uses this to charge
   // softclock CPU time.  The int argument is the number of callouts run.
-  void set_softclock_observer(std::function<void(int)> obs) { observer_ = std::move(obs); }
+  void set_softclock_observer(InlineFn<void(int)> obs) { observer_ = std::move(obs); }
 
   // Attaches a trace log recording kCalloutArm / kSoftclockRun events
   // (nullptr detaches; default off).  Kernel::AttachTrace wires this.
@@ -134,7 +134,7 @@ class CalloutTable {
   std::vector<Entry> running_ IKDP_GUARDED_BY(softclock);
   CalloutId next_id_ IKDP_GUARDED_BY(lock:callout) = 0;
   uint64_t softclock_runs_ = 0;
-  std::function<void(int)> observer_;
+  InlineFn<void(int)> observer_;
   TraceLog* trace_ = nullptr;
 };
 

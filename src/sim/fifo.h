@@ -20,6 +20,10 @@ namespace ikdp {
 template <typename T>
 class Fifo {
  public:
+  // `capacity` (0 or a power of two) slots up front: a short-lived queue of
+  // known depth allocates once, not once per doubling.
+  explicit Fifo(size_t capacity = 0) : ring_(capacity) { assert((capacity & (capacity - 1)) == 0); }
+
   bool empty() const { return size_ == 0; }
 
   void push_back(T v) {

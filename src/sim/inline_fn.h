@@ -1,13 +1,14 @@
-// InlineFn<R(Args...)>: a move-only callable with small-buffer storage.
+// InlineFn<R(Args...)>: the one type-erased callable in src/.  Events,
+// callouts, interrupt bodies, iodone hooks, device and endpoint completions
+// and workload hooks are all InlineFns.  It is move-only: a callback has one
+// owner, and handing it on is a move.  The call operator is const, so hooks
+// reached through a const reference stay callable (the target runs as
+// non-const).
 //
 // Callables of up to kInlineSize bytes (with at most pointer alignment and a
-// non-throwing move) are stored inline; larger ones are moved to the heap.
-// Lambdas and std::function objects (copied from lvalues) convert
-// implicitly, and nullptr makes an empty one.  The event engine stores every
-// event, callout and interrupt body as an EventFn (InlineFn<void()>); the
-// network path stores its completion callbacks the same way, so a datagram
-// costs no closure allocation when its captures fit.
-//
+// non-throwing move) are stored inline; larger ones, including any closure
+// that captures another InlineFn, are moved to the heap.  Lambdas and
+// function pointers convert implicitly, and nullptr makes an empty one.
 // Arguments are forwarded: a by-value parameter (BufData, unique_ptr) is
 // moved into the target, a reference parameter binds through.  Calling an
 // empty InlineFn is undefined.
@@ -65,7 +66,7 @@ class InlineFn<R(Args...)> {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  R operator()(Args... args) { return ops_->call(buf_, std::forward<Args>(args)...); }
+  R operator()(Args... args) const { return ops_->call(buf_, std::forward<Args>(args)...); }
 
   // True when a callable of type F would be stored inline (no allocation).
   template <typename F>
@@ -144,7 +145,7 @@ class InlineFn<R(Args...)> {
     ops_ = nullptr;
   }
 
-  alignas(void*) unsigned char buf_[kInlineSize];
+  alignas(void*) mutable unsigned char buf_[kInlineSize];  // const call, non-const target
   const Ops* ops_ = nullptr;
 };
 

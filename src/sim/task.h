@@ -23,8 +23,9 @@
 #include <cassert>
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <utility>
+
+#include "src/sim/inline_fn.h"
 
 namespace ikdp {
 
@@ -35,7 +36,7 @@ namespace internal {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
-  std::function<void()> on_done;  // set only on root (detached) tasks
+  EventFn on_done;  // set only on root (detached) tasks
   std::exception_ptr exception;
 
   struct FinalAwaiter {
@@ -107,7 +108,7 @@ class Task {
   // Starts a detached (root) task.  `on_done` fires when the coroutine runs
   // to completion; the Task object must stay alive until then (it owns the
   // frame).
-  void Start(std::function<void()> on_done = nullptr) {
+  void Start(EventFn on_done = nullptr) {
     assert(handle_ && !started_);
     started_ = true;
     handle_.promise().on_done = std::move(on_done);
@@ -168,15 +169,14 @@ inline Task<void> Promise<void>::get_return_object() {
 //   });
 class SuspendAndCall {
  public:
-  explicit SuspendAndCall(std::function<void(std::coroutine_handle<>)> arm)
-      : arm_(std::move(arm)) {}
+  explicit SuspendAndCall(InlineFn<void(std::coroutine_handle<>)> arm) : arm_(std::move(arm)) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) { arm_(h); }
   void await_resume() const noexcept {}
 
  private:
-  std::function<void(std::coroutine_handle<>)> arm_;
+  InlineFn<void(std::coroutine_handle<>)> arm_;
 };
 
 }  // namespace ikdp

@@ -84,6 +84,8 @@ const char* TraceKindName(TraceKind k) {
   return "?";
 }
 
+void TraceLog::AddObserver(Observer obs) { observers_.push_back(std::move(obs)); }
+
 void TraceLog::Dump(std::ostream& os) const {
   char line[160];
   for (const TraceRecord& r : Snapshot()) {

@@ -19,12 +19,12 @@
 #define SRC_SIM_TRACE_H_
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/kspan.h"
 #include "src/sim/time.h"
 
@@ -119,9 +119,8 @@ class TraceLog {
   // Live taps, called in attach order with every record as it is written,
   // before ring eviction can drop it.  Observers run on the host only and
   // must not touch simulated state; they live as long as the log.
-  void AddObserver(std::function<void(const TraceRecord&)> obs) {
-    observers_.push_back(std::move(obs));
-  }
+  using Observer = InlineFn<void(const TraceRecord&)>;
+  void AddObserver(Observer obs);
 
   // Total records ever written (>= Snapshot().size()).
   uint64_t total() const { return next_; }
@@ -146,7 +145,8 @@ class TraceLog {
   }
 
   // Retained records matching `pred` (oldest first).
-  std::vector<TraceRecord> Filter(const std::function<bool(const TraceRecord&)>& pred) const {
+  template <typename Pred>
+  std::vector<TraceRecord> Filter(const Pred& pred) const {
     std::vector<TraceRecord> out;
     for (const TraceRecord& r : Snapshot()) {
       if (pred(r)) {
@@ -163,7 +163,7 @@ class TraceLog {
   size_t capacity_;
   std::vector<TraceRecord> ring_;
   uint64_t next_ = 0;
-  std::vector<std::function<void(const TraceRecord&)>> observers_;
+  std::vector<Observer> observers_;
 };
 
 }  // namespace ikdp

@@ -11,15 +11,19 @@
 // cache buffer's data area and `src_buf` the cache buffer itself, so the
 // sink can alias the same memory (the paper's zero-copy buffer-header trick)
 // and the engine can release the buffer when the sink is done.
+//
+// Completion callbacks are move-only InlineFns.  StartRead and StartWrite
+// take `done` by value; a refused start (false) drops it, so the engine
+// builds a fresh closure for every attempt.
 
 #ifndef SRC_SPLICE_ENDPOINT_H_
 #define SRC_SPLICE_ENDPOINT_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/buf/buf.h"
 #include "src/kern/ctx.h"
+#include "src/sim/inline_fn.h"
 
 namespace ikdp {
 
@@ -38,6 +42,7 @@ struct SpliceChunk {
 
 class SpliceSource {
  public:
+  using Done = InlineFn<void(SpliceChunk)>;
   virtual ~SpliceSource() = default;
 
   // Total bytes this source will produce, or -1 when unknown (streams).
@@ -51,7 +56,7 @@ class SpliceSource {
   // chunk; nbytes == 0 signals end of stream.  Returns false if the read
   // cannot be started right now (no buffer, request already outstanding) —
   // the engine retries on the next softclock tick or flow-control event.
-  IKDP_CTX_ANY virtual bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) = 0;
+  IKDP_CTX_ANY virtual bool StartRead(int64_t index, Done done) = 0;
 
   // Releases source-side resources of a chunk whose write completed.
   IKDP_CTX_ANY virtual void Release(SpliceChunk& chunk) = 0;
@@ -67,6 +72,7 @@ class SpliceSource {
 
 class SpliceSink {
  public:
+  using Done = InlineFn<void(bool ok)>;
   virtual ~SpliceSink() = default;
 
   // Starts writing `chunk`; `done(ok)` fires in kernel context when the sink
@@ -75,7 +81,7 @@ class SpliceSink {
   // false if the sink cannot accept right now (device FIFO or socket buffer
   // full) — the engine retries on the next softclock tick, and must not
   // have retained `done`.
-  IKDP_CTX_ANY virtual bool StartWrite(SpliceChunk& chunk, std::function<void(bool ok)> done) = 0;
+  IKDP_CTX_ANY virtual bool StartWrite(SpliceChunk& chunk, Done done) = 0;
 };
 
 }  // namespace ikdp

@@ -7,7 +7,7 @@
 
 namespace ikdp {
 
-bool FileSpliceSource::StartRead(int64_t index, std::function<void(SpliceChunk)> done) {
+bool FileSpliceSource::StartRead(int64_t index, Done done) {
   assert(index >= 0 && index < static_cast<int64_t>(block_map_.size()));
   const int64_t pbn = block_map_[static_cast<size_t>(index)];
   const int64_t nbytes = std::min<int64_t>(kBlockSize, total_bytes_ - index * kBlockSize);
@@ -30,7 +30,7 @@ void FileSpliceSource::Release(SpliceChunk& chunk) {
   }
 }
 
-bool FileSpliceSink::StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) {
+bool FileSpliceSink::StartWrite(SpliceChunk& chunk, Done done) {
   assert(chunk.index >= 0 && chunk.index < static_cast<int64_t>(block_map_.size()));
   const int64_t pbn = block_map_[static_cast<size_t>(chunk.index)];
   // "The physical block number is used to request a buffer header using a

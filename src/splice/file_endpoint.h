@@ -35,7 +35,7 @@ class FileSpliceSource : public SpliceSource {
   int64_t TotalBytes() const override { return total_bytes_; }
   int64_t ChunkBytes() const override { return kBlockSize; }
 
-  IKDP_CTX_ANY bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override;
+  IKDP_CTX_ANY bool StartRead(int64_t index, Done done) override;
   IKDP_CTX_ANY void Release(SpliceChunk& chunk) override;
 
  private:
@@ -50,7 +50,7 @@ class FileSpliceSink : public SpliceSink {
   FileSpliceSink(BufferCache* cache, BlockDevice* dev, std::vector<int64_t> block_map)
       : cache_(cache), dev_(dev), block_map_(std::move(block_map)) {}
 
-  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) override;
+  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, Done done) override;
 
  private:
   BufferCache* cache_;

@@ -39,18 +39,9 @@ void SpliceEngine::ChargeKopCost(SimDuration d) {
   }
 }
 
-void SpliceEngine::Softclock(SpanId span, std::function<void()> fn) {
-  callouts_->ScheduleHead([this, span, fn = std::move(fn)] {
-    // The scope covers the RunInterrupt call so the raise-time attribution
-    // tag (and the softclock classification) carries the stream's span.
-    KspanScope scope("splice", span);
-    cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, fn);
-  });
-}
-
 SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
                                       std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                      std::function<void(int64_t)> on_complete) {
+                                      InlineFn<void(int64_t)> on_complete) {
   return StartEx(std::move(source), std::move(sink), opts,
                  [cb = std::move(on_complete)](const SpliceCompletion& c) {
                    cb(c.io_error ? -1 : c.bytes_moved);
@@ -59,7 +50,7 @@ SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
 
 SpliceDescriptor* SpliceEngine::StartEx(std::unique_ptr<SpliceSource> source,
                                         std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                        std::function<void(const SpliceCompletion&)> on_complete) {
+                                        SpliceCompletionFn on_complete) {
   std::vector<std::unique_ptr<SpliceSink>> sinks;
   sinks.push_back(std::move(sink));
   return StartMulti(std::move(source), std::move(sinks), opts, std::move(on_complete));
@@ -67,7 +58,7 @@ SpliceDescriptor* SpliceEngine::StartEx(std::unique_ptr<SpliceSource> source,
 
 SpliceDescriptor* SpliceEngine::StartMulti(
     std::unique_ptr<SpliceSource> source, std::vector<std::unique_ptr<SpliceSink>> sinks,
-    SpliceOptions opts, std::function<void(const SpliceCompletion&)> on_complete) {
+    SpliceOptions opts, SpliceCompletionFn on_complete) {
   // Reject-unverified-program: the engine is the last line of defence; the
   // bind sites (kop_attach, ResolveSqe) return kErrInval long before this.
   if (opts.kop_program != nullptr && !opts.kop_program->verified) {
@@ -109,9 +100,12 @@ SpliceDescriptor* SpliceEngine::StartMulti(
                           static_cast<int64_t>(d->serial_), chunks_total);
   }
   if (chunks_total == 0) {
-    // Empty transfer: finish immediately (still asynchronously, so callers
-    // always see completion after Start returns).
-    Softclock(d->span_, [this, d] { MaybeFinish(d); });
+    // Empty transfer: finish at the next softclock tick (still
+    // asynchronously, so callers always see completion after Start returns).
+    callouts_->ScheduleHead([this, d] {
+      KspanScope scope("splice", d->span_);
+      cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d] { MaybeFinish(d); });
+    });
     return d;
   }
   IssueReads(d);

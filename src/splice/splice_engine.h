@@ -30,7 +30,6 @@
 #define SRC_SPLICE_SPLICE_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <deque>
 #include <unordered_map>
@@ -42,6 +41,7 @@
 #include "src/kern/lock.h"
 #include "src/kop/kop.h"
 #include "src/sim/callout.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/kspan.h"
 #include "src/sim/trace.h"
 #include "src/splice/endpoint.h"
@@ -120,6 +120,8 @@ struct SpliceCompletion {
   uint64_t kop_checksum = 0;
   int64_t kop_dropped = 0;
 };
+
+using SpliceCompletionFn = InlineFn<void(const SpliceCompletion&)>;
 
 class SpliceDescriptor {
  public:
@@ -211,7 +213,7 @@ class SpliceDescriptor {
   // Produced by ReadDone (interrupt), consumed by DrainWrites (softclock);
   // the handoff is serialized by the callout list, not by a context rule.
   std::deque<SpliceChunk> ready_ IKDP_ORDERED_BY(callout);
-  std::function<void(const SpliceCompletion&)> on_complete_;
+  SpliceCompletionFn on_complete_;
   Stats stats_;
 
   // Lock-held: every caller (the IssueReads admission condition) holds lock_.
@@ -235,21 +237,21 @@ class SpliceEngine {
   // error aborted the transfer.  The descriptor stays valid until then.
   IKDP_CTX_ANY SpliceDescriptor* Start(std::unique_ptr<SpliceSource> source,
                                        std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                       std::function<void(int64_t)> on_complete);
+                                       InlineFn<void(int64_t)> on_complete);
 
   // Like Start, but the completion callback receives the full report
   // (bytes, error/cancel flags, start and finish timestamps) — the splice
   // ring builds CQEs from this without shadow bookkeeping.
   IKDP_CTX_ANY SpliceDescriptor* StartEx(std::unique_ptr<SpliceSource> source,
                                          std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                         std::function<void(const SpliceCompletion&)> on_complete);
+                                         SpliceCompletionFn on_complete);
 
   // Fan-out form: the attached route-stage operator picks which of `sinks`
   // each chunk continues to.  The sink count must equal the program's
   // SinkCount() — bind sites validate with kErrInval, the engine aborts.
   IKDP_CTX_ANY SpliceDescriptor* StartMulti(
       std::unique_ptr<SpliceSource> source, std::vector<std::unique_ptr<SpliceSink>> sinks,
-      SpliceOptions opts, std::function<void(const SpliceCompletion&)> on_complete);
+      SpliceOptions opts, SpliceCompletionFn on_complete);
 
   // Stops issuing reads; the splice completes (invoking on_complete) once
   // in-flight chunks drain.
@@ -328,10 +330,6 @@ class SpliceEngine {
 
   // Completes the splice if nothing is left in flight.
   IKDP_CTX_ANY void MaybeFinish(SpliceDescriptor* d);
-
-  // Runs `fn` at the next softclock tick, charged as softclock work
-  // attributed to `span`.
-  IKDP_CTX_ANY void Softclock(SpanId span, std::function<void()> fn);
 
   // Charges handler work to the executing interrupt, or accumulates it for
   // TakeSyncCharge when running in process context (e.g. a read handler

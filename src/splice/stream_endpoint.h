@@ -6,18 +6,20 @@
 // read at a time (a socket has one receive queue; a framebuffer one scan-out
 // position), so StartRead returns false while a request is pending and the
 // engine's flow control degrades gracefully to depth-1 pipelining on that
-// side.  Sinks refuse chunks while their buffers are full; the engine
-// retries each tick, which paces a device splice at playback rate.
+// side.  The source keeps that read's `done`, so the closure it hands the
+// device carries no callback and stays inline.  Sinks refuse chunks while
+// their buffers are full; the engine retries each tick, which paces a device
+// splice at playback rate.
 
 #ifndef SRC_SPLICE_STREAM_ENDPOINT_H_
 #define SRC_SPLICE_STREAM_ENDPOINT_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "src/dev/char_device.h"
 #include "src/kern/cpu.h"
 #include "src/net/udp_socket.h"
+#include "src/sim/fifo.h"
 #include "src/splice/endpoint.h"
 
 namespace ikdp {
@@ -33,13 +35,17 @@ class SocketSpliceSource : public SpliceSource {
   int64_t TotalBytes() const override { return -1; }
   int64_t ChunkBytes() const override { return chunk_bytes_; }
 
-  IKDP_CTX_ANY bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override;
+  IKDP_CTX_ANY bool StartRead(int64_t index, Done done) override;
   void Release(SpliceChunk& chunk) override { (void)chunk; }
-  IKDP_CTX_ANY bool CancelRead() override { return sock_->CancelRecv(); }
+  IKDP_CTX_ANY bool CancelRead() override {
+    done_ = nullptr;
+    return sock_->CancelRecv();
+  }
 
  private:
   UdpSocket* sock_;
   int64_t chunk_bytes_;
+  Done done_;  // the outstanding receive's completion
 };
 
 // Sends each chunk as one datagram.  The chunk completes when the datagram
@@ -48,11 +54,12 @@ class SocketSpliceSink : public SpliceSink {
  public:
   SocketSpliceSink(CpuSystem* cpu, UdpSocket* sock) : cpu_(cpu), sock_(sock) {}
 
-  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) override;
+  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, Done done) override;
 
  private:
   CpuSystem* cpu_;
   UdpSocket* sock_;
+  Fifo<Done> done_{8};  // in flight, oldest first (48 KB of send buffer: 6 chunks)
 };
 
 // Writes chunks into a character device (audio/video DAC); completion at the
@@ -61,7 +68,7 @@ class DeviceSpliceSink : public SpliceSink {
  public:
   DeviceSpliceSink(CpuSystem* cpu, CharDevice* dev) : cpu_(cpu), dev_(dev) {}
 
-  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) override;
+  IKDP_CTX_ANY bool StartWrite(SpliceChunk& chunk, Done done) override;
 
  private:
   CpuSystem* cpu_;
@@ -87,17 +94,18 @@ class DeviceSpliceSource : public SpliceSource {
   int64_t TotalBytes() const override { return -1; }
   int64_t ChunkBytes() const override { return chunk_bytes_; }
 
-  IKDP_CTX_ANY bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override;
+  IKDP_CTX_ANY bool StartRead(int64_t index, Done done) override;
   void Release(SpliceChunk& chunk) override { (void)chunk; }
   IKDP_CTX_ANY bool CancelRead() override {
     acc_ = nullptr;  // drop the partially-accumulated chunk
+    done_ = nullptr;
     return dev_->CancelRead();
   }
 
  private:
   // Issues the next device read of an accumulating chunk.
-  IKDP_CTX_ANY bool IssueRead(int64_t index, int64_t target, std::function<void(SpliceChunk)> done);
-  IKDP_CTX_ANY void Deliver(int64_t index, const std::function<void(SpliceChunk)>& done);
+  IKDP_CTX_ANY bool IssueRead(int64_t index, int64_t target);
+  IKDP_CTX_ANY void Deliver(int64_t index);
 
   CharDevice* dev_;
   int64_t remaining_;  // bytes left in the budget; < 0 means unbounded
@@ -106,6 +114,7 @@ class DeviceSpliceSource : public SpliceSource {
   BufData acc_;            // accumulation buffer for the chunk in progress
   bool saw_eof_ = false;   // device reported end-of-stream
   bool pending_eof_ = false;  // deliver EOF on the next StartRead
+  Done done_;  // the outstanding read's completion
 };
 
 }  // namespace ikdp

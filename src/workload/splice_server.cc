@@ -299,12 +299,8 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
 
   // Clients: host-side datagram sinks, re-armed from the delivery interrupt.
   // One handler serves every client; each armed receive carries only the
-  // client's index.
-  std::function<void(int, int64_t)> on_recv;
-  auto recv_done = [&on_recv](int i) -> UdpSocket::RecvDone {
-    return [&on_recv, i](BufData, int64_t n) { on_recv(i, n); };
-  };
-  on_recv = [&](int i, int64_t n) {
+  // handler and the client's index.
+  auto on_recv = [&](auto& self, int i, int64_t n) -> void {
     ClientState& me = clients[static_cast<size_t>(i)];
     if (n > 0 && !me.expect.empty()) {
       const Slot k = me.expect.head;
@@ -319,16 +315,18 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
         end_request(k, /*error=*/false);
       }
     }
-    me.client_sock->RecvAsync(config.object_bytes, recv_done(i));
+    me.client_sock->RecvAsync(config.object_bytes,
+                              [&self, i](BufData, int64_t got) { self(self, i, got); });
   };
   for (int i = 0; i < config.n_clients; ++i) {
-    clients[static_cast<size_t>(i)].client_sock->RecvAsync(config.object_bytes, recv_done(i));
+    clients[static_cast<size_t>(i)].client_sock->RecvAsync(
+        config.object_bytes, [&on_recv, i](BufData, int64_t n) { on_recv(on_recv, i, n); });
   }
 
   // Poisson arrival chain.  Arrival events are host bookkeeping: they mint
   // the request's root span, enqueue it, wake the server, and draw the next
   // arrival.
-  std::function<void(int)> arrive = [&](int k) {
+  auto arrive = [&](auto& self, int k) -> void {
     const Slot slot = reqs.Take();
     Request& r = reqs[slot];
     r.id = static_cast<uint64_t>(k);
@@ -349,27 +347,25 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
     if (k + 1 < total) {
       draw_next();
-      sim.At(next_when, [&arrive, k] { arrive(k + 1); });
+      sim.At(next_when, [&self, k] { self(self, k + 1); });
     }
   };
   if (total > 0) {
     draw_next();
-    sim.At(next_when, [&arrive] { arrive(0); });
+    sim.At(next_when, [&arrive] { arrive(arrive, 0); });
   }
 
   // Watchdog tick for the SLO monitor, self-rescheduling until the last
   // request ends.  The tick body touches no simulated state.  (`tick` is a
-  // function-scope object: the rescheduling closure references it across
-  // the whole run.)
-  std::function<void()> tick;
+  // function-scope object: each rescheduled event references it.)
+  auto tick = [&](auto& self) -> void {
+    hooks.on_tick(sim.Now());
+    if (done_total < total) {
+      sim.After(config.tick, [&self] { self(self); });
+    }
+  };
   if (hooks.on_tick && config.tick > 0) {
-    tick = [&] {
-      hooks.on_tick(sim.Now());
-      if (done_total < total) {
-        sim.After(config.tick, tick);
-      }
-    };
-    sim.After(config.tick, tick);
+    sim.After(config.tick, [&tick] { tick(tick); });
   }
 
   std::vector<Process*> procs;

@@ -44,12 +44,12 @@
 #define SRC_WORKLOAD_SPLICE_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
 #include "src/kern/cpu.h"
 #include "src/kop/kop.h"
+#include "src/sim/inline_fn.h"
 #include "src/sim/time.h"
 #include "src/workload/programs.h"
 
@@ -89,15 +89,15 @@ struct SpliceServerConfig {
 // optional; none may advance the simulation.
 struct SpliceServerHooks {
   // A request entered the system (Poisson arrival).
-  std::function<void(uint64_t id, SimTime t)> on_start;
+  InlineFn<void(uint64_t id, SimTime t)> on_start;
   // A datagram for the request reached its client.
-  std::function<void(uint64_t id, SimTime t, int64_t nbytes)> on_progress;
+  InlineFn<void(uint64_t id, SimTime t, int64_t nbytes)> on_progress;
   // The request left the system: all bytes delivered, or the server aborted
   // it (`error`).  `bytes` is what actually reached the client.
-  std::function<void(uint64_t id, SimTime t, int64_t bytes, bool error)> on_end;
+  InlineFn<void(uint64_t id, SimTime t, int64_t bytes, bool error)> on_end;
   // Fires every SpliceServerConfig::tick until the last request ends —
   // drive SloMonitor::CheckStalls from here.
-  std::function<void(SimTime now)> on_tick;
+  InlineFn<void(SimTime now)> on_tick;
 };
 
 struct SpliceServerResult {

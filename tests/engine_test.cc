@@ -37,7 +37,7 @@ class ScriptedSource : public SpliceSource {
   int64_t TotalBytes() const override { return total_chunks_ * chunk_bytes_; }
   int64_t ChunkBytes() const override { return chunk_bytes_; }
 
-  bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override {
+  bool StartRead(int64_t index, Done done) override {
     if (refusals_ > 0) {
       --refusals_;
       return false;
@@ -79,7 +79,7 @@ class ScriptedSink : public SpliceSink {
   ScriptedSink(Simulator* sim, SinkObs* obs, int refusals = 0)
       : sim_(sim), obs_(obs), refusals_(refusals) {}
 
-  bool StartWrite(SpliceChunk& chunk, std::function<void(bool)> done) override {
+  bool StartWrite(SpliceChunk& chunk, Done done) override {
     if (refusals_ > 0) {
       --refusals_;
       return false;
@@ -239,9 +239,9 @@ class InterruptSource : public SpliceSource {
   int64_t TotalBytes() const override { return total_chunks_ * chunk_bytes_; }
   int64_t ChunkBytes() const override { return chunk_bytes_; }
 
-  bool StartRead(int64_t index, std::function<void(SpliceChunk)> done) override {
-    sim_->After(Microseconds(5), [this, index, done = std::move(done)] {
-      cpu_->RunInterrupt(0, [this, index, done] {
+  bool StartRead(int64_t index, Done done) override {
+    sim_->After(Microseconds(5), [this, index, done = std::move(done)]() mutable {
+      cpu_->RunInterrupt(0, [this, index, done = std::move(done)] {
         SpliceChunk c;
         c.index = index;
         c.nbytes = chunk_bytes_;

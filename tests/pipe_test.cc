@@ -10,6 +10,7 @@
 #include "src/dev/ram_disk.h"
 #include "src/ipc/pipe.h"
 #include "src/os/kernel.h"
+#include "src/splice/stream_endpoint.h"
 
 namespace ikdp {
 namespace {
@@ -92,6 +93,22 @@ TEST(PipeUnitTest, BrokenPipeRefusesWritesAndReleasesWriters) {
   pipe.CloseReadEnd();
   EXPECT_TRUE(released);  // blocked writer is unstuck (data lost)
   EXPECT_FALSE(pipe.WriteAsync(data, 1, nullptr));
+}
+
+// A coalescing splice source asked for the next chunk while the current one
+// is still gathering refuses, and keeps the bytes gathered so far.
+TEST(PipeUnitTest, CoalescingSourceRefusesSecondReadAndKeepsPartialChunk) {
+  Pipe pipe(64);
+  DeviceSpliceSource src(&pipe, /*total_bytes=*/-1, /*chunk_bytes=*/8, /*coalesce=*/true);
+  auto data = MakeBufData();
+  data->assign(8, 7);
+  std::vector<int64_t> delivered;
+  ASSERT_TRUE(pipe.WriteAsync(data, 3, nullptr));
+  ASSERT_TRUE(src.StartRead(0, [&](SpliceChunk c) { delivered.push_back(c.nbytes); }));
+  EXPECT_TRUE(delivered.empty());  // 3 of 8 bytes gathered
+  EXPECT_FALSE(src.StartRead(1, [&](SpliceChunk) { delivered.push_back(-1); }));
+  ASSERT_TRUE(pipe.WriteAsync(data, 5, nullptr));
+  EXPECT_EQ(delivered, std::vector<int64_t>{8});
 }
 
 // --- pipe(2) through the kernel ---
