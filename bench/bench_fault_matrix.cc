@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
   std::printf("kop reject with armed retry: cqes %d, errno %d/%d\n", rc.cqes, rc.reject_errno,
               rc.sibling_errno);
   g_checks.Check(rc.cqes == 2 && rc.reject_errno == ikdp::kErrKopReject &&
-                     rc.sibling_errno == ikdp::kAioECanceled,
+                     rc.sibling_errno == ikdp::kErrCanceled,
                  "kop reject with armed retry: one CQE per SQE, reject errno, sibling cancelled");
   g_checks.Check(rc.quiescent && rc.engine_quiet && rc.leaks_ok,
                  "kop reject with armed retry: no hang, engine quiescent, no buffer leaks");

@@ -34,6 +34,7 @@
 #include "src/sim/callout.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
+#include "src/sim/sim_state.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 
@@ -291,6 +292,35 @@ void BM_CpuUseWarm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CpuUseWarm);
+
+// A lone process's Sleep -> Wakeup -> dispatch cycle: an event wakes the
+// process, so every wakeup queues it on an empty run queue and every
+// dispatch empties the queue again.  The run queue is linked through the
+// processes themselves, so the cycle allocates nothing.  With the race
+// detector on (IKDP_KRACE), its same-timestamp ancestry maps allocate for
+// every zero-delay event by design, so the gate holds with it off.
+void BM_CpuSleepWakeup(benchmark::State& state) {
+  Simulator sim;
+  CpuSystem cpu(&sim, DecStation5000Costs());
+  const int chan = 0;
+  cpu.Spawn("user", [&sim, &cpu, &chan, &state](Process& p) -> Task<> {
+    co_await cpu.Sleep(p, &chan, kPriWait);
+    // One warm-up cycle grows the event queue's slot pool.
+    sim.After(0, [&cpu, &chan] { cpu.Wakeup(&chan); });
+    co_await cpu.Sleep(p, &chan, kPriWait);
+    const AllocCount allocs;
+    for (auto _ : state) {
+      sim.After(0, [&cpu, &chan] { cpu.Wakeup(&chan); });
+      co_await cpu.Sleep(p, &chan, kPriWait);
+    }
+    allocs.Report(state, /*must_be_zero=*/!KraceEnabled());
+  });
+  sim.Run();  // to the first Sleep
+  cpu.Wakeup(&chan);
+  sim.Run();  // the timed loop
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuSleepWakeup);
 
 void BM_TaskSpawnResume(benchmark::State& state) {
   for (auto _ : state) {

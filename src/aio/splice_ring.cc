@@ -52,9 +52,7 @@ void SpliceRing::AdmitGroup(std::vector<PreparedOp> group) {
     auto op = std::make_unique<Op>();
     op->sqe = prep.sqe;
     op->group = gid;
-    op->source = std::move(prep.source);
-    op->sink = std::move(prep.sink);
-    op->on_moved = std::move(prep.on_moved);
+    op->ends = std::move(prep.ends);
     op->opts = prep.opts;
     op->submitted_at = cpu_->sim()->Now();
     op->span_owned = KspanOwned();
@@ -148,9 +146,9 @@ void SpliceRing::StartOp(Op* op) {
   // push the op span so the stream nests under this op.
   KspanScope scope("aio", op->span);
   SpliceDescriptor* d =
-      engine_->StartEx(std::move(op->source), std::move(op->sink), op->opts,
-                       [this, raw](const SpliceCompletion& c) { OnEngineComplete(raw, c); });
-  // The splice can run to completion inside StartEx (synchronous devices);
+      engine_->Start(std::move(op->ends.source), std::move(op->ends.sinks), op->opts,
+                     [this, raw](const SpliceCompletion& c) { OnEngineComplete(raw, c); });
+  // The splice can run to completion inside Start (synchronous devices);
   // only remember the descriptor while the op is still in flight.
   if (raw->st == Op::St::kStarted) {
     raw->desc = d;
@@ -159,15 +157,15 @@ void SpliceRing::StartOp(Op* op) {
 
 void SpliceRing::OnEngineComplete(Op* op, const SpliceCompletion& c) {
   KspanScope scope("aio", op->span);
-  if (op->on_moved && !c.io_error) {
+  if (op->ends.on_moved && !c.io_error) {
     // Partial byte counts from a cancel still update sink-side file state:
     // those bytes are on the device.
-    op->on_moved(c.bytes_moved);
+    op->ends.on_moved(c.bytes_moved);
   }
   // Preserve the device's errno (kErrNoSpc stays distinguishable from a
-  // media error); kAioEIo only backstops a report with no errno attached.
+  // media error); kErrIo only backstops a report with no errno attached.
   const int error =
-      c.io_error ? (c.error != 0 ? c.error : kAioEIo) : (c.cancelled ? kAioECanceled : 0);
+      c.io_error ? (c.error != 0 ? c.error : kErrIo) : (c.cancelled ? kErrCanceled : 0);
   const int group = op->group;
   op->finished_at = c.finished_at;
   op->kop_active = c.kop_active;
@@ -190,7 +188,7 @@ void SpliceRing::Retire(Op* op, int64_t result, int error) {
   }
   op->st = Op::St::kRetired;
   op->desc = nullptr;
-  if (error == kAioECanceled) {
+  if (error == kErrCanceled) {
     ++stats_.cancelled;
   }
   {
@@ -255,14 +253,14 @@ void SpliceRing::CancelGroupSiblings(int group, const Op* except) {
   lock_.Release();
   for (Op* op : members) {
     if (op->st == Op::St::kQueued) {
-      Retire(op, 0, kAioECanceled);
+      Retire(op, 0, kErrCanceled);
     } else if (op->st == Op::St::kStarted) {
       if (op->desc != nullptr) {
         // In flight: the engine drains it and the completion arrives with
         // cancelled=true (partial bytes reported).
         engine_->Cancel(op->desc);
       } else {
-        Retire(op, 0, kAioECanceled);
+        Retire(op, 0, kErrCanceled);
       }
     }
   }
@@ -293,13 +291,13 @@ int SpliceRing::Cancel(uint64_t cookie) {
   lock_.Release();
   if (target != nullptr) {
     Trace(TraceKind::kRingCancel, static_cast<int64_t>(cookie));
-    Retire(target, 0, kAioECanceled);
+    Retire(target, 0, kErrCanceled);
     // A partial pipeline cannot run: the queued group goes down together.
     // (Groups start atomically, so no sibling can be mid-flight here.)
     CancelGroupSiblings(group, target);
     return 0;
   }
-  return started ? -kAioEBusy : -kAioENoent;
+  return started ? -kErrBusy : -kErrNoent;
 }
 
 void SpliceRing::ArmReaper() {

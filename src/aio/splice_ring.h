@@ -41,11 +41,11 @@
 #include <memory>
 #include <vector>
 
+#include "src/hw/fault.h"
 #include "src/kern/cpu.h"
 #include "src/kern/ctx.h"
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
-#include "src/sim/inline_fn.h"
 #include "src/sim/sim_state.h"
 #include "src/splice/splice_engine.h"
 
@@ -56,16 +56,6 @@
 #endif
 
 namespace ikdp {
-
-// Errno values used by the ring surface (positive; syscalls return -errno).
-inline constexpr int kAioENoent = 2;     // unknown cookie
-inline constexpr int kAioEIo = 5;        // unrecoverable device error
-inline constexpr int kAioEBadf = 9;      // bad ring id / file descriptor
-inline constexpr int kAioEAgain = 11;    // submission queue full
-inline constexpr int kAioEBusy = 16;     // op already started; cannot cancel
-inline constexpr int kAioEInval = 22;    // malformed SQE / endpoint refusal
-inline constexpr int kAioENoSpc = 28;    // destination device out of space
-inline constexpr int kAioECanceled = 125;
 
 // SQE flag: this entry and its successor form one pipeline group (see the
 // header comment — stages start concurrently, not sequentially).  The flag
@@ -92,8 +82,8 @@ struct SpliceCqe {
   uint64_t cookie = 0;
   int64_t result = 0;       // bytes moved (partial counts on cancel)
   // 0 on success; otherwise the errno of the failure.  Device errors keep
-  // their identity (kAioEIo vs kAioENoSpc per the engine's completion
-  // report); kAioECanceled / kAioEInval / kAioEBadf come from the ring and
+  // their identity (kErrIo vs kErrNoSpc per the engine's completion
+  // report); kErrCanceled / kErrInval / kErrBadf come from the ring and
   // syscall layers.
   int error = 0;
   SimDuration latency = 0;  // admission -> completion
@@ -146,10 +136,8 @@ class SpliceRing {
   // An SQE the syscall layer resolved into engine endpoints.
   struct PreparedOp {
     SpliceSqe sqe;
-    std::unique_ptr<SpliceSource> source;
-    std::unique_ptr<SpliceSink> sink;
-    InlineFn<void(int64_t)> on_moved;  // sink-side file state update
-    SpliceOptions opts;                     // engine tuning for this op
+    SpliceEndpoints ends;  // one sink, plus the sink-side file update
+    SpliceOptions opts;    // engine tuning for this op
   };
 
   // Admits one resolved group: records submission, queues the ops, and
@@ -179,9 +167,9 @@ class SpliceRing {
     return static_cast<int>(cq_.size() + overflow_.size());
   }
 
-  // Cancels a QUEUED op by cookie: it retires with kAioECanceled (its queued
+  // Cancels a QUEUED op by cookie: it retires with kErrCanceled (its queued
   // group siblings with it, since a partial pipeline cannot run).  Returns 0,
-  // -kAioEBusy if the op already started, or -kAioENoent for an unknown
+  // -kErrBusy if the op already started, or -kErrNoent for an unknown
   // cookie.
   IKDP_CTX_PROCESS int Cancel(uint64_t cookie);
 
@@ -213,9 +201,7 @@ class SpliceRing {
     SpliceSqe sqe;
     int group = 0;
     enum class St { kQueued, kStarted, kRetired } st = St::kQueued;
-    std::unique_ptr<SpliceSource> source;
-    std::unique_ptr<SpliceSink> sink;
-    InlineFn<void(int64_t)> on_moved;
+    SpliceEndpoints ends;
     SpliceOptions opts;
     SimTime submitted_at = 0;
     bool engine_called = false;        // handed to the splice engine
@@ -277,7 +263,7 @@ class SpliceRing {
 
   // The ring lock (docs/klock.md): guards the kernel-side op queues, the
   // CQ/overflow pair, and the reaper latch.  It is fine-grained — never held
-  // across engine_->StartEx / engine_->Cancel (both can complete an op
+  // across engine_->Start / engine_->Cancel (both can complete an op
   // synchronously and re-enter Retire) — but IS held across ScheduleHead in
   // ArmReaper, a deliberate ring -> callout nesting (legal by rank; the
   // callout table never calls back synchronously).  `mutable` lets const

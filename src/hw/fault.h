@@ -26,11 +26,17 @@
 
 namespace ikdp {
 
-// Errno values originated by the hardware models (positive, classic UNIX
-// numbering; the aio layer's kAioEIo aliases kErrIo).
-inline constexpr int kErrIo = 5;      // EIO: unrecoverable media/transfer error
-inline constexpr int kErrInval = 22;  // EINVAL: endpoint refuses the operation
-inline constexpr int kErrNoSpc = 28;  // ENOSPC: write beyond the byte budget
+// The errno table (positive, classic UNIX numbering; syscalls that return
+// -errno negate these).  The hardware models originate EIO and ENOSPC; the
+// splice, ring and syscall layers the rest.
+inline constexpr int kErrNoent = 2;       // ENOENT: unknown ring cookie
+inline constexpr int kErrIo = 5;          // EIO: unrecoverable media/transfer error
+inline constexpr int kErrBadf = 9;        // EBADF: bad ring id or file descriptor
+inline constexpr int kErrAgain = 11;      // EAGAIN: submission queue full
+inline constexpr int kErrBusy = 16;       // EBUSY: ring op already started
+inline constexpr int kErrInval = 22;      // EINVAL: endpoint refuses the operation
+inline constexpr int kErrNoSpc = 28;      // ENOSPC: write beyond the byte budget
+inline constexpr int kErrCanceled = 125;  // ECANCELED: cancelled ring op
 
 // Per-device fault plan for DiskModel.  All knobs default to "off"; a plan
 // with every knob off is treated as absent (no RNG draws).

@@ -109,9 +109,9 @@ void CpuSystem::DecayTick() {
     }
   }
   // The run queue is priority-ordered; rebuild it under the new priorities.
-  std::deque<Process*> old;
-  old.swap(run_queue_);
-  for (Process* p : old) {
+  Process* old = std::exchange(run_queue_, nullptr);
+  while (old != nullptr) {
+    Process* p = std::exchange(old, old->run_next_);
     Enqueue(p, /*front=*/false);
   }
   if (alive_ > 0) {
@@ -141,18 +141,15 @@ void CpuSystem::Enqueue(Process* p, bool front) {
   if (trace_ != nullptr) {
     trace_->Record(sim_->Now(), TraceKind::kRunnable, p->pid(), 0, p->name().c_str());
   }
-  auto pos = run_queue_.begin();
-  if (front) {
-    while (pos != run_queue_.end() && (*pos)->priority_ < p->priority_) {
-      ++pos;
-    }
-  } else {
-    while (pos != run_queue_.end() && (*pos)->priority_ <= p->priority_) {
-      ++pos;
-    }
+  // `front` queues p ahead of its equal-priority peers, otherwise behind.
+  Process** link = &run_queue_;
+  while (*link != nullptr && ((*link)->priority_ < p->priority_ ||
+                              (!front && (*link)->priority_ == p->priority_))) {
+    link = &(*link)->run_next_;
   }
   IKDP_KRACE_COMMUTE(this, "CpuSystem::run_queue_");
-  run_queue_.insert(pos, p);
+  p->run_next_ = *link;
+  *link = p;
 }
 
 void CpuSystem::RequestDispatch() {
@@ -165,12 +162,12 @@ void CpuSystem::RequestDispatch() {
 
 void CpuSystem::DispatchNext() {
   dispatch_pending_ = false;
-  if (current_ != nullptr || run_queue_.empty()) {
+  if (current_ != nullptr || run_queue_ == nullptr) {
     return;
   }
   IKDP_KRACE_COMMUTE(this, "CpuSystem::run_queue_");
-  Process* p = run_queue_.front();
-  run_queue_.pop_front();
+  Process* p = std::exchange(run_queue_, run_queue_->run_next_);
+  p->run_next_ = nullptr;
   current_ = p;
   p->state_ = ProcState::kRunning;
   if (trace_ != nullptr) {
@@ -214,7 +211,7 @@ void CpuSystem::FinishBurst() {
   if (p->work_remaining_ > 0) {
     // Quantum expired with work left: round-robin among peers of equal (or
     // stronger) priority, otherwise keep the CPU for a fresh quantum.
-    if (!run_queue_.empty() && run_queue_.front()->priority_ <= p->priority_) {
+    if (run_queue_ != nullptr && run_queue_->priority_ <= p->priority_) {
       p->state_ = ProcState::kRunnable;
       ++p->stats_.involuntary_switches;
       Enqueue(p, /*front=*/false);
@@ -274,10 +271,9 @@ SuspendAndCall CpuSystem::UseImpl(Process& p, SimDuration t, bool kop) {
     // A stronger-priority process may have become runnable while this one
     // was executing, or the quantum may have been used up with equal-priority
     // peers waiting; yield at this kernel entry point.
-    const bool stronger_waiter =
-        !run_queue_.empty() && run_queue_.front()->priority_ < p.priority_;
-    const bool quantum_spent = slice_remaining_ <= 0 && !run_queue_.empty() &&
-                               run_queue_.front()->priority_ <= p.priority_;
+    const bool stronger_waiter = run_queue_ != nullptr && run_queue_->priority_ < p.priority_;
+    const bool quantum_spent = slice_remaining_ <= 0 && run_queue_ != nullptr &&
+                               run_queue_->priority_ <= p.priority_;
     if (stronger_waiter || quantum_spent) {
       PreemptCurrent(/*front=*/!quantum_spent);
     } else {
@@ -388,8 +384,7 @@ void CpuSystem::Wakeup(const void* chan) {
   if (trace_ != nullptr) {
     trace_->Record(sim_->Now(), TraceKind::kWakeup, woken);
   }
-  if (current_ != nullptr && burst_.active &&
-      run_queue_.front()->priority_ < current_->priority_) {
+  if (current_ != nullptr && burst_.active && run_queue_->priority_ < current_->priority_) {
     PreemptCurrent(/*front=*/true);
   } else {
     RequestDispatch();
@@ -406,8 +401,7 @@ void CpuSystem::Post(Process& p, int sig) {
     }
     Unsleep(link);
     Enqueue(&p, /*front=*/false);
-    if (current_ != nullptr && burst_.active &&
-        run_queue_.front()->priority_ < current_->priority_) {
+    if (current_ != nullptr && burst_.active && run_queue_->priority_ < current_->priority_) {
       PreemptCurrent(/*front=*/true);
     } else {
       RequestDispatch();
@@ -462,48 +456,44 @@ void CpuSystem::DrainInterrupts() {
     return;
   }
   const SimTime now = sim_->Now();
-  if (now < intr_busy_until_) {
-    if (!intr_drain_armed_) {
-      intr_drain_armed_ = true;
-      sim_->At(intr_busy_until_, [this] {
-        intr_drain_armed_ = false;
-        DrainInterrupts();
-      });
+  if (now >= intr_busy_until_) {
+    IKDP_KRACE_COMMUTE(this, "CpuSystem::intr_queue_");
+    PendingInterrupt work = intr_queue_.pop_front();
+    in_interrupt_ = true;
+    intr_bucket_ = work.softclock ? ChargeBucket::kSoftclock : ChargeBucket::kInterrupt;
+    IKDP_KRACE_WRITE(this, "CpuSystem::intr_charge_");
+    intr_charge_ = work.overhead;
+    Attribute(intr_bucket_, work.subsystem, work.span, work.overhead);
+    {
+      ContextGuard at_interrupt(ExecContext::kInterrupt);
+      // The body runs under the tag captured at raise time; handlers push
+      // refining scopes (their ChargeInterrupt additions read the cursor).
+      KspanScope tag(work.subsystem, work.span);
+      work.body();
     }
-    return;
+    in_interrupt_ = false;
+    const SimDuration total = intr_charge_;
+    if (trace_ != nullptr) {
+      trace_->Record(now, TraceKind::kInterrupt, total);
+    }
+    IKDP_KRACE_COMMUTE(this, "CpuSystem::stats_");
+    stats_.interrupt_work += total;
+    ++stats_.interrupts;
+    intr_busy_until_ = now + total;
+    if (burst_.active) {
+      // Steal the interrupt's cycles from the in-progress process burst.
+      burst_.stolen += total;
+      sim_->Cancel(burst_.event);
+      const SimTime end =
+          burst_.start + burst_.lead_in + burst_.planned + burst_.stolen;
+      burst_.event = sim_->At(end, [this] { FinishBurst(); });
+    }
+    if (intr_queue_.empty()) {
+      return;
+    }
   }
-  IKDP_KRACE_COMMUTE(this, "CpuSystem::intr_queue_");
-  PendingInterrupt work = intr_queue_.pop_front();
-  in_interrupt_ = true;
-  intr_bucket_ = work.softclock ? ChargeBucket::kSoftclock : ChargeBucket::kInterrupt;
-  IKDP_KRACE_WRITE(this, "CpuSystem::intr_charge_");
-  intr_charge_ = work.overhead;
-  Attribute(intr_bucket_, work.subsystem, work.span, work.overhead);
-  {
-    ContextGuard at_interrupt(ExecContext::kInterrupt);
-    // The body runs under the tag captured at raise time; handlers push
-    // refining scopes (their ChargeInterrupt additions read the cursor).
-    KspanScope tag(work.subsystem, work.span);
-    work.body();
-  }
-  in_interrupt_ = false;
-  const SimDuration total = intr_charge_;
-  if (trace_ != nullptr) {
-    trace_->Record(now, TraceKind::kInterrupt, total);
-  }
-  IKDP_KRACE_COMMUTE(this, "CpuSystem::stats_");
-  stats_.interrupt_work += total;
-  ++stats_.interrupts;
-  intr_busy_until_ = now + total;
-  if (burst_.active) {
-    // Steal the interrupt's cycles from the in-progress process burst.
-    burst_.stolen += total;
-    sim_->Cancel(burst_.event);
-    const SimTime end =
-        burst_.start + burst_.lead_in + burst_.planned + burst_.stolen;
-    burst_.event = sim_->At(end, [this] { FinishBurst(); });
-  }
-  if (!intr_queue_.empty() && !intr_drain_armed_) {
+  // The CPU is still busy with interrupt work: drain the rest when it frees.
+  if (!intr_drain_armed_) {
     intr_drain_armed_ = true;
     sim_->At(intr_busy_until_, [this] {
       intr_drain_armed_ = false;

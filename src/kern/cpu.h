@@ -27,7 +27,6 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -273,7 +272,10 @@ class CpuSystem {
   // equal-priority wakers, which is exactly the tie-break freedom the
   // schedule-perturbation mode validates, so the probes in cpu.cc are
   // COMMUTE (see the rationale block there), not plain writes.
-  std::deque<Process*> run_queue_ IKDP_GUARDED_BY(any);
+  // Runnable processes in dispatch order (priority, then FIFO), linked
+  // through Process::run_next_ like the sleep queues, so queueing a process
+  // never allocates.
+  Process* run_queue_ IKDP_GUARDED_BY(any) = nullptr;
   Process* current_ = nullptr;
   Burst burst_;
   // CPU time left in the current process's quantum.  Tracked across bursts

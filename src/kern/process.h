@@ -149,6 +149,9 @@ class Process {
   // Next process in this one's sleep queue (4.3BSD p_link); see
   // CpuSystem::sleep_queues_.
   Process* sleep_next_ = nullptr;
+  // Next process on the run queue while runnable (4.3BSD p_link); see
+  // CpuSystem::run_queue_.
+  Process* run_next_ = nullptr;
 
   std::set<int> pending_signals_;
   std::map<int, EventFn> handler_;

@@ -1,6 +1,7 @@
 #include "src/os/kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -268,23 +269,69 @@ Task<int> Kernel::FsyncFd(Process& p, int fd) {
 
 // --- splice ---
 
-Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
-                                                       const std::shared_ptr<File>& f,
-                                                       int64_t nbytes, bool sink_is_file,
-                                                       int64_t* resolved_bytes, int* err) {
-  *resolved_bytes = -1;
-  *err = kErrInval;
-  switch (f->kind()) {
+namespace {
+
+// The argument refusals every splice front-end applies before a program
+// binds: a byte count that is neither >= 0 nor kSpliceEof, and a regular
+// file spliced onto itself (reads and writes would interleave over one block
+// map; the paper's splice has no such mode either).
+bool SpliceLengthOk(int64_t nbytes) { return nbytes >= 0 || nbytes == kSpliceEof; }
+
+bool SelfSplice(File& src, File& dst) {
+  return src.kind() == File::Kind::kRegular && dst.kind() == File::Kind::kRegular &&
+         static_cast<RegularFile&>(src).inode() == static_cast<RegularFile&>(dst).inode();
+}
+
+bool HasFileSink(std::span<const std::shared_ptr<File>> dsts) {
+  return std::any_of(dsts.begin(), dsts.end(),
+                     [](const auto& f) { return f->kind() == File::Kind::kRegular; });
+}
+
+// The kop bind rule: a program binds only if the verifier accepted it, its
+// SinkCount() equals the number of destinations, and it cannot drop chunks
+// over a regular-file sink (whose offset bookkeeping assumes contiguous
+// bytes).  No program always binds.  Which program is asked about is the
+// caller's choice: the attached one, or an SQE's kop_id.
+bool KopBinds(const KopProgram* prog, std::span<const std::shared_ptr<File>> dsts) {
+  return prog == nullptr ||
+         (prog->verified && prog->SinkCount() == static_cast<int>(dsts.size()) &&
+          !(prog->CanDrop() && HasFileSink(dsts)));
+}
+
+void SetSpliceError(File& src, std::span<const std::shared_ptr<File>> dsts, int err) {
+  src.splice_error = err;
+  for (const std::shared_ptr<File>& d : dsts) {
+    d->splice_error = err;
+  }
+}
+
+void SetSpliceActive(File& src, std::span<const std::shared_ptr<File>> dsts, bool active) {
+  src.splice_active = active;
+  for (const std::shared_ptr<File>& d : dsts) {
+    d->splice_active = active;
+  }
+}
+
+}  // namespace
+
+Task<int> Kernel::BuildEndpoints(Process& p, const std::shared_ptr<File>& src,
+                                 std::span<const std::shared_ptr<File>> dsts, int64_t nbytes,
+                                 SpliceEndpoints* out) {
+  // Stream sources coalesce short deliveries into full blocks when a file
+  // sink's block map needs them.
+  const bool sink_is_file = HasFileSink(dsts);
+  // The byte count the sinks must take; -1 for a stream bounded only by EOF.
+  int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
+  switch (src->kind()) {
     case File::Kind::kRegular: {
-      auto* rf = static_cast<RegularFile*>(f.get());
-      Inode* ip = rf->inode();
+      auto* rf = static_cast<RegularFile*>(src.get());
       if (rf->offset % kBlockSize != 0) {
-        co_return nullptr;  // file splices require block-aligned offsets
+        co_return kErrInval;  // file splices require block-aligned offsets
       }
-      const int64_t avail = ip->size - rf->offset;
-      const int64_t len = nbytes == kSpliceEof ? avail : std::min(nbytes, avail);
+      const int64_t avail = rf->inode()->size - rf->offset;
+      len = nbytes == kSpliceEof ? avail : std::min(nbytes, avail);
       if (len < 0) {
-        co_return nullptr;
+        co_return kErrInval;
       }
       // "The entire list of all physical block numbers comprising the
       // source file is determined by successive calls to bmap()."
@@ -293,237 +340,188 @@ Task<std::unique_ptr<SpliceSource>> Kernel::MakeSource(Process& p,
       std::vector<int64_t> map;
       map.reserve(static_cast<size_t>(nblocks));
       for (int64_t i = 0; i < nblocks; ++i) {
-        const int64_t pbn = co_await rf->fs()->Bmap(p, ip, first + i, /*alloc=*/false);
+        const int64_t pbn = co_await rf->fs()->Bmap(p, rf->inode(), first + i, /*alloc=*/false);
         if (pbn < 0) {
-          *err = kErrIo;  // the block map itself is unreadable
-          co_return nullptr;
+          co_return kErrIo;  // the block map itself is unreadable
         }
         if (pbn == 0) {
-          co_return nullptr;  // holes are not spliceable
+          co_return kErrInval;  // holes are not spliceable
         }
         map.push_back(pbn);
       }
       rf->offset += len;
-      *resolved_bytes = len;
-      co_return std::make_unique<FileSpliceSource>(&cache_, rf->fs()->dev(), std::move(map),
-                                                   len);
+      out->source =
+          std::make_unique<FileSpliceSource>(&cache_, rf->fs()->dev(), std::move(map), len);
+      break;
     }
     case File::Kind::kCharDev: {
-      auto* df = static_cast<DeviceFile*>(f.get());
+      auto* df = static_cast<DeviceFile*>(src.get());
       if (!df->dev()->SupportsRead()) {
-        co_return nullptr;
+        co_return kErrInval;
       }
-      const int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
-      *resolved_bytes = len;
-      co_return std::make_unique<DeviceSpliceSource>(df->dev(), len, kBlockSize, sink_is_file);
+      out->source = std::make_unique<DeviceSpliceSource>(df->dev(), len, kBlockSize, sink_is_file);
+      break;
     }
-    case File::Kind::kSocket: {
-      auto* sf = static_cast<SocketFile*>(f.get());
+    case File::Kind::kSocket:
       // Sockets are streams: the splice runs until the zero-length
       // end-of-stream datagram (or cancellation); a byte limit is advisory.
-      co_return std::make_unique<SocketSpliceSource>(sf->socket());
-    }
+      len = -1;
+      out->source =
+          std::make_unique<SocketSpliceSource>(static_cast<SocketFile*>(src.get())->socket());
+      break;
     case File::Kind::kPipe: {
-      auto* pf = static_cast<PipeEndFile*>(f.get());
+      auto* pf = static_cast<PipeEndFile*>(src.get());
       if (!pf->read_end()) {
-        co_return nullptr;
+        co_return kErrInval;
       }
       // A pipe is a byte stream: bounded by the byte budget, or unbounded
       // until the writer's EOF (which ReadAsync reports as 0 bytes).
-      const int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
-      *resolved_bytes = len;
-      co_return std::make_unique<DeviceSpliceSource>(pf->pipe(), len, kBlockSize, sink_is_file);
+      out->source = std::make_unique<DeviceSpliceSource>(pf->pipe(), len, kBlockSize, sink_is_file);
+      break;
     }
   }
-  co_return nullptr;
+  for (const std::shared_ptr<File>& f : dsts) {
+    switch (f->kind()) {
+      case File::Kind::kRegular: {
+        auto* rf = static_cast<RegularFile*>(f.get());
+        Inode* ip = rf->inode();
+        if (rf->offset % kBlockSize != 0 || len < 0) {
+          co_return kErrInval;  // unbounded splice into a file is unsupported
+        }
+        // Premap the destination, allocating with the special splice bmap
+        // (no zero-fill delayed writes) unless the ablation asks for stock.
+        const int64_t first = rf->offset / kBlockSize;
+        const int64_t nblocks = (len + kBlockSize - 1) / kBlockSize;
+        std::vector<int64_t> map;
+        map.reserve(static_cast<size_t>(nblocks));
+        for (int64_t i = 0; i < nblocks; ++i) {
+          const int64_t pbn =
+              co_await rf->fs()->Bmap(p, ip, first + i, /*alloc=*/true,
+                                      /*for_splice=*/!splice_options_.stock_destination_bmap);
+          if (pbn < 0) {
+            co_return kErrIo;  // the block map itself is unreadable
+          }
+          if (pbn == 0) {
+            co_return kErrNoSpc;  // device full
+          }
+          map.push_back(pbn);
+        }
+        const int64_t start = rf->offset;
+        // `keep` pins the open file until completion.
+        out->on_moved = [keep = f, ip, start](int64_t moved) {
+          static_cast<RegularFile*>(keep.get())->offset = start + moved;
+          ip->size = std::max(ip->size, start + moved);
+        };
+        out->sinks.push_back(
+            std::make_unique<FileSpliceSink>(&cache_, rf->fs()->dev(), std::move(map)));
+        break;
+      }
+      case File::Kind::kCharDev: {
+        auto* df = static_cast<DeviceFile*>(f.get());
+        if (!df->dev()->SupportsWrite()) {
+          co_return kErrInval;
+        }
+        out->sinks.push_back(std::make_unique<DeviceSpliceSink>(&cpu_, df->dev()));
+        break;
+      }
+      case File::Kind::kSocket:
+        out->sinks.push_back(std::make_unique<SocketSpliceSink>(
+            &cpu_, static_cast<SocketFile*>(f.get())->socket()));
+        break;
+      case File::Kind::kPipe: {
+        auto* pf = static_cast<PipeEndFile*>(f.get());
+        if (pf->read_end()) {
+          co_return kErrInval;
+        }
+        out->sinks.push_back(std::make_unique<DeviceSpliceSink>(&cpu_, pf->pipe()));
+        break;
+      }
+    }
+  }
+  co_return 0;
 }
 
-Task<std::unique_ptr<SpliceSink>> Kernel::MakeSink(Process& p, const std::shared_ptr<File>& f,
-                                                   int64_t nbytes,
-                                                   InlineFn<void(int64_t)>* on_moved,
-                                                   int* err) {
-  *err = kErrInval;
-  switch (f->kind()) {
-    case File::Kind::kRegular: {
-      auto* rf = static_cast<RegularFile*>(f.get());
-      Inode* ip = rf->inode();
-      if (rf->offset % kBlockSize != 0 || nbytes < 0) {
-        co_return nullptr;  // unbounded splice into a file is unsupported
-      }
-      // Premap the destination, allocating with the special splice bmap
-      // (no zero-fill delayed writes) unless the ablation asks for stock.
-      const int64_t first = rf->offset / kBlockSize;
-      const int64_t nblocks = (nbytes + kBlockSize - 1) / kBlockSize;
-      std::vector<int64_t> map;
-      map.reserve(static_cast<size_t>(nblocks));
-      for (int64_t i = 0; i < nblocks; ++i) {
-        const int64_t pbn =
-            co_await rf->fs()->Bmap(p, ip, first + i, /*alloc=*/true,
-                                    /*for_splice=*/!splice_options_.stock_destination_bmap);
-        if (pbn < 0) {
-          *err = kErrIo;  // the block map itself is unreadable
-          co_return nullptr;
-        }
-        if (pbn == 0) {
-          *err = kErrNoSpc;  // device full
-          co_return nullptr;
-        }
-        map.push_back(pbn);
-      }
-      const int64_t start = rf->offset;
-      std::shared_ptr<File> keep = f;  // pin the open file until completion
-      *on_moved = [keep, ip, start](int64_t moved) {
-        auto* file = static_cast<RegularFile*>(keep.get());
-        file->offset = start + moved;
-        ip->size = std::max(ip->size, start + moved);
-      };
-      co_return std::make_unique<FileSpliceSink>(&cache_, rf->fs()->dev(), std::move(map));
-    }
-    case File::Kind::kCharDev: {
-      auto* df = static_cast<DeviceFile*>(f.get());
-      if (!df->dev()->SupportsWrite()) {
-        co_return nullptr;
-      }
-      co_return std::make_unique<DeviceSpliceSink>(&cpu_, df->dev());
-    }
-    case File::Kind::kSocket: {
-      auto* sf = static_cast<SocketFile*>(f.get());
-      co_return std::make_unique<SocketSpliceSink>(&cpu_, sf->socket());
-    }
-    case File::Kind::kPipe: {
-      auto* pf = static_cast<PipeEndFile*>(f.get());
-      if (pf->read_end()) {
-        co_return nullptr;
-      }
-      co_return std::make_unique<DeviceSpliceSink>(&cpu_, pf->pipe());
-    }
+Task<> Kernel::ChargeSyncSetup(Process& p) {
+  const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
+  if (charge > 0) {
+    co_await cpu_.Use(p, charge);
   }
-  co_return nullptr;
+  // Operator work performed synchronously during setup (chunks that ran the
+  // program inside Start on a synchronous device) is charged apart so it
+  // lands in the kop.process attribution bucket.
+  const SimDuration kcharge = splice_.TakeSyncKopCharge();
+  if (kcharge > 0) {
+    co_await cpu_.UseKop(p, kcharge);
+  }
 }
 
-Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes) {
-  co_await SyscallEnter(p, "splice");
-  std::shared_ptr<File> src = GetFile(p, src_fd);
-  std::shared_ptr<File> dst = GetFile(p, dst_fd);
-  if (src == nullptr || dst == nullptr || (nbytes < 0 && nbytes != kSpliceEof)) {
-    SyscallExit(p, "splice");
-    co_return -1;
+template <typename Dsts>
+Task<int64_t> Kernel::SpliceFiles(Process& p, const char* name, std::shared_ptr<File> src,
+                                  Dsts dsts, int64_t nbytes,
+                                  std::shared_ptr<const KopProgram> prog) {
+  // Every end records the outcome: kErrInval for a bind refusal (checked
+  // before BuildEndpoints consumes a source file's offset), else 0 up front
+  // so a setup failure records its errno against a clean slate.
+  int err = KopBinds(prog.get(), dsts) ? 0 : kErrInval;
+  SetSpliceError(*src, dsts, err);
+  SpliceEndpoints ends;
+  if (err == 0) {
+    err = co_await BuildEndpoints(p, src, dsts, nbytes, &ends);
   }
-  if (src->kind() == File::Kind::kRegular && dst->kind() == File::Kind::kRegular &&
-      static_cast<RegularFile*>(src.get())->inode() ==
-          static_cast<RegularFile*>(dst.get())->inode()) {
-    // Splicing a file onto itself would interleave reads and writes over one
-    // block map; refuse it (the paper's splice has no such mode either).
-    SyscallExit(p, "splice");
-    co_return -1;
-  }
-  // Operator binding: the source side's program wins; the sink side's rides
-  // only when the source has none.  Bind-rule refusals — a fan-out program
-  // on a two-fd splice, or a dropping program over a seekable sink whose
-  // offset bookkeeping assumes contiguous bytes — are EINVAL *before* any
-  // endpoint state is consumed (MakeSource advances the file offset).
-  const std::shared_ptr<const KopProgram> kprog =
-      src->kop_program != nullptr ? src->kop_program : dst->kop_program;
-  if (kprog != nullptr &&
-      (!kprog->verified || kprog->SinkCount() != 1 ||
-       (kprog->CanDrop() && dst->kind() == File::Kind::kRegular))) {
-    src->splice_error = kErrInval;
-    dst->splice_error = kErrInval;
-    SyscallExit(p, "splice");
-    co_return -1;
-  }
-  // Stale status from a previous splice is cleared up front so a setup
-  // failure below records its errno against a clean slate.
-  src->splice_error = 0;
-  dst->splice_error = 0;
-  int setup_err = kErrInval;
-  int64_t resolved = -1;
-  const bool sink_is_file = dst->kind() == File::Kind::kRegular;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, nbytes, sink_is_file, &resolved, &setup_err);
-  if (source == nullptr) {
-    src->splice_error = setup_err;
-    dst->splice_error = setup_err;
-    SyscallExit(p, "splice");
-    co_return -1;
-  }
-  InlineFn<void(int64_t)> on_moved;
-  std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
-  if (sink == nullptr) {
-    src->splice_error = setup_err;
-    dst->splice_error = setup_err;
-    SyscallExit(p, "splice");
+  if (err != 0) {
+    SetSpliceError(*src, dsts, err);
+    SyscallExit(p, name);
     co_return -1;
   }
 
   // "The splice operates asynchronously if either of the file descriptors
   // have the FASYNC flag enabled."  (Section 3)
-  const bool async = src->fasync || dst->fasync;
+  const bool async = src->fasync || std::any_of(dsts.begin(), dsts.end(), [](const auto& d) {
+                       return d->fasync;
+                     });
   SpliceOptions opts = splice_options_;
-  opts.kop_program = kprog;
-  // The initial read batch is issued from this process's context inside
-  // Start(); synchronous devices perform their copies right there, so the
-  // accumulated cost lands on the caller.
-  auto charge_setup = [this, &p]() -> Task<> {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    // Operator work performed synchronously during setup (chunks that ran
-    // the program inside StartEx on a synchronous device) is charged apart
-    // so it lands in the kop.process attribution bucket.
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  };
+  opts.kop_program = std::move(prog);
   // Both endpoints learn the splice's fate: 0 on success, the errno of the
   // first failure otherwise (readable with SpliceError after SIGIO, or
   // alongside the sync path's -1).
   if (async) {
-    ++stats_.splices_async;
-    Process* proc = &p;
-    // Raised before StartEx and dropped before SIGIO posts, so SpliceStatus
+    // Raised before Start and dropped before SIGIO posts, so SpliceStatus
     // can never observe "idle" while the stream is still moving.
-    src->splice_active = true;
-    dst->splice_active = true;
-    splice_.StartEx(
-        std::move(source), std::move(sink), opts,
-        [this, proc, on_moved = std::move(on_moved), src, dst](const SpliceCompletion& c) {
-          src->splice_error = c.error;
-          dst->splice_error = c.error;
-          src->splice_active = false;
-          dst->splice_active = false;
-          if (on_moved && !c.io_error) {
-            on_moved(c.bytes_moved);
-          }
-          // "A calling program can opt to catch SIGIO to detect
-          // the completion of an asynchronous splice."
-          cpu_.Post(*proc, kSigIo);
-        });
-    co_await charge_setup();
-    SyscallExit(p, "splice");
+    SetSpliceActive(*src, dsts, true);
+    ++stats_.splices_async;
+    splice_.Start(std::move(ends.source), std::move(ends.sinks), opts,
+                  [this, proc = &p, src, files = std::move(dsts),
+                   on_moved = std::move(ends.on_moved)](const SpliceCompletion& c) {
+                    SetSpliceError(*src, files, c.error);
+                    SetSpliceActive(*src, files, false);
+                    if (on_moved && !c.io_error) {
+                      on_moved(c.bytes_moved);
+                    }
+                    // "A calling program can opt to catch SIGIO to detect
+                    // the completion of an asynchronous splice."
+                    cpu_.Post(*proc, kSigIo);
+                  });
+    co_await ChargeSyncSetup(p);
+    SyscallExit(p, name);
     co_return 0;
   }
 
   ++stats_.splices_sync;
   struct Waiter {
-    bool done = false;
     int64_t moved = 0;
+    bool done = false;
   } w;
-  SpliceDescriptor* d = splice_.StartEx(
-      std::move(source), std::move(sink), opts,
-      [this, &w, on_moved = std::move(on_moved), src, dst](const SpliceCompletion& c) {
-        src->splice_error = c.error;
-        dst->splice_error = c.error;
-        if (on_moved && !c.io_error) {
-          on_moved(c.bytes_moved);
-        }
-        w.done = true;
-        w.moved = c.io_error ? -1 : c.bytes_moved;
-        cpu_.Wakeup(&w);
-      });
-  co_await charge_setup();
+  SpliceDescriptor* d = splice_.Start(std::move(ends.source), std::move(ends.sinks), opts,
+                                      [this, &w, &src, &dsts, &ends](const SpliceCompletion& c) {
+                                        SetSpliceError(*src, dsts, c.error);
+                                        if (!c.io_error && ends.on_moved) {
+                                          ends.on_moved(c.bytes_moved);
+                                        }
+                                        w.done = true;
+                                        w.moved = c.io_error ? -1 : c.bytes_moved;
+                                        cpu_.Wakeup(&w);
+                                      });
+  co_await ChargeSyncSetup(p);
   // "... until an end of file condition is reached or the operation is
   // interrupted by the caller" (Section 3): a signal cancels the transfer;
   // in-flight chunks drain and the partial byte count is returned.
@@ -538,8 +536,27 @@ Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes)
       cancelled = true;
     }
   }
-  SyscallExit(p, "splice");
+  SyscallExit(p, name);
   co_return w.moved;
+}
+
+Task<int64_t> Kernel::Splice(Process& p, int src_fd, int dst_fd, int64_t nbytes) {
+  co_await SyscallEnter(p, "splice");
+  std::shared_ptr<File> src = GetFile(p, src_fd);
+  std::shared_ptr<File> dst = GetFile(p, dst_fd);
+  if (src == nullptr || dst == nullptr || !SpliceLengthOk(nbytes) || SelfSplice(*src, *dst)) {
+    SyscallExit(p, "splice");
+    co_return -1;
+  }
+  // Operator binding: the source side's program wins; the sink side's rides
+  // only when the source has none.
+  std::shared_ptr<const KopProgram> prog =
+      src->kop_program != nullptr ? src->kop_program : dst->kop_program;
+  // A named array: GCC 12 destroys a temporary one passed to the coroutine
+  // twice, dropping the descriptor table's reference to `dst`.
+  std::array<std::shared_ptr<File>, 1> dsts{std::move(dst)};
+  co_return co_await SpliceFiles(p, "splice", std::move(src), std::move(dsts), nbytes,
+                                 std::move(prog));
 }
 
 // --- in-kernel splice operators ---
@@ -596,7 +613,7 @@ Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>
   co_await SyscallEnter(p, "splice_multi");
   std::shared_ptr<File> src = GetFile(p, src_fd);
   std::vector<std::shared_ptr<File>> dsts;
-  bool ok = src != nullptr && (nbytes >= 0 || nbytes == kSpliceEof) && !dst_fds.empty();
+  bool ok = src != nullptr && SpliceLengthOk(nbytes) && !dst_fds.empty();
   if (ok) {
     for (const int fd : dst_fds) {
       std::shared_ptr<File> d = GetFile(p, fd);
@@ -609,118 +626,24 @@ Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>
       dsts.push_back(std::move(d));
     }
   }
-  // The fan-out is driven by a route-stage program on the source; its
-  // declared sink count must match the destination list exactly.
-  const std::shared_ptr<const KopProgram> kprog = ok ? src->kop_program : nullptr;
-  if (kprog == nullptr || !kprog->verified ||
-      kprog->SinkCount() != static_cast<int>(dst_fds.size())) {
-    if (src != nullptr) {
-      src->splice_error = kErrInval;
-    }
-    for (const auto& d : dsts) {
-      d->splice_error = kErrInval;
+  // The fan-out is driven by a route-stage program on the source; the bind
+  // check matches its declared sink count to the destination list.
+  if (!ok || src->kop_program == nullptr) {
+    if (src != nullptr) {  // with no source, no destination was looked up
+      SetSpliceError(*src, dsts, kErrInval);
     }
     SyscallExit(p, "splice_multi");
     co_return -1;
   }
-  src->splice_error = 0;
-  for (const auto& d : dsts) {
-    d->splice_error = 0;
-  }
-  int setup_err = kErrInval;
-  int64_t resolved = -1;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, nbytes, /*sink_is_file=*/false, &resolved, &setup_err);
-  std::vector<std::unique_ptr<SpliceSink>> sinks;
-  if (source != nullptr) {
-    for (const auto& d : dsts) {
-      std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, d, resolved, nullptr, &setup_err);
-      if (sink == nullptr) {
-        break;
-      }
-      sinks.push_back(std::move(sink));
-    }
-  }
-  if (source == nullptr || sinks.size() != dsts.size()) {
-    src->splice_error = setup_err;
-    for (const auto& d : dsts) {
-      d->splice_error = setup_err;
-    }
-    SyscallExit(p, "splice_multi");
-    co_return -1;
-  }
-
-  bool async = src->fasync;
-  for (const auto& d : dsts) {
-    async = async || d->fasync;
-  }
-  SpliceOptions opts = splice_options_;
-  opts.kop_program = kprog;
-  auto charge_setup = [this, &p]() -> Task<> {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  };
-  if (async) {
-    ++stats_.splices_async;
-    Process* proc = &p;
-    src->splice_active = true;
-    for (const auto& d : dsts) {
-      d->splice_active = true;
-    }
-    splice_.StartMulti(std::move(source), std::move(sinks), opts,
-                       [this, proc, src, dsts](const SpliceCompletion& c) {
-                         src->splice_error = c.error;
-                         src->splice_active = false;
-                         for (const auto& d : dsts) {
-                           d->splice_error = c.error;
-                           d->splice_active = false;
-                         }
-                         cpu_.Post(*proc, kSigIo);
-                       });
-    co_await charge_setup();
-    SyscallExit(p, "splice_multi");
-    co_return 0;
-  }
-
-  ++stats_.splices_sync;
-  struct Waiter {
-    bool done = false;
-    int64_t moved = 0;
-  } w;
-  SpliceDescriptor* d = splice_.StartMulti(std::move(source), std::move(sinks), opts,
-                                           [this, &w, src, dsts](const SpliceCompletion& c) {
-                                             src->splice_error = c.error;
-                                             for (const auto& dst : dsts) {
-                                               dst->splice_error = c.error;
-                                             }
-                                             w.done = true;
-                                             w.moved = c.io_error ? -1 : c.bytes_moved;
-                                             cpu_.Wakeup(&w);
-                                           });
-  co_await charge_setup();
-  bool cancelled = false;
-  while (!w.done) {
-    co_await cpu_.Sleep(p, &w, kPriWait, /*interruptible=*/!cancelled);
-    if (!w.done && !cancelled && p.SignalPending()) {
-      splice_.Cancel(d);
-      cancelled = true;
-    }
-  }
-  SyscallExit(p, "splice_multi");
-  co_return w.moved;
+  co_return co_await SpliceFiles(p, "splice_multi", src, std::move(dsts), nbytes,
+                                 src->kop_program);
 }
 
 // --- asynchronous splice ring ---
 
 Task<int> Kernel::RingSetup(Process& p, const RingConfig& config) {
   co_await SyscallEnter(p, "ring_setup");
-  int result = -kAioEInval;
+  int result = -kErrInval;
   if (config.sq_entries > 0 && config.cq_entries > 0 && config.max_inflight > 0) {
     const int id = next_ring_id_++;
     rings_[&p][id] = std::make_unique<SpliceRing>(id, &cpu_, &callouts_, &splice_, config);
@@ -752,7 +675,7 @@ std::vector<SpliceRing*> Kernel::Rings() {
 int Kernel::RingPrepare(Process& p, int ring_id, const SpliceSqe& sqe) {
   SpliceRing* ring = GetRing(p, ring_id);
   if (ring == nullptr) {
-    return -kAioEBadf;
+    return -kErrBadf;
   }
   ring->Prepare(sqe);
   return 0;
@@ -761,7 +684,7 @@ int Kernel::RingPrepare(Process& p, int ring_id, const SpliceSqe& sqe) {
 int Kernel::RingHarvest(Process& p, int ring_id, SpliceCqe* out, int max) {
   SpliceRing* ring = GetRing(p, ring_id);
   if (ring == nullptr) {
-    return -kAioEBadf;
+    return -kErrBadf;
   }
   return ring->Harvest(out, max);
 }
@@ -770,47 +693,25 @@ Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::Prepa
   std::shared_ptr<File> src = GetFile(p, sqe.src_fd);
   std::shared_ptr<File> dst = GetFile(p, sqe.dst_fd);
   if (src == nullptr || dst == nullptr) {
-    co_return -kAioEBadf;
+    co_return -kErrBadf;
   }
-  if (sqe.nbytes < 0 && sqe.nbytes != kSpliceEof) {
-    co_return -kAioEInval;
-  }
-  if (src->kind() == File::Kind::kRegular && dst->kind() == File::Kind::kRegular &&
-      static_cast<RegularFile*>(src.get())->inode() ==
-          static_cast<RegularFile*>(dst.get())->inode()) {
-    co_return -kAioEInval;
-  }
-  // Resolve the SQE's operator program under the same bind rules as Splice:
-  // ring ops have exactly one sink, and a dropping program over a seekable
-  // sink would corrupt the on_moved offset bookkeeping.  Checked before
-  // MakeSource so a refused SQE doesn't consume the file offset.
-  std::shared_ptr<const KopProgram> kprog;
+  // splice(2)'s refusals, except that the SQE names its program (kop_id 0:
+  // none) instead of taking the attached one.
+  std::shared_ptr<const KopProgram> prog;
   if (sqe.kop_id != 0) {
-    kprog = GetKopProgram(p, sqe.kop_id);
-    if (kprog == nullptr || !kprog->verified || kprog->SinkCount() != 1 ||
-        (kprog->CanDrop() && dst->kind() == File::Kind::kRegular)) {
-      co_return -kAioEInval;
-    }
+    prog = GetKopProgram(p, sqe.kop_id);
   }
-  int setup_err = kErrInval;
-  int64_t resolved = -1;
-  const bool sink_is_file = dst->kind() == File::Kind::kRegular;
-  std::unique_ptr<SpliceSource> source =
-      co_await MakeSource(p, src, sqe.nbytes, sink_is_file, &resolved, &setup_err);
-  if (source == nullptr) {
-    co_return -setup_err;  // kErrInval aliases kAioEInval, kErrIo kAioEIo
+  const std::span<const std::shared_ptr<File>> dsts(&dst, 1);
+  if (!SpliceLengthOk(sqe.nbytes) || SelfSplice(*src, *dst) ||
+      (prog == nullptr && sqe.kop_id != 0) || !KopBinds(prog.get(), dsts)) {
+    co_return -kErrInval;
   }
-  InlineFn<void(int64_t)> on_moved;
-  std::unique_ptr<SpliceSink> sink = co_await MakeSink(p, dst, resolved, &on_moved, &setup_err);
-  if (sink == nullptr) {
-    co_return -setup_err;
+  if (const int err = co_await BuildEndpoints(p, src, dsts, sqe.nbytes, &out->ends); err != 0) {
+    co_return -err;
   }
   out->sqe = sqe;
-  out->source = std::move(source);
-  out->sink = std::move(sink);
-  out->on_moved = std::move(on_moved);
   out->opts = splice_options_;
-  out->opts.kop_program = std::move(kprog);
+  out->opts.kop_program = std::move(prog);
   co_return 0;
 }
 
@@ -819,7 +720,7 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
   SpliceRing* ring = GetRing(p, ring_id);
   if (ring == nullptr) {
     SyscallExit(p, "ring_enter");
-    co_return -kAioEBadf;
+    co_return -kErrBadf;
   }
 
   int submitted = 0;
@@ -858,7 +759,7 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
       // cannot run, so the rest of its group fails ECANCELED.  Nothing in
       // the group starts.
       for (int i = 0; i < gsize; ++i) {
-        ring->FailSqe(sqes[i], i == bad_index ? bad_error : kAioECanceled);
+        ring->FailSqe(sqes[i], i == bad_index ? bad_error : kErrCanceled);
       }
     } else {
       ring->AdmitGroup(std::move(ops));
@@ -870,21 +771,12 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
   }
   // Endpoint setup and any synchronous-device work above ran in this
   // process's context; charge it here, all under the one trap.
-  {
-    const SimDuration charge = cache_.TakeSyncCharge() + splice_.TakeSyncCharge();
-    if (charge > 0) {
-      co_await cpu_.Use(p, charge);
-    }
-    const SimDuration kcharge = splice_.TakeSyncKopCharge();
-    if (kcharge > 0) {
-      co_await cpu_.UseKop(p, kcharge);
-    }
-  }
+  co_await ChargeSyncSetup(p);
 
   if (submitted == 0 && sq_full && !ring->config().block_on_full) {
     ring->NoteEagain();
     SyscallExit(p, "ring_enter");
-    co_return -kAioEAgain;
+    co_return -kErrAgain;
   }
 
   // Wait for completions — but never for more than can still arrive, so a
@@ -903,7 +795,7 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
 Task<int> Kernel::RingCancel(Process& p, int ring_id, uint64_t cookie) {
   co_await SyscallEnter(p, "ring_cancel");
   SpliceRing* ring = GetRing(p, ring_id);
-  const int result = ring == nullptr ? -kAioEBadf : ring->Cancel(cookie);
+  const int result = ring == nullptr ? -kErrBadf : ring->Cancel(cookie);
   SyscallExit(p, "ring_cancel");
   co_return result;
 }

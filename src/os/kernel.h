@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -173,24 +174,24 @@ class Kernel {
   IKDP_CTX_PROCESS Task<int> RingSetup(Process& p, const RingConfig& config);
 
   // Appends an SQE to the ring's submission queue.  A user-memory store:
-  // no trap, no charge.  Returns 0 or -kAioEBadf.
+  // no trap, no charge.  Returns 0 or -kErrBadf.
   IKDP_CTX_PROCESS int RingPrepare(Process& p, int ring_id, const SpliceSqe& sqe);
 
   // ONE trap that admits up to `to_submit` prepared SQEs (linked groups are
   // atomic and may round the count up), then waits until at least
   // `min_complete` completions are available to harvest.  Returns the number
   // of SQEs consumed (admitted or failed-with-CQE), or -errno:
-  // -kAioEAgain when the SQ cap blocks every admission and the ring is not
-  // block_on_full; -kAioEBadf for an unknown ring.  A signal interrupts
+  // -kErrAgain when the SQ cap blocks every admission and the ring is not
+  // block_on_full; -kErrBadf for an unknown ring.  A signal interrupts
   // either wait; the count of already-admitted SQEs is still returned.
   IKDP_CTX_PROCESS Task<int> RingEnter(Process& p, int ring_id, int to_submit, int min_complete);
 
   // Copies up to `max` posted CQEs into `out`.  A user-memory load from the
-  // completion queue: no trap, no charge.  Returns the count or -kAioEBadf.
+  // completion queue: no trap, no charge.  Returns the count or -kErrBadf.
   IKDP_CTX_PROCESS int RingHarvest(Process& p, int ring_id, SpliceCqe* out, int max);
 
-  // Cancels a queued-but-unstarted op by cookie.  Returns 0, -kAioEBusy,
-  // -kAioENoent, or -kAioEBadf.
+  // Cancels a queued-but-unstarted op by cookie.  Returns 0, -kErrBusy,
+  // -kErrNoent, or -kErrBadf.
   IKDP_CTX_PROCESS Task<int> RingCancel(Process& p, int ring_id, uint64_t cookie);
 
   // Ring lookup (tests, telemetry).
@@ -261,25 +262,38 @@ class Kernel {
   // The table entry for an open `fd`, or nullptr (EBADF).
   IKDP_REQUIRES(ktable) std::shared_ptr<File>* FdSlot(Process& p, int fd);
 
-  // Builds splice endpoints from an open file.  Returns nullptr on
-  // unsupported/invalid combinations, with `err` set to why: kErrInval for
-  // refusals (alignment, holes, wrong pipe end), kErrIo for an unreadable
-  // block map, kErrNoSpc when the destination premap runs the device full.
-  // For regular files, consumes and advances the file offset and premaps
-  // blocks (in process context).  `sink_is_file` makes stream sources
-  // coalesce short deliveries into full blocks, which the file sink's block
-  // map requires.
-  IKDP_CTX_PROCESS Task<std::unique_ptr<SpliceSource>> MakeSource(
-      Process& p, const std::shared_ptr<File>& f, int64_t nbytes, bool sink_is_file,
-      int64_t* resolved_bytes, int* err);
-  // A regular-file sink sets `on_moved` (null where the caller admits no
-  // file sink) to a completion hook that updates sink-side file state
-  // (inode size, seek offset) once the byte count is known.
-  IKDP_CTX_PROCESS Task<std::unique_ptr<SpliceSink>> MakeSink(
-      Process& p, const std::shared_ptr<File>& f, int64_t nbytes,
-      InlineFn<void(int64_t)>* on_moved, int* err);
+  // --- the one splice setup path (splice, splice_multi, ring SQEs) ---
 
-  // Resolves one SQE into engine endpoints (same validation as Splice).
+  // Builds the source endpoint over `src` and one sink per `dsts` entry
+  // into `out`.  Returns 0, or the errno of the first refusal: kErrInval
+  // (alignment, holes, wrong pipe end, an unbounded splice into a file),
+  // kErrIo for an unreadable block map, kErrNoSpc when the destination
+  // premap runs the device full.  A regular-file source is bmapped whole and
+  // its offset consumed; a regular-file sink is premapped and sets
+  // `out->on_moved`.  Runs in process context (the bmaps may sleep).
+  IKDP_CTX_PROCESS Task<int> BuildEndpoints(Process& p, const std::shared_ptr<File>& src,
+                                            std::span<const std::shared_ptr<File>> dsts,
+                                            int64_t nbytes, SpliceEndpoints* out);
+
+  // Charges the caller for handler and operator work that synchronous
+  // devices did inside SpliceEngine::Start (the cache's and engine's
+  // pending sync charges; operator work lands in the kop.process bucket).
+  IKDP_CTX_PROCESS Task<> ChargeSyncSetup(Process& p);
+
+  // splice(2) and splice_multi(2) after their own refusals: binds `prog`,
+  // builds the endpoints, starts the splice and, unless an end has FASYNC,
+  // sleeps until it completes (a signal cancels it).  Every end's
+  // splice_error records kErrInval for a bind refusal, the setup errno, or
+  // the completion's.  Exits the syscall `name`; returns like Splice.
+  // `dsts` owns the destinations (a one-element array for splice(2), the
+  // list for splice_multi(2)) so a FASYNC completion keeps them uncopied.
+  template <typename Dsts>
+  IKDP_CTX_PROCESS Task<int64_t> SpliceFiles(Process& p, const char* name,
+                                             std::shared_ptr<File> src, Dsts dsts,
+                                             int64_t nbytes,
+                                             std::shared_ptr<const KopProgram> prog);
+
+  // Resolves one SQE into engine endpoints (splice(2)'s refusals and setup).
   // Returns 0 and fills `out`, or -errno.
   IKDP_CTX_PROCESS Task<int> ResolveSqe(Process& p, const SpliceSqe& sqe,
                                         SpliceRing::PreparedOp* out);

@@ -132,13 +132,9 @@ void CalloutTable::RunTick(SimTime when) {
     trace_->Record(when, TraceKind::kSoftclockRun, static_cast<int64_t>(running_.size()));
   }
   lock_.Release();
-  // Everything below runs at softclock level: the observer (softclock CPU
-  // charging) and the expired entries themselves.  Entries that raise to
+  // The expired entries run at softclock level; entries that raise to
   // interrupt level (RunInterrupt) nest their own guard on top.
   ContextGuard at_softclock(ExecContext::kSoftclock);
-  if (observer_) {
-    observer_(static_cast<int>(running_.size()));
-  }
   for (Entry& e : running_) {
     e.fn();
   }

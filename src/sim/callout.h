@@ -75,11 +75,6 @@ class CalloutTable {
   // Total softclock activations (for stats).
   uint64_t softclock_runs() const { return softclock_runs_; }
 
-  // Optional hook invoked with the total run duration each time softclock
-  // dispatches a batch of callouts; the kernel scheduler uses this to charge
-  // softclock CPU time.  The int argument is the number of callouts run.
-  void set_softclock_observer(InlineFn<void(int)> obs) { observer_ = std::move(obs); }
-
   // Attaches a trace log recording kCalloutArm / kSoftclockRun events
   // (nullptr detaches; default off).  Kernel::AttachTrace wires this.
   void set_trace(TraceLog* trace) { trace_ = trace; }
@@ -134,7 +129,6 @@ class CalloutTable {
   std::vector<Entry> running_ IKDP_GUARDED_BY(softclock);
   CalloutId next_id_ IKDP_GUARDED_BY(lock:callout) = 0;
   uint64_t softclock_runs_ = 0;
-  InlineFn<void(int)> observer_;
   TraceLog* trace_ = nullptr;
 };
 

@@ -20,6 +20,8 @@
 #define SRC_SPLICE_ENDPOINT_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "src/buf/buf.h"
 #include "src/kern/ctx.h"
@@ -82,6 +84,16 @@ class SpliceSink {
   // full) — the engine retries on the next softclock tick, and must not
   // have retained `done`.
   IKDP_CTX_ANY virtual bool StartWrite(SpliceChunk& chunk, Done done) = 0;
+};
+
+// A splice's endpoints as the syscall layer builds them: the source, one
+// sink per destination, and the sink-side file update (offset and inode
+// size) to run with the bytes moved at completion — null unless a sink is a
+// regular file.
+struct SpliceEndpoints {
+  std::unique_ptr<SpliceSource> source;
+  std::vector<std::unique_ptr<SpliceSink>> sinks;
+  InlineFn<void(int64_t)> on_moved;
 };
 
 }  // namespace ikdp

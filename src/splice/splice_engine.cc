@@ -40,27 +40,11 @@ void SpliceEngine::ChargeKopCost(SimDuration d) {
 }
 
 SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
-                                      std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                      InlineFn<void(int64_t)> on_complete) {
-  return StartEx(std::move(source), std::move(sink), opts,
-                 [cb = std::move(on_complete)](const SpliceCompletion& c) {
-                   cb(c.io_error ? -1 : c.bytes_moved);
-                 });
-}
-
-SpliceDescriptor* SpliceEngine::StartEx(std::unique_ptr<SpliceSource> source,
-                                        std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                        SpliceCompletionFn on_complete) {
-  std::vector<std::unique_ptr<SpliceSink>> sinks;
-  sinks.push_back(std::move(sink));
-  return StartMulti(std::move(source), std::move(sinks), opts, std::move(on_complete));
-}
-
-SpliceDescriptor* SpliceEngine::StartMulti(
-    std::unique_ptr<SpliceSource> source, std::vector<std::unique_ptr<SpliceSink>> sinks,
-    SpliceOptions opts, SpliceCompletionFn on_complete) {
+                                      std::vector<std::unique_ptr<SpliceSink>> sinks,
+                                      SpliceOptions opts, SpliceCompletionFn on_complete) {
   // Reject-unverified-program: the engine is the last line of defence; the
-  // bind sites (kop_attach, ResolveSqe) return kErrInval long before this.
+  // syscall layer's one bind check (Kernel::KopBinds) returns kErrInval long
+  // before this.
   if (opts.kop_program != nullptr && !opts.kop_program->verified) {
     ContractAbort("splice: unverified kop program attached");
   }

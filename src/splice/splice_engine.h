@@ -99,7 +99,7 @@ struct SpliceOptions {
   std::shared_ptr<const KopProgram> kop_program;
 };
 
-// Rich completion report delivered by StartEx: enough to build a
+// The completion report SpliceEngine::Start delivers: enough to build a
 // completion-queue entry (result, error class, per-op latency) without the
 // caller keeping shadow state.  `cancelled` means a user cancel, not an
 // error-driven abort (io_error covers that).
@@ -167,7 +167,7 @@ class SpliceDescriptor {
   std::unique_ptr<SpliceSource> source_;
   // Sinks this splice fans out to; sinks_[0] is the primary (and only)
   // destination unless a route-stage operator is attached, in which case the
-  // operator picks the sink per chunk (fan-out fixed at StartMulti).
+  // operator picks the sink per chunk (fan-out fixed at Start).
   std::vector<std::unique_ptr<SpliceSink>> sinks_;
   SpliceOptions opts_;
   // Per-descriptor operator state.  Touched by whichever context runs the
@@ -203,7 +203,7 @@ class SpliceDescriptor {
   bool finished_ IKDP_GUARDED_BY(lock:splice) = false;
   bool read_retry_armed_ IKDP_GUARDED_BY(lock:splice) = false;
   bool drain_armed_ IKDP_GUARDED_BY(lock:splice) = false;
-  // Written once at StartEx, read by every handler context afterwards —
+  // Written once at Start, read by every handler context afterwards —
   // immutable for the descriptor's life, so any context may read it.
   SpanId span_ IKDP_GUARDED_BY(any) = kNoSpan;
   bool span_owned_ IKDP_GUARDED_BY(any) = false;  // minted (must End) vs inherited
@@ -231,27 +231,20 @@ class SpliceEngine {
   SpliceEngine(const SpliceEngine&) = delete;
   SpliceEngine& operator=(const SpliceEngine&) = delete;
 
-  // Starts a splice.  The source bounds the transfer (TotalBytes, or EOF
-  // chunks for streams); `on_complete(bytes_moved)` fires in kernel context
-  // when every chunk has drained; bytes_moved is -1 if an unrecoverable I/O
-  // error aborted the transfer.  The descriptor stays valid until then.
+  // Starts a splice from `source` to `sinks`.  The source bounds the
+  // transfer (TotalBytes, or EOF chunks for streams).  Without an operator
+  // program there is one sink; a route-stage program picks one of `sinks`
+  // per chunk, and the sink count must equal its SinkCount() (bind sites
+  // refuse a mismatch with kErrInval; the engine aborts on one).
+  // `on_complete` fires once, in kernel context, after every chunk has
+  // drained (inside Start itself when synchronous devices finish the whole
+  // transfer there).  Its SpliceCompletion reports the bytes moved, whether
+  // an I/O error (with its errno) or a cancel ended the transfer, the start
+  // and finish times, and the operator's results.  The descriptor stays
+  // valid until then.
   IKDP_CTX_ANY SpliceDescriptor* Start(std::unique_ptr<SpliceSource> source,
-                                       std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                       InlineFn<void(int64_t)> on_complete);
-
-  // Like Start, but the completion callback receives the full report
-  // (bytes, error/cancel flags, start and finish timestamps) — the splice
-  // ring builds CQEs from this without shadow bookkeeping.
-  IKDP_CTX_ANY SpliceDescriptor* StartEx(std::unique_ptr<SpliceSource> source,
-                                         std::unique_ptr<SpliceSink> sink, SpliceOptions opts,
-                                         SpliceCompletionFn on_complete);
-
-  // Fan-out form: the attached route-stage operator picks which of `sinks`
-  // each chunk continues to.  The sink count must equal the program's
-  // SinkCount() — bind sites validate with kErrInval, the engine aborts.
-  IKDP_CTX_ANY SpliceDescriptor* StartMulti(
-      std::unique_ptr<SpliceSource> source, std::vector<std::unique_ptr<SpliceSink>> sinks,
-      SpliceOptions opts, SpliceCompletionFn on_complete);
+                                       std::vector<std::unique_ptr<SpliceSink>> sinks,
+                                       SpliceOptions opts, SpliceCompletionFn on_complete);
 
   // Stops issuing reads; the splice completes (invoking on_complete) once
   // in-flight chunks drain.

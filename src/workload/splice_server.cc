@@ -551,7 +551,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
             sqe.cookie = r.id;
             sqe.kop_id = kop_id;  // 0 = no operator; no per-request attach trap
             ring_slot.emplace(r.id, k);
-            server.RingPrepare(p, ring, sqe);
+            (void)server.RingPrepare(p, ring, sqe);  // fails only for a bad ring id
             // Submit-only enter under the request's span, so the minted
             // aio.op (and the splice stream under it) parents here.
             co_await server.RingEnter(p, ring, 1, 0);

@@ -170,7 +170,7 @@ TEST_F(AioTest, SqFullReturnsEagainThenRecovers) {
     eagains = kernel_.GetRing(p, ring)->stats().eagain_returns;
   });
   EXPECT_EQ(first, 2);
-  EXPECT_EQ(bounced, -kAioEAgain);
+  EXPECT_EQ(bounced, -kErrAgain);
   EXPECT_EQ(second, 2);
   EXPECT_EQ(third, 4);
   EXPECT_EQ(eagains, 1u);
@@ -249,16 +249,16 @@ TEST_F(AioTest, CancelQueuedOpButNotStartedOrUnknown) {
     cqes.resize(2);
     EXPECT_EQ(kernel_.RingHarvest(p, ring, cqes.data(), 2), 2);
   });
-  EXPECT_EQ(cancel_started, -kAioEBusy);
+  EXPECT_EQ(cancel_started, -kErrBusy);
   EXPECT_EQ(cancel_queued, 0);
-  EXPECT_EQ(cancel_unknown, -kAioENoent);
+  EXPECT_EQ(cancel_unknown, -kErrNoent);
   for (const SpliceCqe& c : cqes) {
     if (c.cookie == 10) {
       EXPECT_EQ(c.error, 0);
       EXPECT_EQ(c.result, kBigBytes);
     } else {
       EXPECT_EQ(c.cookie, 11u);
-      EXPECT_EQ(c.error, kAioECanceled);
+      EXPECT_EQ(c.error, kErrCanceled);
       EXPECT_EQ(c.result, 0);
     }
   }
@@ -336,9 +336,9 @@ TEST_F(AioTest, LinkedGroupAdmissionFailureCancelsSiblings) {
   });
   ASSERT_EQ(harvested, 2);
   EXPECT_EQ(cqes[0].cookie, 1u);
-  EXPECT_EQ(cqes[0].error, kAioEBadf);
+  EXPECT_EQ(cqes[0].error, kErrBadf);
   EXPECT_EQ(cqes[1].cookie, 2u);
-  EXPECT_EQ(cqes[1].error, kAioECanceled);
+  EXPECT_EQ(cqes[1].error, kErrCanceled);
   // Nothing in the group reached the splice engine.
   EXPECT_EQ(engine_started, 0u);
 }
@@ -397,10 +397,10 @@ TEST_F(AioTest, MidStreamErrorTearsDownLinkedGroupWithOneCqeEach) {
   }
   ASSERT_NE(c1, nullptr);
   ASSERT_NE(c2, nullptr);
-  EXPECT_EQ(c1->error, kAioEIo);  // the device's errno, preserved
+  EXPECT_EQ(c1->error, kErrIo);  // the device's errno, preserved
   EXPECT_GT(c1->result, 0);       // partial bytes before the bad block
   EXPECT_LT(c1->result, kBytes);
-  EXPECT_EQ(c2->error, kAioECanceled);
+  EXPECT_EQ(c2->error, kErrCanceled);
   EXPECT_LT(c2->result, kBytes);
   EXPECT_EQ(kernel_.splice_engine().active(), 0);
 }
@@ -508,13 +508,13 @@ TEST_F(AioTest, RingErrorsOnBadArguments) {
   Run([&](Process& p) -> Task<> {
     RingConfig bad;
     bad.sq_entries = 0;
-    EXPECT_EQ(co_await kernel_.RingSetup(p, bad), -kAioEInval);
+    EXPECT_EQ(co_await kernel_.RingSetup(p, bad), -kErrInval);
     SpliceSqe sqe;
-    EXPECT_EQ(kernel_.RingPrepare(p, 42, sqe), -kAioEBadf);
-    EXPECT_EQ(co_await kernel_.RingEnter(p, 42, 1, 0), -kAioEBadf);
+    EXPECT_EQ(kernel_.RingPrepare(p, 42, sqe), -kErrBadf);
+    EXPECT_EQ(co_await kernel_.RingEnter(p, 42, 1, 0), -kErrBadf);
     SpliceCqe cqe;
-    EXPECT_EQ(kernel_.RingHarvest(p, 42, &cqe, 1), -kAioEBadf);
-    EXPECT_EQ(co_await kernel_.RingCancel(p, 42, 1), -kAioEBadf);
+    EXPECT_EQ(kernel_.RingHarvest(p, 42, &cqe, 1), -kErrBadf);
+    EXPECT_EQ(co_await kernel_.RingCancel(p, 42, 1), -kErrBadf);
 
     // A malformed SQE fails with a CQE, not a lost entry.
     const int ring = co_await kernel_.RingSetup(p, RingConfig{});
@@ -527,7 +527,7 @@ TEST_F(AioTest, RingErrorsOnBadArguments) {
     EXPECT_EQ(co_await kernel_.RingEnter(p, ring, 1, 1), 1);
     EXPECT_EQ(kernel_.RingHarvest(p, ring, &cqe, 1), 1);
     EXPECT_EQ(cqe.cookie, 5u);
-    EXPECT_EQ(cqe.error, kAioEBadf);
+    EXPECT_EQ(cqe.error, kErrBadf);
   });
 }
 

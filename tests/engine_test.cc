@@ -98,6 +98,13 @@ class ScriptedSink : public SpliceSink {
   int refusals_;
 };
 
+// The engine takes a sink list; these splices have one sink.
+std::vector<std::unique_ptr<SpliceSink>> OneSink(std::unique_ptr<SpliceSink> sink) {
+  std::vector<std::unique_ptr<SpliceSink>> sinks;
+  sinks.push_back(std::move(sink));
+  return sinks;
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : cpu_(&sim_, DecStation5000Costs()), callouts_(&sim_, 256),
@@ -106,8 +113,8 @@ class EngineTest : public ::testing::Test {
   int64_t RunSplice(std::unique_ptr<SpliceSource> src, std::unique_ptr<SpliceSink> sink,
                     SpliceOptions opts) {
     int64_t moved = -2;
-    engine_.Start(std::move(src), std::move(sink), opts,
-                  [&moved](int64_t m) { moved = m; });
+    engine_.Start(std::move(src), OneSink(std::move(sink)), opts,
+                  [&moved](const SpliceCompletion& c) { moved = c.io_error ? -1 : c.bytes_moved; });
     sim_.Run();
     return moved;
   }
@@ -152,7 +159,7 @@ TEST_F(EngineTest, InflightBoundLimitsSynchronousReadahead) {
 
   // Snapshot how far ahead the source has been read right after Start: the
   // in-flight bound must cap it even though reads complete synchronously.
-  engine_.Start(std::move(src), std::move(sink), opts, [](int64_t) {});
+  engine_.Start(std::move(src), OneSink(std::move(sink)), opts, [](const SpliceCompletion&) {});
   EXPECT_LE(obs.reads, 4);
   sim_.Run();
   EXPECT_EQ(obs.reads, 100);
@@ -182,8 +189,8 @@ TEST_F(EngineTest, EmptySourceCompletesAsynchronously) {
   auto src = std::make_unique<ScriptedSource>(0, 100);
   auto sink = std::make_unique<ScriptedSink>(&sim_, nullptr);
   int64_t moved = -2;
-  engine_.Start(std::move(src), std::move(sink), SpliceOptions{},
-                [&moved](int64_t m) { moved = m; });
+  engine_.Start(std::move(src), OneSink(std::move(sink)), SpliceOptions{},
+                [&moved](const SpliceCompletion& c) { moved = c.io_error ? -1 : c.bytes_moved; });
   EXPECT_EQ(moved, -2) << "completion must not fire inside Start()";
   sim_.Run();
   EXPECT_EQ(moved, 0);
@@ -195,8 +202,8 @@ TEST_F(EngineTest, StatsCountRetriesAndRefills) {
   auto sink = std::make_unique<ScriptedSink>(&sim_, nullptr, /*refusals=*/1);
   SpliceDescriptor* d = nullptr;
   SpliceDescriptor::Stats observed;
-  d = engine_.Start(std::move(src), std::move(sink), SpliceOptions{},
-                    [&](int64_t) { observed = d->stats(); });
+  d = engine_.Start(std::move(src), OneSink(std::move(sink)), SpliceOptions{},
+                    [&](const SpliceCompletion&) { observed = d->stats(); });
   sim_.Run();
   EXPECT_GE(observed.read_retries, 1u);
   EXPECT_GE(observed.write_retries, 1u);
@@ -213,10 +220,11 @@ TEST_F(EngineTest, CancelMidTransferReleasesAllChunksAndCompletesOnce) {
   opts.max_chunks_per_tick = 2;
   int completions = 0;
   int64_t moved = -2;
-  SpliceDescriptor* d = engine_.Start(std::move(src), std::move(sink), opts, [&](int64_t m) {
-    ++completions;
-    moved = m;
-  });
+  SpliceDescriptor* d =
+      engine_.Start(std::move(src), OneSink(std::move(sink)), opts, [&](const SpliceCompletion& c) {
+        ++completions;
+        moved = c.io_error ? -1 : c.bytes_moved;
+      });
   // Let a few drain ticks run, then cancel with chunks still in flight.
   sim_.RunUntil(3 * callouts_.TickDuration());
   ASSERT_EQ(completions, 0);
@@ -275,7 +283,8 @@ TEST(SpliceChargeTest, SyncCompletionChargeIsNotDropped) {
   opts.max_inflight_chunks = 4;  // four reads complete inside Start()
   opts.refill_batch = 4;
   engine.Start(std::make_unique<ScriptedSource>(8, 1000, 0, &obs),
-               std::make_unique<ScriptedSink>(&sim, nullptr), opts, [](int64_t) {});
+               OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), opts,
+               [](const SpliceCompletion&) {});
   const int sync_reads = obs.reads;
   EXPECT_GE(sync_reads, 1);
   const SimDuration charge = engine.TakeSyncCharge();
@@ -306,7 +315,8 @@ TEST(SpliceChargeTest, SyncAndAsyncCompletionChargeTheSameTotal) {
     CalloutTable callouts(&sim, 256);
     SpliceEngine engine(&cpu, &callouts);
     engine.Start(std::make_unique<ScriptedSource>(kChunks, kChunkBytes),
-                 std::make_unique<ScriptedSink>(&sim, nullptr), SpliceOptions{}, [](int64_t) {});
+                 OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
+                 [](const SpliceCompletion&) {});
     sync_total += engine.TakeSyncCharge();
     EXPECT_GT(sync_total, 0);  // the regression: this used to be dropped
     sim.Run();
@@ -320,7 +330,8 @@ TEST(SpliceChargeTest, SyncAndAsyncCompletionChargeTheSameTotal) {
     CalloutTable callouts(&sim, 256);
     SpliceEngine engine(&cpu, &callouts);
     engine.Start(std::make_unique<InterruptSource>(&sim, &cpu, kChunks, kChunkBytes),
-                 std::make_unique<ScriptedSink>(&sim, nullptr), SpliceOptions{}, [](int64_t) {});
+                 OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)), SpliceOptions{},
+                 [](const SpliceCompletion&) {});
     EXPECT_EQ(engine.TakeSyncCharge(), 0);  // nothing completed in Start()
     sim.Run();
     EXPECT_EQ(engine.TakeSyncCharge(), 0);  // all handlers ran at interrupt

@@ -578,7 +578,7 @@ TEST_F(KopTest, RingRefusesUnknownKopIdAtAdmission) {
   });
   ASSERT_EQ(harvested, 1);
   EXPECT_EQ(cqes[0].cookie, 7u);
-  EXPECT_EQ(cqes[0].error, kAioEInval);
+  EXPECT_EQ(cqes[0].error, kErrInval);
   EXPECT_FALSE(cqes[0].kop_active);
   EXPECT_EQ(engine_started, 0u);
 }
@@ -635,7 +635,7 @@ TEST_F(KopTest, RingKopRejectCancelsLinkedSiblingWithOneCqeEach) {
   EXPECT_EQ(c1->error, kErrKopReject);  // the operator's errno, preserved
   EXPECT_TRUE(c1->kop_active);
   EXPECT_LT(c1->result, kBytes);
-  EXPECT_EQ(c2->error, kAioECanceled);
+  EXPECT_EQ(c2->error, kErrCanceled);
   EXPECT_EQ(kernel_.splice_engine().active(), 0);
   VerifyNoLeakedBuffers();
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -434,6 +435,224 @@ TEST_F(OsTest, DeviceFileReadDeliversFrames) {
     // Writing to a pure source fails cleanly (no deadlock).
     EXPECT_EQ(co_await kernel_.Write(p, fd, buf.data(), 10), -1);
   });
+}
+
+// --- splice setup refusals ---------------------------------------------------
+//
+// Every setup refusal, driven through each splice front-end: splice(2),
+// splice_multi(2) and a ring SQE.  Each row pins what the caller sees (-1,
+// or the CQE's errno), the errno SpliceError reports on both ends, the
+// source's offset (a bind refusal must not consume it) and whether the
+// engine started anything.
+
+enum class FrontEnd { kSplice, kSpliceMulti, kRing };
+
+enum class Refusal {
+  kBadSrcFd,
+  kBadDstFd,
+  kBadLength,
+  kSelfSplice,
+  kMisaligned,
+  kSourceHole,
+  kUnboundedIntoFile,
+  kDropOverFile,
+  kWrongFanOut,
+  kDestinationFull,
+};
+
+struct RefusalOutcome {
+  int64_t ret = 0;          // splice/splice_multi return, or the CQE's errno
+  int src_error = 0;        // SpliceError(src); -1 for a bad descriptor
+  int dst_error = 0;        // SpliceError of the first destination
+  int64_t src_offset = -1;  // Tell(src); -1 unless a regular file
+  uint64_t started = 0;     // SpliceEngine splices_started
+  bool operator==(const RefusalOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const RefusalOutcome& o) {
+  return os << "{ret " << o.ret << ", src_error " << o.src_error << ", dst_error "
+            << o.dst_error << ", src_offset " << o.src_offset << ", started " << o.started
+            << "}";
+}
+
+// A fresh machine per row: a 16-block source on a RAM filesystem, a
+// filesystem with 8 data blocks for the device-full row, a frame source for the
+// unbounded row and two null devices as fan-out sinks.
+class RefusalWorld {
+ public:
+  RefusalWorld()
+      : kernel_(&sim_, DecStation5000Costs()),
+        ram_(&kernel_.cpu(), 16 << 20),
+        tiny_(&kernel_.cpu(), 24 * kBlockSize),
+        cam_(&sim_, "cam", kBlockSize, Milliseconds(10)),
+        null0_(&sim_),
+        null1_(&sim_) {
+    FileSystem* fs = kernel_.MountFs(&ram_, "fs");
+    kernel_.MountFs(&tiny_, "tiny");
+    kernel_.RegisterCharDev("cam", &cam_);
+    kernel_.RegisterCharDev("null0", &null0_);
+    kernel_.RegisterCharDev("null1", &null1_);
+    fs->CreateFileInstant("src", 16 * kBlockSize, Fill);
+  }
+
+  RefusalOutcome Run(Refusal r, FrontEnd fe) {
+    RefusalOutcome out;
+    kernel_.Spawn("test", [&](Process& p) -> Task<> {
+      int src = co_await kernel_.Open(p, "fs:src", kOpenRead);
+      int dst = co_await kernel_.Open(p, "fs:dst", kOpenWrite | kOpenCreate);
+      const int null0 = co_await kernel_.Open(p, "/dev/null0", kOpenWrite);
+      const int null1 = co_await kernel_.Open(p, "/dev/null1", kOpenWrite);
+      int64_t nbytes = kSpliceEof;
+      KopProgram prog;
+      KopStage route;
+      route.kind = KopStageKind::kRoute;
+      route.len = 1;
+      route.n_sinks = 2;
+      prog.stages.push_back(route);
+      switch (r) {
+        case Refusal::kBadSrcFd:
+          src = 99;
+          break;
+        case Refusal::kBadDstFd:
+          dst = 99;
+          break;
+        case Refusal::kBadLength:
+          nbytes = -5;
+          break;
+        case Refusal::kSelfSplice:
+          dst = co_await kernel_.Open(p, "fs:src", kOpenWrite);
+          break;
+        case Refusal::kMisaligned:
+          co_await kernel_.Lseek(p, src, 100);
+          break;
+        case Refusal::kSourceHole: {
+          // Blocks 0-2 of "holes" are never written.
+          src = co_await kernel_.Open(p, "fs:holes", kOpenWrite | kOpenCreate);
+          co_await kernel_.Lseek(p, src, 3 * kBlockSize);
+          const std::vector<uint8_t> block(kBlockSize, 0x5a);
+          co_await kernel_.Write(p, src, block);
+          co_await kernel_.Lseek(p, src, 0);
+          break;
+        }
+        case Refusal::kUnboundedIntoFile:
+          src = co_await kernel_.Open(p, "/dev/cam", kOpenRead);
+          break;
+        case Refusal::kDropOverFile:
+          prog.stages[0].kind = KopStageKind::kFilter;
+          prog.stages[0].filter_mode = KopFilterMode::kKeepIfEq;
+          prog.stages[0].n_sinks = 1;
+          break;
+        case Refusal::kWrongFanOut:
+          prog.stages[0].n_sinks = 3;
+          break;
+        case Refusal::kDestinationFull:
+          dst = co_await kernel_.Open(p, "tiny:dst", kOpenWrite | kOpenCreate);
+          break;
+      }
+      // splice and splice_multi bind the source's program; a ring SQE names
+      // its own.  splice_multi needs a route program whatever the row.
+      const bool bind = r == Refusal::kDropOverFile || r == Refusal::kWrongFanOut ||
+                        fe == FrontEnd::kSpliceMulti;
+      const int kop_id = bind ? co_await kernel_.KopLoad(p, prog) : 0;
+      EXPECT_EQ(kop_id > 0, bind);
+      if (fe != FrontEnd::kRing && bind) {
+        co_await kernel_.KopAttach(p, src, kop_id);
+      }
+      // splice_multi's destinations are two null devices, except that a
+      // row's own regular-file destination leads (and is refused there) and
+      // a bad descriptor comes second.
+      std::vector<int> dsts = {null0, null1};
+      if (r == Refusal::kSelfSplice || r == Refusal::kUnboundedIntoFile ||
+          r == Refusal::kDropOverFile || r == Refusal::kDestinationFull) {
+        dsts[0] = dst;
+      } else if (r == Refusal::kBadDstFd) {
+        dsts[1] = dst;
+      }
+      switch (fe) {
+        case FrontEnd::kSplice:
+          out.ret = co_await kernel_.Splice(p, src, dst, nbytes);
+          break;
+        case FrontEnd::kSpliceMulti:
+          out.ret = co_await kernel_.SpliceMulti(p, src, dsts, nbytes);
+          dst = dsts[0];
+          break;
+        case FrontEnd::kRing: {
+          const int ring = co_await kernel_.RingSetup(p, RingConfig{});
+          SpliceSqe sqe;
+          sqe.src_fd = src;
+          sqe.dst_fd = dst;
+          sqe.nbytes = nbytes;
+          sqe.cookie = 7;
+          sqe.kop_id = kop_id;
+          EXPECT_EQ(kernel_.RingPrepare(p, ring, sqe), 0);
+          EXPECT_EQ(co_await kernel_.RingEnter(p, ring, 1, 1), 1);
+          SpliceCqe cqe;
+          EXPECT_EQ(kernel_.RingHarvest(p, ring, &cqe, 1), 1);
+          EXPECT_EQ(cqe.cookie, 7u);
+          out.ret = cqe.error;
+          break;
+        }
+      }
+      out.src_error = co_await kernel_.SpliceError(p, src);
+      out.dst_error = co_await kernel_.SpliceError(p, dst);
+      out.src_offset = co_await kernel_.Tell(p, src);
+    });
+    sim_.Run();
+    EXPECT_EQ(kernel_.cpu().alive(), 0) << "process deadlocked";
+    out.started = kernel_.splice_engine().stats().splices_started;
+    return out;
+  }
+
+ private:
+  Simulator sim_;
+  Kernel kernel_;
+  RamDisk ram_;
+  RamDisk tiny_;
+  FrameSource cam_;
+  NullDevice null0_;
+  NullDevice null1_;
+};
+
+TEST(SpliceRefusalTest, EveryFrontEndRefusesSetupAlike) {
+  constexpr int kInval = kErrInval;
+  constexpr int64_t kMoved = 16 * kBlockSize;  // a source offset the build consumed
+  struct Row {
+    const char* name;
+    Refusal refusal;
+    RefusalOutcome splice;
+    RefusalOutcome multi;
+    RefusalOutcome ring;
+  };
+  const Row rows[] = {
+      {"bad source fd", Refusal::kBadSrcFd,
+       {-1, -1, 0, -1, 0}, {-1, -1, 0, -1, 0}, {kErrBadf, -1, 0, -1, 0}},
+      {"bad destination fd", Refusal::kBadDstFd,
+       {-1, 0, -1, 0, 0}, {-1, kInval, kInval, 0, 0}, {kErrBadf, 0, -1, 0, 0}},
+      {"negative length", Refusal::kBadLength,
+       {-1, 0, 0, 0, 0}, {-1, kInval, 0, 0, 0}, {kInval, 0, 0, 0, 0}},
+      {"file onto itself", Refusal::kSelfSplice,
+       {-1, 0, 0, 0, 0}, {-1, kInval, 0, 0, 0}, {kInval, 0, 0, 0, 0}},
+      {"misaligned offset", Refusal::kMisaligned,
+       {-1, kInval, kInval, 100, 0}, {-1, kInval, kInval, 100, 0}, {kInval, 0, 0, 100, 0}},
+      {"hole in the source", Refusal::kSourceHole,
+       {-1, kInval, kInval, 0, 0}, {-1, kInval, kInval, 0, 0}, {kInval, 0, 0, 0, 0}},
+      {"unbounded into a file", Refusal::kUnboundedIntoFile,
+       {-1, kInval, kInval, -1, 0}, {-1, kInval, 0, -1, 0}, {kInval, 0, 0, -1, 0}},
+      {"dropping program over a file", Refusal::kDropOverFile,
+       {-1, kInval, kInval, 0, 0}, {-1, kInval, 0, 0, 0}, {kInval, 0, 0, 0, 0}},
+      {"wrong fan-out", Refusal::kWrongFanOut,
+       {-1, kInval, kInval, 0, 0}, {-1, kInval, kInval, 0, 0}, {kInval, 0, 0, 0, 0}},
+      {"destination premap fills the device", Refusal::kDestinationFull,
+       {-1, kErrNoSpc, kErrNoSpc, kMoved, 0}, {-1, kInval, 0, 0, 0},
+       {kErrNoSpc, 0, 0, kMoved, 0}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(RefusalWorld().Run(row.refusal, FrontEnd::kSplice), row.splice) << "splice";
+    EXPECT_EQ(RefusalWorld().Run(row.refusal, FrontEnd::kSpliceMulti), row.multi)
+        << "splice_multi";
+    EXPECT_EQ(RefusalWorld().Run(row.refusal, FrontEnd::kRing), row.ring) << "ring";
+  }
 }
 
 }  // namespace

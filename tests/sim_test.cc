@@ -467,13 +467,20 @@ TEST_F(CalloutTest, UntimeoutRemovesPendingEntry) {
 }
 
 TEST_F(CalloutTest, ObserverSeesBatchSizes) {
-  std::vector<int> batches;
-  callouts_.set_softclock_observer([&](int n) { batches.push_back(n); });
+  // Each softclock pass records its batch size in a kSoftclockRun record.
+  TraceLog trace;
+  callouts_.set_trace(&trace);
   callouts_.Timeout([] {}, 1);
   callouts_.Timeout([] {}, 1);
   callouts_.Timeout([] {}, 2);
   sim_.Run();
-  EXPECT_EQ(batches, (std::vector<int>{2, 1}));
+  std::vector<int64_t> batches;
+  for (const TraceRecord& r : trace.Snapshot()) {
+    if (r.kind == TraceKind::kSoftclockRun) {
+      batches.push_back(r.a);
+    }
+  }
+  EXPECT_EQ(batches, (std::vector<int64_t>{2, 1}));
   EXPECT_EQ(callouts_.softclock_runs(), 2u);
 }
 

@@ -22,6 +22,13 @@ namespace {
 
 uint8_t Fill(int64_t i) { return static_cast<uint8_t>((i * 131 + 17) & 0xff); }
 
+// The engine takes a sink list; these splices have one sink.
+std::vector<std::unique_ptr<SpliceSink>> OneSink(std::unique_ptr<SpliceSink> sink) {
+  std::vector<std::unique_ptr<SpliceSink>> sinks;
+  sinks.push_back(std::move(sink));
+  return sinks;
+}
+
 enum class PDisk { kRam, kRz56, kRz58 };
 
 const char* PDiskName(PDisk d) {
@@ -163,9 +170,9 @@ TEST_P(WatermarkPropertyTest, BoundsHoldAndContentSurvives) {
       bool done = false;
     } w;
     SpliceDescriptor* d = nullptr;
-    d = kernel.splice_engine().Start(std::move(source), std::move(sink), opts,
-                                     [&](int64_t m) {
-                                       moved = m;
+    d = kernel.splice_engine().Start(std::move(source), OneSink(std::move(sink)), opts,
+                                     [&](const SpliceCompletion& c) {
+                                       moved = c.io_error ? -1 : c.bytes_moved;
                                        observed = d->stats();
                                        w.done = true;
                                        kernel.cpu().Wakeup(&w);
@@ -215,8 +222,9 @@ TEST(SpliceCancelTest, ConvergesAndReleasesBuffers) {
                                                      std::move(smap), kBytes);
     auto sink =
         std::make_unique<FileSpliceSink>(&kernel.cache(), dst_fs->dev(), std::move(dmap));
-    d = kernel.splice_engine().Start(std::move(source), std::move(sink), SpliceOptions{},
-                                     [&](int64_t m) { moved = m; });
+    d = kernel.splice_engine().Start(
+        std::move(source), OneSink(std::move(sink)), SpliceOptions{},
+        [&](const SpliceCompletion& c) { moved = c.io_error ? -1 : c.bytes_moved; });
   });
   sim.After(Milliseconds(300), [&] {
     ASSERT_NE(d, nullptr);

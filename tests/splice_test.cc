@@ -25,6 +25,13 @@ namespace {
 
 uint8_t Fill(int64_t i) { return static_cast<uint8_t>((i * 40503u + 13) >> 3 & 0xff); }
 
+// The engine takes a sink list; these splices have one sink.
+std::vector<std::unique_ptr<SpliceSink>> OneSink(std::unique_ptr<SpliceSink> sink) {
+  std::vector<std::unique_ptr<SpliceSink>> sinks;
+  sinks.push_back(std::move(sink));
+  return sinks;
+}
+
 // A machine with two RAM disks and two SCSI disks, all mounted.
 class SpliceTest : public ::testing::Test {
  protected:
@@ -201,9 +208,9 @@ TEST_F(SpliceTest, FlowControlRespectsWatermarks) {
       bool done = false;
     } w;
     SpliceDescriptor* d =
-        kernel_.splice_engine().Start(std::move(source), std::move(sink), SpliceOptions{},
-                                      [&](int64_t m) {
-                                        moved = m;
+        kernel_.splice_engine().Start(std::move(source), OneSink(std::move(sink)),
+                                      SpliceOptions{}, [&](const SpliceCompletion& c) {
+                                        moved = c.io_error ? -1 : c.bytes_moved;
                                         observed = d->stats();
                                         w.done = true;
                                         kernel_.cpu().Wakeup(&w);
