@@ -1,17 +1,19 @@
 // google-benchmark microbenchmarks of the simulator's host-side primitives:
 // event queue, callout table, coroutine tasks, buffer cache operations,
 // filesystem block mapping, descriptor lookup, the CPU attribution ledger,
-// a process's CPU charge and the UDP datagram path.  These measure the
-// *simulator's* execution cost (host CPU), not simulated time — they exist
-// to keep the engine fast enough for the large parameter sweeps in the
-// ablation benches.
+// a process's CPU charge, the UDP datagram path and a warm serve request.
+// These measure the *simulator's* execution cost (host CPU), not simulated
+// time — they exist to keep the engine fast enough for the large parameter
+// sweeps in the ablation benches.
 //
 // This binary counts heap allocations and the bytes they ask for (its own
 // operator new).  Cases that call ReportAllocs show `allocs_per_iter`; those
 // declared allocation-free in steady state make the binary exit 1 if their
-// timed loop allocates, and BM_KernelConstruct makes it exit 1 if building a
-// machine allocates more than kMaxKernelConstructBytes, so
-// micro_primitives_smoke gates them.
+// timed loop allocates, BM_KernelConstruct makes it exit 1 if building a
+// machine allocates more than kMaxKernelConstructBytes, and
+// BM_ServeRequestWarm if a serve request's count depends on the object's
+// size or exceeds kMaxServeRequestAllocs, so micro_primitives_smoke gates
+// them.
 
 #include <benchmark/benchmark.h>
 
@@ -19,8 +21,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <new>
 #include <optional>
+#include <vector>
 
 #include "src/buf/buffer_cache.h"
 #include "src/dev/ram_disk.h"
@@ -37,6 +41,7 @@
 #include "src/sim/sim_state.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
+#include "src/workload/splice_server.h"
 
 namespace {
 std::atomic<uint64_t> g_allocs{0};
@@ -243,8 +248,7 @@ void BM_UdpDatagramRoundTrip(benchmark::State& state) {
   UdpSocket a(&cpu);
   UdpSocket b(&cpu);
   a.ConnectTo(&b, &wire);
-  BufData payload = MakeBufData();
-  payload->assign(1024, 0x5a);
+  const BufData payload = std::make_shared<std::vector<uint8_t>>(1024, 0x5a);
   int64_t received = 0;
   auto round_trip = [&] {
     a.SendAsync(payload, 1024, [&received] { benchmark::DoNotOptimize(received); });
@@ -322,19 +326,27 @@ void BM_CpuSleepWakeup(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuSleepWakeup);
 
+// A coroutine frame comes from the run's frame pool (SimState::frames), so
+// once one task has run, spawning the next allocates nothing.
 void BM_TaskSpawnResume(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    auto body = [&sim]() -> Task<> {
-      for (int i = 0; i < 100; ++i) {
-        co_await SuspendAndCall(
-            [&sim](std::coroutine_handle<> h) { sim.After(1, [h] { h.resume(); }); });
-      }
-    };
+  Simulator sim;
+  auto body = [&sim]() -> Task<> {
+    for (int i = 0; i < 100; ++i) {
+      co_await SuspendAndCall(
+          [&sim](std::coroutine_handle<> h) { sim.After(1, [h] { h.resume(); }); });
+    }
+  };
+  auto spawn_and_run = [&body, &sim] {
     Task<> t = body();
     t.Start();
     sim.Run();
+  };
+  spawn_and_run();  // warms the frame pool and the event arena
+  const AllocCount allocs;
+  for (auto _ : state) {
+    spawn_and_run();
   }
+  allocs.Report(state, /*must_be_zero=*/true);
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_TaskSpawnResume);
@@ -430,6 +442,62 @@ void BM_KernelConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelConstruct);
+
+// Heap allocations of one warm serve request in ring mode: RunSpliceServer
+// with one client fetching one object of `blocks` blocks, at a rate so low
+// that requests run one at a time, each counted from its arrival to the
+// next.  Returns the most common count over the warm requests (the ring's
+// submission and completion deques take a new chunk every few requests).
+uint64_t WarmServeRequestAllocs(int64_t blocks) {
+  constexpr int kRequests = 64;
+  constexpr int kWarmFrom = 8;
+  SpliceServerConfig cfg;
+  cfg.n_clients = 1;
+  cfg.n_objects = 1;
+  cfg.object_bytes = blocks * kBlockSize;
+  cfg.total_requests = kRequests;
+  cfg.offered_rps = 1.0;
+  cfg.mode = SubmitMode::kRing;
+  std::vector<uint64_t> at_arrival(kRequests, 0);
+  SpliceServerHooks hooks;
+  hooks.on_start = [&at_arrival](uint64_t id, SimTime) {
+    at_arrival[id] = g_allocs.load(std::memory_order_relaxed);
+  };
+  if (!RunSpliceServer(cfg, hooks).ok) {
+    return UINT64_MAX;
+  }
+  std::map<uint64_t, int> requests_with;  // allocation count -> requests
+  for (size_t i = kWarmFrom; i + 1 < at_arrival.size(); ++i) {
+    ++requests_with[at_arrival[i + 1] - at_arrival[i]];
+  }
+  return std::max_element(requests_with.begin(), requests_with.end(),
+                          [](const auto& a, const auto& b) { return a.second < b.second; })
+      ->first;
+}
+
+// A serve request allocates per splice, not per block: its iodone, chunk
+// and wire payload live in storage the splice already has.  The bound is
+// the count measured when that became so.  With the race detector on
+// (IKDP_KRACE), its ancestry maps allocate for every zero-delay event, so
+// the gate holds with it off.
+constexpr uint64_t kMaxServeRequestAllocs = 16;
+
+void BM_ServeRequestWarm(benchmark::State& state) {
+  uint64_t two_blocks = 0;
+  uint64_t eight_blocks = 0;
+  for (auto _ : state) {
+    two_blocks = WarmServeRequestAllocs(2);
+    eight_blocks = WarmServeRequestAllocs(8);
+  }
+  state.counters["allocs_2blk"] = static_cast<double>(two_blocks);
+  state.counters["allocs_8blk"] = static_cast<double>(eight_blocks);
+  if (!Krace().enabled() &&
+      (two_blocks != eight_blocks || two_blocks > kMaxServeRequestAllocs)) {
+    g_alloc_gate_failed = true;
+    state.SkipWithError("a warm serve request allocates per block or above the bound");
+  }
+}
+BENCHMARK(BM_ServeRequestWarm);
 
 void BM_Rng(benchmark::State& state) {
   Rng rng(42);

@@ -43,7 +43,7 @@ void BlockDevice::MoveContent(Buf& b, bool is_read) {
   }
   const size_t n = static_cast<size_t>(b.bcount);
   if (is_read) {
-    std::copy_n(PeekBlock(b.blkno).begin(), n, b.data->begin());
+    std::copy_n(PeekBlock(b.blkno).begin(), n, MakeWritable(b.data).begin());
   } else {
     PokeBlock(b.blkno, std::span<const uint8_t>(b.data->data(), n));
   }

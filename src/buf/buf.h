@@ -36,13 +36,32 @@ inline constexpr int64_t kBlockSize = 8192;
 // What a never-written or discarded block, and a file hole, read as.
 inline constexpr std::array<uint8_t, kBlockSize> kZeroBlock{};
 
-// A block's data area.  shared_ptr so a splice write-side header can alias
-// the read-side buffer's data without copying (the paper's key zero-copy
-// step: "both buffers share a common data area").
-using BufData = std::shared_ptr<std::vector<uint8_t>>;
+// A block's data area.  Shared, so a splice write-side header can alias
+// the read-side buffer's data and a datagram can carry it across the wire
+// without copying (the paper's key zero-copy step: "both buffers share a
+// common data area").
+//
+// Copy-on-write: the bytes are const to every holder.  MakeWritable is the
+// only way to write them, and it first gives the holder a private clone if
+// anyone else holds the area, the way an mbuf's external storage is written
+// only when its reference count is one.  A holder that changes bytes after
+// handing the area on therefore never changes what the others see.  Code
+// that builds a fresh area fills a std::vector it alone holds and then
+// publishes it as BufData.
+using BufData = std::shared_ptr<const std::vector<uint8_t>>;
 
 inline BufData MakeBufData() {
   return std::make_shared<std::vector<uint8_t>>(kBlockSize, 0);
+}
+
+// The bytes of `d` (non-null) for writing, cloned first when `d` is shared.
+inline std::vector<uint8_t>& MakeWritable(BufData& d) {
+  if (d.use_count() != 1) {
+    d = std::make_shared<std::vector<uint8_t>>(*d);
+  }
+  // Every data area is created as a non-const vector (above, or by the
+  // code that filled it), so with no other holder writing it is safe.
+  return const_cast<std::vector<uint8_t>&>(*d);
 }
 
 // Buffer status flags (names follow 4.2BSD).

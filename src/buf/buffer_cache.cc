@@ -245,8 +245,8 @@ Buf* BufferCache::TryGetBlk(BlockDevice* dev, int64_t blkno, bool* was_hit) {
   if (v->data.use_count() != 1) {
     // A buffer gets its frame with its first identity, not at construction,
     // so a cache holds only as many frames as blocks it has ever mapped.  A
-    // frame still aliased by an in-flight splice header is replaced rather
-    // than scribbled on.
+    // frame still shared (by an in-flight splice header or datagram) is
+    // replaced rather than cloned: the new identity needs none of its bytes.
     if (v->data == nullptr) {
       ++frames_;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -46,8 +47,7 @@ bool FrameSource::ReadAsync(int64_t max_bytes, ReadDone done) {
 void FrameSource::DeliverChunk() {
   assert(request_done_);
   const int64_t n = std::min(request_max_, frame_bytes_ - frame_offset_);
-  BufData data = MakeBufData();
-  data->resize(static_cast<size_t>(n));
+  auto data = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(n));
   const int64_t frame_no = frames_produced_;
   for (int64_t i = 0; i < n; ++i) {
     (*data)[static_cast<size_t>(i)] =

@@ -167,7 +167,7 @@ Task<bool> FileSystem::WritePtr(Process& p, int64_t pbn, int64_t index, int64_t 
     cache_->Brelse(b);
     co_return false;
   }
-  StorePtr(*b->data, index, value);
+  StorePtr(MakeWritable(b->data), index, value);
   cache_->Bdwrite(p, b);
   co_return true;
 }
@@ -175,7 +175,7 @@ Task<bool> FileSystem::WritePtr(Process& p, int64_t pbn, int64_t index, int64_t 
 Task<> FileSystem::ZeroFill(Process& p, int64_t pbn) {
   ++stats_.zero_fill_writes;
   Buf* b = co_await cache_->GetBlk(p, dev_, pbn);
-  std::fill(b->data->begin(), b->data->end(), 0);
+  std::ranges::fill(MakeWritable(b->data), 0);
   co_await cpu_->Use(p, cpu_->costs().BcopyTime(kBlockSize));
   cache_->Bdwrite(p, b);
 }
@@ -211,7 +211,7 @@ Task<int64_t> FileSystem::Bmap(Process& p, Inode* ip, int64_t lbn, bool alloc, b
       }
       // Fresh metadata block: initialize to zero through the cache.
       Buf* b = co_await cache_->GetBlk(p, dev_, ip->indirect);
-      std::fill(b->data->begin(), b->data->end(), 0);
+      std::ranges::fill(MakeWritable(b->data), 0);
       cache_->Bdwrite(p, b);
     }
     int64_t pbn = co_await ReadPtr(p, ip->indirect, rest);
@@ -248,7 +248,7 @@ Task<int64_t> FileSystem::Bmap(Process& p, Inode* ip, int64_t lbn, bool alloc, b
       co_return 0;
     }
     Buf* b = co_await cache_->GetBlk(p, dev_, ip->dindirect);
-    std::fill(b->data->begin(), b->data->end(), 0);
+    std::ranges::fill(MakeWritable(b->data), 0);
     cache_->Bdwrite(p, b);
   }
   int64_t mid = co_await ReadPtr(p, ip->dindirect, outer);
@@ -264,7 +264,7 @@ Task<int64_t> FileSystem::Bmap(Process& p, Inode* ip, int64_t lbn, bool alloc, b
       co_return 0;
     }
     Buf* b = co_await cache_->GetBlk(p, dev_, mid);
-    std::fill(b->data->begin(), b->data->end(), 0);
+    std::ranges::fill(MakeWritable(b->data), 0);
     cache_->Bdwrite(p, b);
     if (!co_await WritePtr(p, ip->dindirect, outer, mid)) {
       FreeBlock(mid);
@@ -385,10 +385,10 @@ Task<int64_t> FileSystem::Write(Process& p, Inode* ip, int64_t off, const uint8_
         }
       } else {
         b = co_await cache_->GetBlk(p, dev_, pbn);
-        std::fill(b->data->begin(), b->data->end(), 0);
+        std::ranges::fill(MakeWritable(b->data), 0);
       }
     }
-    std::copy(data + done, data + done + chunk, b->data->begin() + boff);
+    std::copy(data + done, data + done + chunk, MakeWritable(b->data).begin() + boff);
     // copyin from the user buffer.
     co_await cpu_->Use(p, cpu_->costs().CopyioTime(chunk));
     cache_->Bdwrite(p, b);

@@ -392,7 +392,8 @@ void CpuSystem::Wakeup(const void* chan) {
 }
 
 void CpuSystem::Post(Process& p, int sig) {
-  p.pending_signals_.insert(sig);
+  assert(sig >= 0 && sig < 64);
+  p.pending_signals_ |= uint64_t{1} << sig;
   ++p.stats_.signals_taken;
   if (p.state_ == ProcState::kSleeping && p.sleep_interruptible_) {
     Process** link = SleepQueue(p.sleep_channel_);

@@ -9,10 +9,10 @@
 #ifndef SRC_KERN_PROCESS_H_
 #define SRC_KERN_PROCESS_H_
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 #include "src/sim/inline_fn.h"
@@ -31,9 +31,11 @@ inline constexpr int kPriSock = 24;   // socket buffer waits
 inline constexpr int kPriWait = 30;   // pause(), wait()
 inline constexpr int kPriUser = 50;   // base user-mode priority
 
-// Signal numbers (the small subset the paper's programs use).
+// Signal numbers (the small subset the paper's programs use).  Pending
+// signals are one bit each in a 64-bit mask.
 inline constexpr int kSigAlrm = 14;
 inline constexpr int kSigIo = 23;
+static_assert(kSigAlrm < 64 && kSigIo < 64, "a pending signal is one bit of a uint64_t");
 
 enum class ProcState {
   kEmbryo,    // created, never dispatched
@@ -87,15 +89,16 @@ class Process {
     }
   }
 
-  bool SignalPending() const { return !pending_signals_.empty(); }
+  bool SignalPending() const { return pending_signals_ != 0; }
 
-  // Runs and clears all pending signal handlers.  Returns the number of
-  // signals taken.  Called by the syscall layer at kernel-exit points.
+  // Runs and clears all pending signal handlers, lowest signal first.
+  // Returns the number of signals taken.  Called by the syscall layer at
+  // kernel-exit points.
   int TakeSignals() {
     int taken = 0;
-    while (!pending_signals_.empty()) {
-      const int sig = *pending_signals_.begin();
-      pending_signals_.erase(pending_signals_.begin());
+    while (pending_signals_ != 0) {
+      const int sig = std::countr_zero(pending_signals_);
+      pending_signals_ &= pending_signals_ - 1;
       ++taken;
       auto it = handler_.find(sig);
       if (it != handler_.end()) {
@@ -153,7 +156,7 @@ class Process {
   // CpuSystem::run_queue_.
   Process* run_next_ = nullptr;
 
-  std::set<int> pending_signals_;
+  uint64_t pending_signals_ = 0;  // bit `sig` set: signal `sig` pending
   std::map<int, EventFn> handler_;
 
   Stats stats_;

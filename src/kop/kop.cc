@@ -167,10 +167,11 @@ KopOutcome KopExecChunk(const KopProgram& prog, SpliceChunk& chunk, KopRunState*
   st->chunks_in += 1;
   st->bytes_in += chunk.nbytes;
 
-  // Lazily cloned data area: the incoming chunk.data aliases the buffer
-  // cache's storage (the paper's zero-copy trick), so a transform must copy
-  // before scribbling — exactly what the zero_copy=false ablation charges.
-  bool cloned = false;
+  // The incoming chunk.data aliases the buffer cache's storage (the paper's
+  // zero-copy trick), so the first transform writes a private copy
+  // (MakeWritable) and is charged for it — exactly what the zero_copy=false
+  // ablation charges.
+  bool copy_charged = false;
 
   for (size_t i = 0; i < prog.stages.size(); ++i) {
     const KopStage& s = prog.stages[i];
@@ -222,13 +223,12 @@ KopOutcome KopExecChunk(const KopProgram& prog, SpliceChunk& chunk, KopRunState*
         break;
       }
       case KopStageKind::kTransform: {
-        if (!cloned) {
+        if (!copy_charged) {
           out.cost += costs.BcopyTime(chunk.nbytes);
-          chunk.data = std::make_shared<std::vector<uint8_t>>(*chunk.data);
-          cloned = true;
+          copy_charged = true;
         }
         out.cost += costs.BcopyTime(len);  // read-modify-write pass
-        uint8_t* mut = chunk.data->data();
+        uint8_t* mut = MakeWritable(chunk.data).data();
         for (int64_t b = 0; b < len; ++b) mut[off + b] ^= s.arg;
         break;
       }

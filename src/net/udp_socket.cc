@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
+#include <vector>
 
-#include "src/net/payload_pool.h"
 #include "src/sim/sim_state.h"
 
 namespace ikdp {
@@ -25,10 +26,10 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, EventFn done) {
   if (snd_inflight_ + nbytes > sndbuf_bytes_) {
     return false;
   }
-  // Refuse a full interface BEFORE paying protocol processing or copying
-  // the payload: a splice sink retrying off the softclock would otherwise
-  // burn a full output-path charge per refusal — a busy-wait dressed up as
-  // flow control — instead of backpressuring at (almost) no CPU cost.
+  // Refuse a full interface BEFORE paying protocol processing: a splice
+  // sink retrying off the softclock would otherwise burn a full output-path
+  // charge per refusal — a busy-wait dressed up as flow control — instead
+  // of backpressuring at (almost) no CPU cost.
   if (!link_->HasTxRoom()) {
     ++stats_.dgrams_dropped_wire;
     return false;
@@ -49,16 +50,24 @@ bool UdpSocket::SendAsync(BufData data, int64_t nbytes, EventFn done) {
   // log and a run's serials do not depend on what ran before it.
   uint64_t& last_serial = CurrentSimState().datagram_serial;
   const uint64_t serial = last_serial + 1;
-  // Snapshot the payload: the wire carries the bytes as they were when the
-  // datagram was queued, and the sender is free to recycle its buffer once
-  // `done` fires (before the propagation delay has elapsed).
-  BufData wire_copy = PayloadPool::ForCurrentRun().Snapshot(data, nbytes);
+  // The wire carries the sender's data area itself.  A sender that reuses
+  // its buffer once `done` fires (before the propagation delay has elapsed)
+  // writes through MakeWritable, which clones the area while this datagram
+  // still holds it.  Only a payload shorter than `nbytes`, or none, is
+  // copied, zero-padded.
+  if (data == nullptr || static_cast<int64_t>(data->size()) < nbytes) {
+    auto padded = std::make_shared<std::vector<uint8_t>>(static_cast<size_t>(nbytes), 0);
+    if (data != nullptr) {
+      std::copy(data->begin(), data->end(), padded->begin());
+    }
+    data = std::move(padded);
+  }
   // Both closures fit InlineFn's inline storage: the delivery carries the
   // datagram, the leave-interface event only the socket (the rest waits in
   // tx_pending_).
-  auto deliver = [peer, wire_copy = std::move(wire_copy), nbytes, span, serial](int64_t) mutable {
+  auto deliver = [peer, data = std::move(data), nbytes, span, serial](int64_t) mutable {
     KspanScope scope("net", span);
-    peer->Deliver(std::move(wire_copy), nbytes, serial);
+    peer->Deliver(std::move(data), nbytes, serial);
   };
   static_assert(NetworkLink::Deliver::kStoresInline<decltype(deliver)>);
   const bool accepted =

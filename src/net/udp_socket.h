@@ -48,7 +48,10 @@ class UdpSocket {
   // Sends one datagram of `nbytes`.  `done` (may be null) fires when the
   // datagram has left the interface (send-buffer space released).  Returns
   // false if there is no room, no peer, or the interface queue rejected it.
-  // The wire carries a snapshot of the first `nbytes` of `data`,
+  // The wire shares `data`'s area, and the receiver reads its first
+  // `nbytes`; anyone who writes the area later (the sender reusing its
+  // buffer) goes through MakeWritable, so the datagram keeps the bytes it
+  // was sent with.  A payload shorter than `nbytes` is copied and
   // zero-padded; `data` may be null when `nbytes` is 0 (an end-of-stream
   // datagram).
   IKDP_CTX_ANY bool SendAsync(BufData data, int64_t nbytes, EventFn done);

@@ -322,6 +322,9 @@ Task<int> Kernel::BuildEndpoints(Process& p, const std::shared_ptr<File>& src,
   const bool sink_is_file = HasFileSink(dsts);
   // The byte count the sinks must take; -1 for a stream bounded only by EOF.
   int64_t len = nbytes == kSpliceEof ? -1 : nbytes;
+  // A regular-file source whose offset the splice consumes, once every sink
+  // is built: a refused splice leaves the offset where it was.
+  RegularFile* consumed = nullptr;
   switch (src->kind()) {
     case File::Kind::kRegular: {
       auto* rf = static_cast<RegularFile*>(src.get());
@@ -349,7 +352,7 @@ Task<int> Kernel::BuildEndpoints(Process& p, const std::shared_ptr<File>& src,
         }
         map.push_back(pbn);
       }
-      rf->offset += len;
+      consumed = rf;
       out->source =
           std::make_unique<FileSpliceSource>(&cache_, rf->fs()->dev(), std::move(map), len);
       break;
@@ -437,6 +440,9 @@ Task<int> Kernel::BuildEndpoints(Process& p, const std::shared_ptr<File>& src,
         break;
       }
     }
+  }
+  if (consumed != nullptr) {
+    consumed->offset += len;
   }
   co_return 0;
 }

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+#include <utility>
+
+#include "src/sim/task.h"
 
 namespace ikdp {
 
@@ -35,6 +39,36 @@ SimState& HostState() {
 
 }  // namespace sim_state_internal
 
+void* FramePool::Allocate(size_t n) {
+  const size_t c = SizeClass(n);
+  if (c >= kClasses) {
+    return ::operator new(n);
+  }
+  if (FreeFrame* f = free_[c]) {
+    free_[c] = f->next;
+    return f;
+  }
+  ++heap_frames_;
+  return ::operator new((c + 1) * kGranule);
+}
+
+void FramePool::Free(void* p, size_t n) {
+  const size_t c = SizeClass(n);
+  if (c >= kClasses) {
+    ::operator delete(p);
+    return;
+  }
+  free_[c] = ::new (p) FreeFrame{free_[c]};
+}
+
+FramePool::~FramePool() {
+  for (FreeFrame* f : free_) {
+    while (f != nullptr) {
+      ::operator delete(std::exchange(f, f->next));
+    }
+  }
+}
+
 SimState::SimState(const SimState* enclosing)
     : collector(enclosing != nullptr ? enclosing->collector : nullptr),
       krace(enclosing != nullptr ? enclosing->krace.mode()
@@ -52,6 +86,14 @@ void SimState::FoldInto(SimState* enclosing) const {
   to.max_held_rank = std::max(to.max_held_rank, locks.max_held_rank);
   enclosing->krace.Fold(krace);
   enclosing->lockdep.Fold(lockdep);
+}
+
+void* internal::PromiseBase::operator new(std::size_t n) {
+  return CurrentSimState().frames.Allocate(n);
+}
+
+void internal::PromiseBase::operator delete(void* p, std::size_t n) {
+  CurrentSimState().frames.Free(p, n);
 }
 
 }  // namespace ikdp

@@ -1,7 +1,8 @@
 // SimState: the per-simulation state of the simulated kernel — lock
 // counters, execution context, kspan cursor and collector, the krace
-// detector, the lockdep validator, the UDP datagram serial and payload
-// pool — so that no number from one run includes counts from another.  Each
+// detector, the lockdep validator, the UDP datagram serial and the
+// coroutine frame pool — so that no number from one run includes counts
+// from another and a run's frames are recycled within it.  Each
 // Simulator owns one; every accessor
 // (GlobalLockStats, CurrentExecContext, CurrentKspan, Kspan, AttachKspan,
 // Krace, Lockdep) resolves through CurrentSimState(), like NetBSD's
@@ -21,8 +22,9 @@
 #ifndef SRC_SIM_SIM_STATE_H_
 #define SRC_SIM_SIM_STATE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "src/kern/ctx.h"
 #include "src/sim/krace.h"
@@ -44,6 +46,41 @@ struct LockStats {
   int max_held_rank = 0;  // highest rank ever held (0 = none yet)
 };
 
+// The coroutine frames of one run (src/sim/task.h).  A freed frame waits on
+// its size class's free list for the next frame of that class, so a run
+// that keeps repeating the same calls stops allocating frames once warm.
+// Frames are plain heap blocks: one freed under another run, or after its
+// own run ended, joins the lists of whichever state is current then.  The
+// lists go back to the heap when the pool is destroyed with its state.
+// Not thread-safe; each host thread has its own chain of states.
+class FramePool {
+ public:
+  FramePool() = default;
+  ~FramePool();
+
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  void* Allocate(size_t n);
+  // `n` is the size the frame was allocated with.
+  void Free(void* p, size_t n);
+
+  // Pooled frames this pool has taken from the heap.
+  uint64_t heap_frames() const { return heap_frames_; }
+
+ private:
+  struct FreeFrame {
+    FreeFrame* next;
+  };
+  // Size classes of 64 bytes up to 2 KiB; larger frames bypass the pool.
+  static constexpr size_t kGranule = 64;
+  static constexpr size_t kClasses = 32;
+  static size_t SizeClass(size_t n) { return (n - 1) / kGranule; }
+
+  std::array<FreeFrame*, kClasses> free_{};
+  uint64_t heap_frames_ = 0;
+};
+
 struct SimState {
   // nullptr makes a host state: checker modes from the environment, no
   // collector.  Otherwise the state of a run nested in `enclosing`: its
@@ -61,9 +98,7 @@ struct SimState {
   LockdepValidator lockdep;
   // The last UDP datagram serial minted this run (src/net/udp_socket.cc).
   uint64_t datagram_serial = 0;
-  // This run's datagram payload buffers (src/net/payload_pool.h), created by
-  // the first send; typed there, so the simulator core needs no net header.
-  std::shared_ptr<void> payload_pool;
+  FramePool frames;
 };
 
 namespace sim_state_internal {

@@ -22,6 +22,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -35,6 +36,12 @@ class Task;
 namespace internal {
 
 struct PromiseBase {
+  // Frames come from the current run's free lists (SimState::frames).
+  // Defined in sim_state.cc: a frame's allocation stays one call at every
+  // coroutine's ramp and destroy path.
+  static void* operator new(std::size_t n);
+  static void operator delete(void* p, std::size_t n);
+
   std::coroutine_handle<> continuation;
   EventFn on_done;  // set only on root (detached) tasks
   std::exception_ptr exception;

@@ -29,8 +29,7 @@ class FileSpliceSource : public SpliceSource {
   // `block_map[k]` is the physical block holding chunk k; `total_bytes`
   // bounds the transfer (the last chunk may be short).
   FileSpliceSource(BufferCache* cache, BlockDevice* dev, std::vector<int64_t> block_map,
-                   int64_t total_bytes)
-      : cache_(cache), dev_(dev), block_map_(std::move(block_map)), total_bytes_(total_bytes) {}
+                   int64_t total_bytes);
 
   int64_t TotalBytes() const override { return total_bytes_; }
   int64_t ChunkBytes() const override { return kBlockSize; }
@@ -39,10 +38,24 @@ class FileSpliceSource : public SpliceSource {
   IKDP_CTX_ANY void Release(SpliceChunk& chunk) override;
 
  private:
+  // An outstanding read's completion.  The source keeps it, so the iodone
+  // it hands the cache carries only the chunk index and stays inline.
+  struct PendingRead {
+    int64_t index;
+    Done done;
+  };
+
+  // Chunk `index`'s buffer is valid (or failed): delivers the chunk.
+  IKDP_CTX_ANY void ReadDone(int64_t index, Buf& b);
+
   BufferCache* cache_;
   BlockDevice* dev_;
   std::vector<int64_t> block_map_;
   int64_t total_bytes_;
+  // Reads complete in any order (cache hits at once, misses as the disk
+  // schedules them), so this is searched by index; it holds at most the
+  // engine's read batch.
+  std::vector<PendingRead> pending_;
 };
 
 class FileSpliceSink : public SpliceSink {

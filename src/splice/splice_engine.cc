@@ -59,6 +59,10 @@ SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
   d->sinks_ = std::move(sinks);
   d->opts_ = opts;
   d->on_complete_ = std::move(on_complete);
+  d->slots_.resize(static_cast<size_t>(std::max(opts.max_inflight_chunks, 0)));
+  for (SpliceDescriptor::ChunkSlot& slot : d->slots_) {
+    d->free_slots_.push_back(&slot);
+  }
   const int64_t total = d->source_->TotalBytes();
   int64_t chunks_total = -1;
   if (total >= 0) {
@@ -252,18 +256,22 @@ void SpliceEngine::ReadDone(SpliceDescriptor* d, SpliceChunk chunk) {
     return;
   }
   d->lock_.Release();
+  // The flow control admits at most max_inflight_chunks, one slot each.
+  assert(!d->free_slots_.empty());
+  SpliceDescriptor::ChunkSlot* slot = d->free_slots_.pop_front();
+  slot->chunk = std::move(chunk);
   // "When a read completes, the read handler is invoked which in turn
   // schedules a write by placing a reference to the write handler at the
   // head of the system callout list."  (Section 5.2.2)
   if (d->opts_.callout_deferral) {
     IKDP_KRACE_WRITE(d, "SpliceDescriptor::ready_");
-    d->ready_.push_back(std::move(chunk));
+    d->ready_.push_back(slot);
     if (KraceEnabled()) Krace().ChannelRelease(&d->ready_);
     ArmDrain(d);
   } else {
     // Ablation: run the write side directly in the read handler (lock-step
     // coupling of the two devices' access periods).
-    if (!StartChunkWrite(d, std::move(chunk))) {
+    if (!StartChunkWrite(d, slot)) {
       // Sink refused: fall back to the callout path for the retry.
       ArmDrain(d);
     }
@@ -300,9 +308,7 @@ void SpliceEngine::DrainWrites(SpliceDescriptor* d) {
   if (KraceEnabled()) Krace().ChannelAcquire(&d->ready_);
   while (budget > 0 && !d->ready_.empty()) {
     IKDP_KRACE_WRITE(d, "SpliceDescriptor::ready_");
-    SpliceChunk chunk = std::move(d->ready_.front());
-    d->ready_.pop_front();
-    if (!StartChunkWrite(d, std::move(chunk))) {
+    if (!StartChunkWrite(d, d->ready_.pop_front())) {
       break;  // sink full; the refused chunk was re-queued at the front
     }
     --budget;
@@ -312,7 +318,8 @@ void SpliceEngine::DrainWrites(SpliceDescriptor* d) {
   }
 }
 
-bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
+bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot) {
+  SpliceChunk& chunk = slot->chunk;
   KspanScope scope("splice", d->span_);
   Charge(cpu_->costs().splice_write_handler);
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
@@ -321,7 +328,7 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
     // Count it as drained so cancellation converges.
     ++d->chunks_done_;
     d->lock_.Release();
-    d->source_->Release(chunk);
+    ReleaseSlot(d, slot);
     MaybeFinish(d);
     return true;  // consumed
   }
@@ -335,7 +342,7 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
         // reaching a sink.  A drop retires a chunk just like a write
         // completion, so it must also drive the flow control — a 90% filter
         // would otherwise stall once the initial read batch drained.
-        d->source_->Release(chunk);
+        ReleaseSlot(d, slot);
         d->lock_.Acquire();
         ++d->chunks_done_;
         d->lock_.Release();
@@ -354,7 +361,7 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
         }
         d->lock_.Release();
         AbortPendingRead(d);
-        d->source_->Release(chunk);
+        ReleaseSlot(d, slot);
         d->lock_.Acquire();
         ++d->chunks_done_;
         d->lock_.Release();
@@ -382,12 +389,8 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
   ++d->pending_writes_;
   d->stats_.max_pending_writes = std::max(d->stats_.max_pending_writes, d->pending_writes_);
   d->lock_.Release();
-  SpliceChunk* heap_chunk = new SpliceChunk(std::move(chunk));
-  const bool ok = d->sinks_[sink_index]->StartWrite(*heap_chunk, [this, d, heap_chunk](bool write_ok) {
-    SpliceChunk done_chunk = std::move(*heap_chunk);
-    delete heap_chunk;
-    WriteDone(d, std::move(done_chunk), write_ok);
-  });
+  const bool ok = d->sinks_[sink_index]->StartWrite(
+      chunk, [this, d, slot](bool write_ok) { WriteDone(d, slot, write_ok); });
   if (!ok) {
     // Sink full: requeue at the front; the drain retries next tick, pacing
     // the splice at the sink's drain rate.
@@ -396,14 +399,14 @@ bool SpliceEngine::StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk) {
     d->lock_.Release();
     ++d->stats_.write_retries;
     IKDP_KRACE_WRITE(d, "SpliceDescriptor::ready_");
-    d->ready_.push_front(std::move(*heap_chunk));
-    delete heap_chunk;
+    d->ready_.push_front(slot);
     return false;
   }
   return true;
 }
 
-void SpliceEngine::WriteDone(SpliceDescriptor* d, SpliceChunk chunk, bool ok) {
+void SpliceEngine::WriteDone(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot, bool ok) {
+  const SpliceChunk& chunk = slot->chunk;
   KspanScope scope("splice", d->span_);
   Charge(cpu_->costs().splice_wdone_handler);
   IKDP_KRACE_WRITE(d, "SpliceDescriptor::counters");
@@ -429,9 +432,17 @@ void SpliceEngine::WriteDone(SpliceDescriptor* d, SpliceChunk chunk, bool ok) {
     // pending_reads_ and the errored splice would never finish.
     AbortPendingRead(d);
   }
-  d->source_->Release(chunk);
+  ReleaseSlot(d, slot);
   MaybeRefill(d);
   MaybeFinish(d);
+}
+
+void SpliceEngine::ReleaseSlot(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot) {
+  d->source_->Release(slot->chunk);
+  // Drop the data area too: while a free slot held it, the cache buffer's
+  // frame would stay shared, and its next write would have to clone it.
+  slot->chunk = SpliceChunk{};
+  d->free_slots_.push_back(slot);
 }
 
 void SpliceEngine::MaybeRefill(SpliceDescriptor* d) {

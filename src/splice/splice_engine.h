@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -209,10 +208,53 @@ class SpliceDescriptor {
   bool span_owned_ IKDP_GUARDED_BY(any) = false;  // minted (must End) vs inherited
   SimTime started_at_ = 0;
   CalloutId retry_callout_ = kInvalidCalloutId;
+
+  // A chunk between its read completion and its retirement.  Its address
+  // is stable: a sink keeps a reference to the chunk until the write's
+  // completion fires.
+  struct ChunkSlot {
+    SpliceChunk chunk;
+    ChunkSlot* next = nullptr;
+  };
+  // Slots chained through `next`, oldest first.
+  struct SlotQueue {
+    ChunkSlot* head = nullptr;
+    ChunkSlot* tail = nullptr;
+
+    bool empty() const { return head == nullptr; }
+    void push_back(ChunkSlot* s) {
+      s->next = nullptr;
+      if (tail == nullptr) {
+        head = s;
+      } else {
+        tail->next = s;
+      }
+      tail = s;
+    }
+    void push_front(ChunkSlot* s) {
+      s->next = head;
+      head = s;
+      if (tail == nullptr) {
+        tail = s;
+      }
+    }
+    ChunkSlot* pop_front() {
+      ChunkSlot* s = head;
+      head = s->next;
+      if (head == nullptr) {
+        tail = nullptr;
+      }
+      return s;
+    }
+  };
+  // One slot per chunk the flow control lets in flight (max_inflight_chunks,
+  // sized at Start), so moving a chunk allocates nothing.
+  std::vector<ChunkSlot> slots_;
+  SlotQueue free_slots_;
   // Chunks whose reads completed, awaiting the softclock write handler.
   // Produced by ReadDone (interrupt), consumed by DrainWrites (softclock);
   // the handoff is serialized by the callout list, not by a context rule.
-  std::deque<SpliceChunk> ready_ IKDP_ORDERED_BY(callout);
+  SlotQueue ready_ IKDP_ORDERED_BY(callout);
   SpliceCompletionFn on_complete_;
   Stats stats_;
 
@@ -293,12 +335,16 @@ class SpliceEngine {
   // (With callout_deferral off it runs straight from ReadDone instead.)
   IKDP_CTX_SOFTCLOCK void DrainWrites(SpliceDescriptor* d);
 
-  // Starts the write of one chunk.  Returns false if the sink refused it
-  // (caller re-queues).
-  IKDP_CTX_ANY bool StartChunkWrite(SpliceDescriptor* d, SpliceChunk chunk);
+  // Starts the write of the chunk in `slot`.  Returns false if the sink
+  // refused it (the slot is back at the front of the ready queue).
+  IKDP_CTX_ANY bool StartChunkWrite(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot);
 
   // Write-completion handler.
-  IKDP_CTX_ANY void WriteDone(SpliceDescriptor* d, SpliceChunk chunk, bool ok);
+  IKDP_CTX_ANY void WriteDone(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot, bool ok);
+
+  // Retires the chunk in `slot`: the source releases it and the slot is
+  // free for the next read.
+  IKDP_CTX_ANY void ReleaseSlot(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot);
 
   // Rate-based flow control (Section 5.2.4): pulls more reads when both
   // pending counts are below their watermarks.  Runs on every chunk

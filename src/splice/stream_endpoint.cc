@@ -62,8 +62,8 @@ bool DeviceSpliceSource::StartRead(int64_t index, Done done) {
   if (done_) {
     return false;  // the device serves one read at a time
   }
-  acc_ = MakeBufData();
-  acc_->clear();
+  acc_ = std::make_shared<std::vector<uint8_t>>();
+  acc_->reserve(static_cast<size_t>(target));
   // Parked before the call: a device with data completes inside ReadAsync.
   done_ = std::move(done);
   if (!IssueRead(index, target)) {

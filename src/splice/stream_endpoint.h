@@ -15,6 +15,8 @@
 #define SRC_SPLICE_STREAM_ENDPOINT_H_
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "src/dev/char_device.h"
 #include "src/kern/cpu.h"
@@ -111,7 +113,8 @@ class DeviceSpliceSource : public SpliceSource {
   int64_t remaining_;  // bytes left in the budget; < 0 means unbounded
   int64_t chunk_bytes_;
   bool coalesce_;
-  BufData acc_;            // accumulation buffer for the chunk in progress
+  // The chunk in progress, filled here and published as its BufData.
+  std::shared_ptr<std::vector<uint8_t>> acc_;
   bool saw_eof_ = false;   // device reported end-of-stream
   bool pending_eof_ = false;  // deliver EOF on the next StartRead
   Done done_;  // the outstanding read's completion

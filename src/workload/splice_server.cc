@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -196,9 +197,15 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
       std::max<int64_t>(16 << 20, 2 * config.n_objects * config.object_bytes);
   RamDisk disk(&server.cpu(), fs_bytes);
   FileSystem* fs = server.MountFs(&disk, "obj");
+  // Filled a block per call: a call per byte made set-up time follow where
+  // the linker happened to place the fill function.
   for (int i = 0; i < config.n_objects; ++i) {
     fs->CreateFileInstant(std::string("o").append(std::to_string(i)), config.object_bytes,
-                          [i](int64_t j) { return ObjectByte(i, j); });
+                          [i](int64_t lbn, std::span<uint8_t> bytes) {
+                            for (size_t j = 0; j < bytes.size(); ++j) {
+                              bytes[j] = ObjectByte(i, lbn * kBlockSize + static_cast<int64_t>(j));
+                            }
+                          });
   }
 
   // The request stream is drawn one arrival ahead, when the previous

@@ -96,7 +96,7 @@ TEST_F(BufTest, BreadFromScsiChargesWallClockTime) {
 TEST_F(BufTest, BwriteRoundTripsThroughDevice) {
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &ram_, 7);
-    *b->data = Pattern(7);
+    MakeWritable(b->data) = Pattern(7);
     co_await cache_.Bwrite(p, b);
   });
   EXPECT_EQ(Stored(ram_, 7), Pattern(7));
@@ -105,7 +105,7 @@ TEST_F(BufTest, BwriteRoundTripsThroughDevice) {
 TEST_F(BufTest, BdwriteDefersDeviceWrite) {
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &ram_, 9);
-    *b->data = Pattern(9);
+    MakeWritable(b->data) = Pattern(9);
     cache_.Bdwrite(p, b);
     EXPECT_EQ(ram_.stats().writes, 0u);  // nothing hit the device yet
     // Re-reading sees the dirty cached data.
@@ -120,7 +120,7 @@ TEST_F(BufTest, FlushDevWritesDelayedBlocksAndWaits) {
   RunProc([&](Process& p) -> Task<> {
     for (int64_t i = 0; i < 5; ++i) {
       Buf* b = co_await cache_.GetBlk(p, &scsi_, 100 + i);
-      *b->data = Pattern(100 + i);
+      MakeWritable(b->data) = Pattern(100 + i);
       cache_.Bdwrite(p, b);
     }
     co_await cache_.FlushDev(p, &scsi_);
@@ -136,7 +136,7 @@ TEST_F(BufTest, LruVictimIsFlushedWhenDirty) {
   RunProc([&](Process& p) -> Task<> {
     for (int64_t i = 0; i < 32; ++i) {  // cache has 16 buffers
       Buf* b = co_await cache_.GetBlk(p, &ram_, i);
-      *b->data = Pattern(i);
+      MakeWritable(b->data) = Pattern(i);
       cache_.Bdwrite(p, b);
     }
     co_await cache_.FlushDev(p, &ram_);
@@ -219,7 +219,7 @@ TEST_F(BufTest, BusyBlockRaceSleepsOnWantedAndWakes) {
 TEST_F(BufTest, DelwriVictimIsWrittenBeforeFrameReuse) {
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &ram_, 0);
-    *b->data = Pattern(0);
+    MakeWritable(b->data) = Pattern(0);
     cache_.Bdwrite(p, b);
     Buf* victim = b;
     bool reused = false;
@@ -248,7 +248,7 @@ TEST_F(BufTest, DelwriVictimWriteErrorIsCounted) {
   scsi_.disk().SetFaultHook([](int64_t, bool is_read) { return !is_read; });
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &scsi_, 3);
-    *b->data = Pattern(3);
+    MakeWritable(b->data) = Pattern(3);
     cache_.Bdwrite(p, b);
     for (int64_t i = 100; i < 120; ++i) {
       Buf* f = co_await cache_.Bread(p, &ram_, i);
@@ -268,7 +268,7 @@ TEST_F(BufTest, DelwriVictimWriteFailureRedirtiesAndRetries) {
       [&](int64_t, bool is_read) { return !is_read && fail_budget-- > 0; });
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &scsi_, 3);
-    *b->data = Pattern(3);
+    MakeWritable(b->data) = Pattern(3);
     cache_.Bdwrite(p, b);
     // Cycle the LRU with paced reads (the SCSI write takes ~20 ms of
     // simulated time) until the redirtied buffer is re-victimized and the
@@ -291,7 +291,7 @@ TEST_F(BufTest, DelwriRepeatedWriteFailureBoundsRetriesAndCountsLoss) {
   scsi_.disk().SetFaultHook([](int64_t, bool is_read) { return !is_read; });
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &scsi_, 3);
-    *b->data = Pattern(3);
+    MakeWritable(b->data) = Pattern(3);
     cache_.Bdwrite(p, b);
     // Paced LRU churn re-victimizes the redirtied buffer until the retry
     // budget is exhausted and the loss is recorded (bound is a backstop).
@@ -315,7 +315,7 @@ TEST_F(BufTest, FsyncWriteErrorKeepsDataForRetry) {
       [&](int64_t, bool is_read) { return !is_read && fail_writes; });
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &scsi_, 5);
-    *b->data = Pattern(5);
+    MakeWritable(b->data) = Pattern(5);
     cache_.Bdwrite(p, b);
     co_await cache_.FlushDev(p, &scsi_);  // fails at the media
     EXPECT_GT(cache_.stats().delwri_write_errors, 0u);
@@ -499,7 +499,7 @@ TEST_F(BufTest, VictimReuseWithAliasedDataGetsFreshFrame) {
     // Force reuse of every frame.
     for (int64_t i = 100; i < 116; ++i) {
       Buf* b = co_await cache_.GetBlk(p, &ram_, i);
-      *b->data = Pattern(i);
+      MakeWritable(b->data) = Pattern(i);
       cache_.Brelse(b);
     }
   });
@@ -511,7 +511,7 @@ TEST_F(BufTest, VictimReuseWithAliasedDataGetsFreshFrame) {
 TEST_F(BufTest, PendingWritesTracksAsyncWrites) {
   RunProc([&](Process& p) -> Task<> {
     Buf* b = co_await cache_.GetBlk(p, &scsi_, 50);
-    *b->data = Pattern(50);
+    MakeWritable(b->data) = Pattern(50);
     co_await cache_.Bawrite(p, b);
     EXPECT_EQ(cache_.PendingWrites(&scsi_), 1);
     co_await cache_.FlushDev(p, &scsi_);
@@ -525,7 +525,7 @@ TEST_F(BufTest, RamDiskWriteChargesCopyToCaller) {
   cpu_.Spawn("copier", [&](Process& p) -> Task<> {
     proc = &p;
     Buf* b = co_await cache_.GetBlk(p, &ram_, 0);
-    *b->data = Pattern(0);
+    MakeWritable(b->data) = Pattern(0);
     co_await cache_.Bwrite(p, b);
   });
   sim_.Run();

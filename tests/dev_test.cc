@@ -100,7 +100,7 @@ TEST_F(DevTest, RamDiskSynchronousCompletion) {
   RamDisk ram(&cpu_, 1 << 20);
   BufferCache cache(&cpu_, 4);
   Buf b = MakeIoBuf(&ram, 3, /*read=*/false, &cache);
-  (*b.data)[0] = 0x5A;
+  MakeWritable(b.data)[0] = 0x5A;
   b.Set(kBufCall);
   bool done = false;
   b.iodone = [&](Buf&) { done = true; };
@@ -269,7 +269,7 @@ class DevStoreTest : public DevTest, public ::testing::WithParamInterface<bool> 
 TEST_P(DevStoreTest, NeverWrittenBlockReadsZeros) {
   EXPECT_TRUE(IsZero(dev_->PeekBlock(9)));
   Buf b = MakeIoBuf(dev_.get(), 9, /*read=*/true, &cache_);
-  std::fill(b.data->begin(), b.data->end(), 0xEE);
+  std::ranges::fill(MakeWritable(b.data), 0xEE);
   Transfer(b);
   EXPECT_TRUE(IsZero(*b.data));
   EXPECT_EQ(dev_->StoredBlocks(), 0u);
@@ -286,7 +286,7 @@ TEST_P(DevStoreTest, ShortPokeIsZeroPadded) {
 
 TEST_P(DevStoreTest, DiscardedBlockReadsZeros) {
   Buf w = MakeIoBuf(dev_.get(), 6, /*read=*/false, &cache_);
-  std::fill(w.data->begin(), w.data->end(), 0x77);
+  std::ranges::fill(MakeWritable(w.data), 0x77);
   Transfer(w);
   ASSERT_EQ(dev_->PeekBlock(6)[0], 0x77);
   dev_->Discard(6);
@@ -302,7 +302,7 @@ TEST_P(DevStoreTest, StoresOnlyWrittenBlocks) {
   constexpr int kWrites = 5;
   for (int i = 0; i < kWrites; ++i) {
     Buf w = MakeIoBuf(dev_.get(), 100 + 7 * i, /*read=*/false, &cache_);
-    (*w.data)[0] = static_cast<uint8_t>(i + 1);
+    MakeWritable(w.data)[0] = static_cast<uint8_t>(i + 1);
     Transfer(w);
     EXPECT_EQ(dev_->StoredBlocks(), static_cast<size_t>(i + 1));
   }

@@ -11,7 +11,6 @@
 #include "src/hw/costs.h"
 #include "src/hw/link.h"
 #include "src/kern/cpu.h"
-#include "src/net/payload_pool.h"
 #include "src/net/udp_socket.h"
 #include "src/sim/simulator.h"
 
@@ -19,9 +18,7 @@ namespace ikdp {
 namespace {
 
 BufData Payload(const std::string& s) {
-  auto d = MakeBufData();
-  d->assign(s.begin(), s.end());
-  return d;
+  return std::make_shared<std::vector<uint8_t>>(s.begin(), s.end());
 }
 
 std::string AsString(const BufData& d, int64_t n) {
@@ -169,14 +166,26 @@ TEST_F(NetTest, LargeDatagramFragmentsOnWire) {
 }
 
 TEST_F(NetTest, ReceiverCopyIsStable) {
-  // Sender mutates its buffer right after transmission; the receiver must
-  // still see the original bytes.
-  auto buf = Payload("original!!");
-  a_.SendAsync(buf, 10, [&] { std::fill(buf->begin(), buf->end(), 'X'); });
+  // The sender rewrites its buffer right after transmission, through
+  // MakeWritable as every writer must; the receiver still sees the
+  // original bytes.
+  BufData buf = Payload("original!!");
+  a_.SendAsync(buf, 10, [&] { std::ranges::fill(MakeWritable(buf), 'X'); });
   std::string got;
   b_.RecvAsync(10, [&](BufData d, int64_t n) { got = AsString(d, n); });
   sim_.Run();
   EXPECT_EQ(got, "original!!");
+  EXPECT_EQ(AsString(buf, 10), "XXXXXXXXXX");
+}
+
+TEST_F(NetTest, FullPayloadArrivesAsTheSendersDataArea) {
+  // No wire copy: the receiver gets the very area the sender passed.
+  const BufData block = MakeBufData();
+  ASSERT_TRUE(a_.SendAsync(block, kBlockSize, nullptr));
+  BufData got;
+  b_.RecvAsync(kBlockSize, [&](BufData d, int64_t) { got = std::move(d); });
+  sim_.Run();
+  EXPECT_EQ(got.get(), block.get());
 }
 
 TEST_F(NetTest, NullPayloadZeroLengthDatagramIsLegal) {
@@ -217,53 +226,11 @@ TEST(NetPoolTest, ReceivedPayloadOutlivesTheSimulator) {
     b.RecvAsync(100, [&](BufData d, int64_t) { kept = std::move(d); });
     sim.Run();
   }
-  // The pool is gone with its run; the buffer is still valid, and dropping
-  // it frees it (the sanitizer build checks both).
+  // The run is gone; the buffer is still valid, and dropping it frees it
+  // (the sanitizer build checks both).
   ASSERT_NE(kept, nullptr);
   EXPECT_EQ(AsString(kept, 8), "survivor");
   kept.reset();
-}
-
-TEST(NetPoolTest, PoolHighWaterStaysWithinPeakInFlight) {
-  Simulator sim;
-  CpuSystem cpu(&sim, DecStation5000Costs());
-  NetworkLink wire(&sim, LoopbackParams());
-  UdpSocket a(&cpu);
-  UdpSocket b(&cpu);
-  a.ConnectTo(&b, &wire);
-  constexpr int kDgrams = 100000;
-  constexpr int kWindow = 4;
-  const BufData payload = Payload(std::string(512, 'w'));
-  int accepted = 0;
-  int consumed = 0;
-  int peak = 0;
-  // A snapshot lives from its SendAsync until the receiver has consumed it,
-  // so accepted - consumed bounds the live buffers from above.
-  std::function<void()> pump = [&] {
-    while (accepted < kDgrams && accepted - consumed < kWindow) {
-      ASSERT_TRUE(a.SendAsync(payload, 512, nullptr));
-      ++accepted;
-      peak = std::max(peak, accepted - consumed);
-    }
-  };
-  std::function<void()> drain = [&] {
-    b.RecvAsync(512, [&](BufData d, int64_t n) {
-      EXPECT_EQ(n, 512);
-      EXPECT_EQ((*d)[511], 'w');
-      ++consumed;
-      d.reset();
-      pump();
-      drain();
-    });
-  };
-  pump();
-  drain();
-  sim.Run();
-  EXPECT_EQ(consumed, kDgrams);
-  EXPECT_EQ(b.stats().dgrams_dropped_rcvbuf, 0u);
-  const size_t buffers = PayloadPool::ForCurrentRun().buffers();
-  EXPECT_GE(buffers, 1u);
-  EXPECT_LE(buffers, static_cast<size_t>(peak));
 }
 
 TEST_F(NetTest, ThroughputBoundedByWire) {

@@ -615,7 +615,6 @@ class RefusalWorld {
 
 TEST(SpliceRefusalTest, EveryFrontEndRefusesSetupAlike) {
   constexpr int kInval = kErrInval;
-  constexpr int64_t kMoved = 16 * kBlockSize;  // a source offset the build consumed
   struct Row {
     const char* name;
     Refusal refusal;
@@ -643,8 +642,7 @@ TEST(SpliceRefusalTest, EveryFrontEndRefusesSetupAlike) {
       {"wrong fan-out", Refusal::kWrongFanOut,
        {-1, kInval, kInval, 0, 0}, {-1, kInval, kInval, 0, 0}, {kInval, 0, 0, 0, 0}},
       {"destination premap fills the device", Refusal::kDestinationFull,
-       {-1, kErrNoSpc, kErrNoSpc, kMoved, 0}, {-1, kInval, 0, 0, 0},
-       {kErrNoSpc, 0, 0, kMoved, 0}},
+       {-1, kErrNoSpc, kErrNoSpc, 0, 0}, {-1, kInval, 0, 0, 0}, {kErrNoSpc, 0, 0, 0, 0}},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -652,6 +650,39 @@ TEST(SpliceRefusalTest, EveryFrontEndRefusesSetupAlike) {
     EXPECT_EQ(RefusalWorld().Run(row.refusal, FrontEnd::kSpliceMulti), row.multi)
         << "splice_multi";
     EXPECT_EQ(RefusalWorld().Run(row.refusal, FrontEnd::kRing), row.ring) << "ring";
+  }
+}
+
+TEST(SpliceRefusalTest, RetryAfterFreeingSpaceMovesEveryByte) {
+  // A destination premap that runs out of space refuses the splice before
+  // any byte moves, so the source offset stays put: once space is freed,
+  // the same call moves the whole file.
+  constexpr int64_t kBytes = 4 * kBlockSize;
+  Simulator sim;
+  Kernel kernel(&sim, DecStation5000Costs());
+  RamDisk ram(&kernel.cpu(), 16 << 20);
+  RamDisk tiny(&kernel.cpu(), 24 * kBlockSize);  // 8 data blocks
+  FileSystem* fs = kernel.MountFs(&ram, "fs");
+  FileSystem* small = kernel.MountFs(&tiny, "tiny");
+  fs->CreateFileInstant("src", kBytes, Fill);
+  small->CreateFileInstant("filler", 6 * kBlockSize, Fill);
+  kernel.Spawn("test", [&](Process& p) -> Task<> {
+    const int src = co_await kernel.Open(p, "fs:src", kOpenRead);
+    const int dst = co_await kernel.Open(p, "tiny:dst", kOpenWrite | kOpenCreate);
+    EXPECT_EQ(co_await kernel.Splice(p, src, dst, kSpliceEof), -1);
+    EXPECT_EQ(co_await kernel.SpliceError(p, dst), kErrNoSpc);
+    EXPECT_EQ(co_await kernel.Tell(p, src), 0);
+    EXPECT_TRUE(small->Remove("filler"));
+    EXPECT_EQ(co_await kernel.Splice(p, src, dst, kSpliceEof), kBytes);
+    EXPECT_EQ(co_await kernel.Tell(p, src), kBytes);
+  });
+  sim.Run();
+  ASSERT_EQ(kernel.cpu().alive(), 0) << "process deadlocked";
+  kernel.cache().FlushAllInstant();
+  const std::vector<uint8_t> back = small->ReadFileInstant(small->Lookup("dst"));
+  ASSERT_EQ(static_cast<int64_t>(back.size()), kBytes);
+  for (int64_t i = 0; i < kBytes; ++i) {
+    ASSERT_EQ(back[static_cast<size_t>(i)], Fill(i)) << "byte " << i;
   }
 }
 

@@ -21,8 +21,7 @@ uint8_t Fill(int64_t i) { return static_cast<uint8_t>((i * 89 + 5) & 0xff); }
 
 TEST(PipeUnitTest, WriteThenReadRoundTrip) {
   Pipe pipe(1024);
-  auto data = MakeBufData();
-  data->assign({'a', 'b', 'c'});
+  const BufData data = std::make_shared<std::vector<uint8_t>>(std::vector<uint8_t>{'a', 'b', 'c'});
   ASSERT_TRUE(pipe.WriteAsync(data, 3, nullptr));
   std::string got;
   ASSERT_TRUE(pipe.ReadAsync(16, [&](BufData d, int64_t n) {
@@ -100,8 +99,7 @@ TEST(PipeUnitTest, BrokenPipeRefusesWritesAndReleasesWriters) {
 TEST(PipeUnitTest, CoalescingSourceRefusesSecondReadAndKeepsPartialChunk) {
   Pipe pipe(64);
   DeviceSpliceSource src(&pipe, /*total_bytes=*/-1, /*chunk_bytes=*/8, /*coalesce=*/true);
-  auto data = MakeBufData();
-  data->assign(8, 7);
+  const BufData data = std::make_shared<std::vector<uint8_t>>(8, 7);
   std::vector<int64_t> delivered;
   ASSERT_TRUE(pipe.WriteAsync(data, 3, nullptr));
   ASSERT_TRUE(src.StartRead(0, [&](SpliceChunk c) { delivered.push_back(c.nbytes); }));

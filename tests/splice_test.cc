@@ -320,6 +320,42 @@ TEST_F(SpliceTest, FileToSocketToFileRelay) {
   VerifyFile(fs_ramb_, "dst", kBytes);
 }
 
+TEST_F(SpliceTest, WriteDuringFlightLeavesDatagramBytes) {
+  // The datagram a file -> socket splice sends shares the source block's
+  // cache buffer.  A write() into that block while the datagram is still
+  // on a slow wire writes a private copy (MakeWritable), so the receiver
+  // gets the bytes as they were at send and the file gets the new ones.
+  fs_rama_->CreateFileInstant("src", kBlockSize, Fill);
+  UdpSocket sa(&kernel_.cpu());
+  UdpSocket sb(&kernel_.cpu());
+  LinkParams slow = EthernetParams();
+  slow.propagation_delay = Seconds(1);
+  NetworkLink wire(&sim_, slow);
+  sa.ConnectTo(&sb, &wire);
+  bool rewritten = false;
+  std::vector<uint8_t> got;
+  ASSERT_TRUE(sb.RecvAsync(kBlockSize, [&](BufData d, int64_t n) {
+    EXPECT_TRUE(rewritten) << "the datagram arrived before the write";
+    got.assign(d->begin(), d->begin() + n);
+  }));
+  Run([&](Process& p) -> Task<> {
+    const int src = co_await kernel_.Open(p, "rama:src", kOpenRead);
+    const int sock = kernel_.OpenSocket(p, &sa);
+    EXPECT_EQ(co_await kernel_.Splice(p, src, sock, kSpliceEof), kBlockSize);
+    const int w = co_await kernel_.Open(p, "rama:src", kOpenWrite);
+    const std::vector<uint8_t> junk(kBlockSize, 0xEE);
+    EXPECT_EQ(co_await kernel_.Write(p, w, junk.data(), kBlockSize), kBlockSize);
+    rewritten = true;
+  });
+  ASSERT_EQ(static_cast<int64_t>(got.size()), kBlockSize);
+  for (int64_t i = 0; i < kBlockSize; ++i) {
+    ASSERT_EQ(got[static_cast<size_t>(i)], Fill(i)) << "byte " << i;
+  }
+  kernel_.cache().FlushAllInstant();
+  const std::vector<uint8_t> now = fs_rama_->ReadFileInstant(fs_rama_->Lookup("src"));
+  EXPECT_EQ(now, std::vector<uint8_t>(kBlockSize, 0xEE));
+}
+
 TEST_F(SpliceTest, SocketToSocketSplice) {
   // src proc writes datagrams into socket s1 -> s2; a relay process splices
   // s2 -> s3 entirely in-kernel; sink proc reads from s4.

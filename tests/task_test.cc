@@ -5,9 +5,11 @@
 
 #include <coroutine>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "src/sim/sim_state.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
@@ -187,6 +189,65 @@ TEST(TaskTest, VoidTaskAwaitable) {
   t.Start();
   sim.Run();
   EXPECT_EQ(steps, 3);
+}
+
+// --- the per-run frame pool (SimState::frames) ---
+
+// `depth` nested frames, each sleeping once on `sim`; returns `depth`.
+Task<int> Chain(Simulator* sim, int depth) {
+  co_await SimSleep(sim, 1);
+  if (depth == 0) {
+    co_return 0;
+  }
+  co_return 1 + co_await Chain(sim, depth - 1);
+}
+
+uint64_t HeapFrames() { return CurrentSimState().frames.heap_frames(); }
+
+// Runs Chain(depth) to completion on `sim`; its depth + 1 frames are freed.
+void RunChain(Simulator& sim, int depth) {
+  Task<int> t = Chain(&sim, depth);
+  t.Start();
+  sim.Run();
+  EXPECT_TRUE(t.done());
+}
+
+TEST(FramePoolTest, SecondIdenticalRunAllocatesNoFrames) {
+  Simulator sim;
+  RunChain(sim, 8);
+  const uint64_t first = HeapFrames();
+  EXPECT_EQ(first, 9u);
+  RunChain(sim, 8);
+  EXPECT_EQ(HeapFrames(), first);
+}
+
+TEST(FramePoolTest, TaskDestroyedAfterItsSimulatorJoinsTheEnclosingLists) {
+  Simulator outer;
+  std::optional<Task<int>> t;
+  {
+    Simulator inner;
+    t.emplace(Chain(&inner, 4));
+    t->Start();
+    inner.RunUntil(2);  // three frames deep, all suspended
+    EXPECT_FALSE(t->done());
+  }
+  t.reset();  // the frames outlived their run; `outer` takes them over
+  RunChain(outer, 2);
+  EXPECT_EQ(HeapFrames(), 0u);
+}
+
+TEST(FramePoolTest, NestedSimulatorsDrawFromTheirOwnLists) {
+  Simulator outer;
+  RunChain(outer, 2);
+  EXPECT_EQ(HeapFrames(), 3u);
+  {
+    Simulator inner;
+    EXPECT_EQ(HeapFrames(), 0u);
+    RunChain(inner, 4);
+    EXPECT_EQ(HeapFrames(), 5u);
+  }
+  RunChain(outer, 2);
+  EXPECT_EQ(HeapFrames(), 3u);
 }
 
 }  // namespace
