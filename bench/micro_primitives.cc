@@ -446,8 +446,10 @@ BENCHMARK(BM_KernelConstruct);
 // Heap allocations of one warm serve request in ring mode: RunSpliceServer
 // with one client fetching one object of `blocks` blocks, at a rate so low
 // that requests run one at a time, each counted from its arrival to the
-// next.  Returns the most common count over the warm requests (the ring's
-// submission and completion deques take a new chunk every few requests).
+// next.  Returns the most common count over the warm requests: a request
+// that finishes after the next one arrives moves its ring retirement's
+// allocation into that request's window, and the callout table's and the
+// server's vectors still grow to their high-water marks early in the window.
 uint64_t WarmServeRequestAllocs(int64_t blocks) {
   constexpr int kRequests = 64;
   constexpr int kWarmFrom = 8;

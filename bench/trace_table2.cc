@@ -175,14 +175,13 @@ int main(int argc, char** argv) {
         "splice.total_bytes == file size");
   Check(registry.GetCounter("cache.delwri_write_errors") == 0, "no delwri write errors");
 
-  // Per-disk: dispatch->complete intervals must account for every physical
-  // transfer (requests minus the ones coalesced into a neighbour), and the
-  // histogram's time sum must equal the disk's own busy-time ledger.
+  // Per-disk: dispatch->complete intervals must account for every transfer
+  // (one per request), and the histogram's time sum must equal the disk's
+  // own busy-time ledger.
   for (const char* mount : {"srcfs", "dstfs"}) {
     const std::string prefix = std::string("disk.") + mount + ".";
-    const int64_t transfers = registry.GetCounter(prefix + "reads") +
-                              registry.GetCounter(prefix + "writes") -
-                              registry.GetCounter(prefix + "coalesced");
+    const int64_t transfers =
+        registry.GetCounter(prefix + "reads") + registry.GetCounter(prefix + "writes");
     const std::string dev = mount[0] == 's' ? "RZ56.src" : "RZ56.dst";
     const ikdp::LatencyHistogram* h = registry.Histogram("disk.service_time." + dev);
     char label[96];

@@ -41,9 +41,7 @@ int SpliceRing::NextGroupSize() const {
 SpliceSqe SpliceRing::PopPrepared() {
   assert(!prepared_.empty());
   IKDP_KRACE_WRITE(this, "SpliceRing::prepared_");
-  SpliceSqe sqe = prepared_.front();
-  prepared_.pop_front();
-  return sqe;
+  return prepared_.pop_front();
 }
 
 void SpliceRing::AdmitGroup(std::vector<PreparedOp> group) {
@@ -350,12 +348,11 @@ void SpliceRing::Reap() {
       cpu_->ChargeKop(cpu_->costs().kop_stage_overhead);
     }
     IKDP_KRACE_WRITE(this, "SpliceRing::cq_");
-    if (static_cast<int>(cq_.size()) < config_.cq_entries) {
-      cq_.push_back(cqe);
-    } else {
-      overflow_.push_back(cqe);
+    cq_.push_back(cqe);
+    const int64_t staged = static_cast<int64_t>(cq_.size()) - config_.cq_entries;
+    if (staged > 0) {
       ++stats_.overflows;
-      Trace(TraceKind::kRingOverflow, static_cast<int64_t>(overflow_.size()));
+      Trace(TraceKind::kRingOverflow, staged);
     }
     ++stats_.completed;
     ++posted;
@@ -373,13 +370,8 @@ int SpliceRing::Harvest(SpliceCqe* out, int max) {
   int n = 0;
   while (n < max && !cq_.empty()) {
     IKDP_KRACE_WRITE(this, "SpliceRing::cq_");
-    out[n++] = cq_.front();
-    cq_.pop_front();
+    out[n++] = cq_.pop_front();
     ++stats_.harvested;
-    if (!overflow_.empty()) {
-      cq_.push_back(overflow_.front());
-      overflow_.pop_front();
-    }
   }
   return n;
 }

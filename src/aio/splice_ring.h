@@ -46,6 +46,7 @@
 #include "src/kern/ctx.h"
 #include "src/kern/lock.h"
 #include "src/sim/callout.h"
+#include "src/sim/fifo.h"
 #include "src/sim/sim_state.h"
 #include "src/splice/splice_engine.h"
 
@@ -96,7 +97,7 @@ struct SpliceCqe {
 
 struct RingConfig {
   int sq_entries = 32;   // cap on unfinished (admitted, unposted) ops
-  int cq_entries = 64;   // CQ capacity; beyond it completions stage in overflow
+  int cq_entries = 64;   // CQ capacity; completions past it stage in overflow
   int max_inflight = 8;  // ops running in the splice engine at once
   bool block_on_full = false;  // RingEnter blocks for SQ space instead of EAGAIN
 };
@@ -157,14 +158,14 @@ class SpliceRing {
 
   // --- completions ---
 
-  // Copies up to `max` posted CQEs into `out`, refilling the CQ from the
-  // overflow stage as entries drain.  Never blocks, never traps.
+  // Copies up to `max` posted CQEs into `out`, oldest first; the overflow
+  // stage moves up into the CQ as entries drain.  Never blocks, never traps.
   IKDP_CTX_PROCESS int Harvest(SpliceCqe* out, int max);
 
   // Posted, unharvested completions (CQ + overflow stage).
   int CqAvailable() const {
     SpinGuard g(lock_);
-    return static_cast<int>(cq_.size() + overflow_.size());
+    return static_cast<int>(cq_.size());
   }
 
   // Cancels a QUEUED op by cookie: it retires with kErrCanceled (its queued
@@ -262,7 +263,7 @@ class SpliceRing {
   const RingConfig config_;
 
   // The ring lock (docs/klock.md): guards the kernel-side op queues, the
-  // CQ/overflow pair, and the reaper latch.  It is fine-grained — never held
+  // completion queue, and the reaper latch.  It is fine-grained — never held
   // across engine_->Start / engine_->Cancel (both can complete an op
   // synchronously and re-enter Retire) — but IS held across ScheduleHead in
   // ArmReaper, a deliberate ring -> callout nesting (legal by rank; the
@@ -274,15 +275,16 @@ class SpliceRing {
   // warranted.  The kernel-side queues are touched by admission (process),
   // engine completions (interrupt), and the reaper (softclock).  retired_
   // is handed from completion to reaper through the `reaper` ordering
-  // channel (a handoff, not shared state — also no lock); the CQ/overflow
-  // pair is filled at softclock (Reap) and drained in process context
-  // (Harvest/Cancel).
-  std::deque<SpliceSqe> prepared_ IKDP_GUARDED_BY(process);  // user-side SQ
+  // channel (a handoff, not shared state — also no lock); the completion
+  // queue is filled at softclock (Reap) and drained in process context
+  // (Harvest).
+  Fifo<SpliceSqe> prepared_ IKDP_GUARDED_BY(process);  // user-side SQ
   std::deque<std::unique_ptr<Op>> queued_ IKDP_GUARDED_BY(lock:ring);
   std::vector<std::unique_ptr<Op>> started_ IKDP_GUARDED_BY(lock:ring);
   std::vector<std::unique_ptr<Op>> retired_ IKDP_ORDERED_BY(reaper);
-  std::deque<SpliceCqe> cq_ IKDP_GUARDED_BY(lock:ring);
-  std::deque<SpliceCqe> overflow_ IKDP_GUARDED_BY(lock:ring);
+  // Posted completions, oldest first: the first cq_entries are the CQ, the
+  // rest the overflow stage.
+  Fifo<SpliceCqe> cq_ IKDP_GUARDED_BY(lock:ring);
 
   int next_group_ = 1;
   bool reaper_armed_ IKDP_GUARDED_BY(lock:ring) = false;

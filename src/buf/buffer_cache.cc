@@ -437,7 +437,8 @@ void BufferCache::IssueReadAhead(BlockDevice* dev, int64_t blkno) {
 }
 
 Task<Buf*> BufferCache::Breada(Process& p, BlockDevice* dev, int64_t blkno, int64_t rablkno) {
-  // Issue the read-ahead first so the device can coalesce the stream.
+  // Issue the read-ahead first: it reaches the driver before this process
+  // can block on `blkno`.
   if (rablkno >= 0) {
     IssueReadAhead(dev, rablkno);
   }

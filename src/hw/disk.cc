@@ -47,23 +47,6 @@ DiskParams Rz58Params() {
   return p;
 }
 
-DiskParams InstantDiskParams() {
-  DiskParams p;
-  p.name = "INSTANT";
-  p.capacity_bytes = 1ll << 30;
-  p.bytes_per_cylinder = 1 << 20;
-  p.min_seek = 0;
-  p.avg_seek = 0;
-  p.max_seek = 0;
-  p.avg_rotational_latency = 0;
-  p.media_rate_bps = 400e6;
-  p.bus_rate_bps = 400e6;
-  p.cache_bytes = 0;
-  p.cache_segments = 1;
-  p.controller_overhead = Microseconds(1);
-  return p;
-}
-
 DiskModel::DiskModel(Simulator* sim, DiskParams params) : sim_(sim), params_(std::move(params)) {}
 
 void DiskModel::SetFaultPlan(const DiskFaultPlan& plan) {
@@ -104,167 +87,73 @@ void DiskModel::Submit(DiskRequest req) {
   }
 }
 
-DiskRequest DiskModel::ScheduleNext() {
-  assert(!queue_.empty());
-  auto pick = queue_.begin();
-  if (params_.sched == DiskSched::kCLook && queue_.size() > 1) {
-    ++stats_.queue_sort_passes;
-    // Circular LOOK: the lowest queued offset at or beyond the sweep
-    // position; when the sweep has passed everything, wrap to the lowest
-    // offset overall.  Ties keep arrival order (strict <).
-    auto ahead = queue_.end();
-    auto wrap = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->offset >= sweep_pos_) {
-        if (ahead == queue_.end() || it->offset < ahead->offset) {
-          ahead = it;
-        }
-      } else if (wrap == queue_.end() || it->offset < wrap->offset) {
-        wrap = it;
-      }
-    }
-    if (ahead != queue_.end()) {
-      pick = ahead;
-    } else {
-      pick = wrap;
-      if (trace_ != nullptr) {
-        trace_->Record(sim_->Now(), TraceKind::kDiskSweepWrap, wrap->offset, sweep_pos_,
-                       params_.name.c_str());
-      }
-    }
-  }
-  DiskRequest req = std::move(*pick);
-  queue_.erase(pick);
-  return req;
-}
-
-void DiskModel::Coalesce(std::vector<DiskRequest>* batch) {
-  if (params_.max_coalesce_bytes <= 0) {
-    return;
-  }
-  int64_t total = batch->front().nbytes;
-  int64_t end = batch->front().offset + total;
-  const bool is_read = batch->front().is_read;
-  bool merged = true;
-  while (merged && total < params_.max_coalesce_bytes) {
-    merged = false;
-    if (params_.sched == DiskSched::kFifo) {
-      // FIFO compatibility: only a run at the queue front may merge, so
-      // completion order stays exactly arrival order.
-      if (!queue_.empty() && queue_.front().is_read == is_read &&
-          queue_.front().offset == end) {
-        batch->push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        merged = true;
-      }
-    } else {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->is_read == is_read && it->offset == end) {
-          batch->push_back(std::move(*it));
-          queue_.erase(it);
-          merged = true;
-          break;
-        }
-      }
-    }
-    if (merged) {
-      const int64_t n = batch->back().nbytes;
-      total += n;
-      end += n;
-      ++stats_.coalesced;
-      if (trace_ != nullptr) {
-        // The record belongs to the request being merged in, not to whoever
-        // happens to be running when the batch forms.
-        KspanScope scope("disk", batch->back().span);
-        trace_->Record(sim_->Now(), TraceKind::kDiskCoalesce, transfer_serial_, n,
-                       params_.name.c_str());
-      }
-    }
-  }
-}
-
 void DiskModel::StartNext() {
   if (queue_.empty()) {
     busy_ = false;
     return;
   }
   busy_ = true;
-  ++transfer_serial_;  // before Coalesce so its records carry this serial
-  std::vector<DiskRequest> batch;
-  batch.push_back(ScheduleNext());
-  Coalesce(&batch);
-
-  int64_t total = 0;
-  const bool is_read = batch.front().is_read;
-  struct Done {
-    InlineFn<void(bool)> cb;
-    int error;
-    SpanId span;
-  };
-  std::vector<Done> dones;
-  dones.reserve(batch.size());
-  for (DiskRequest& r : batch) {
-    total += r.nbytes;
-    if (r.is_read) {
-      ++stats_.reads;
-      stats_.bytes_read += r.nbytes;
-    } else {
-      ++stats_.writes;
-      stats_.bytes_written += r.nbytes;
-    }
-    int error = 0;
-    if (fault_hook_ && fault_hook_(r.offset, r.is_read)) {
-      error = kErrIo;
-    } else {
-      error = EvaluatePlanFault(r);
-    }
-    if (error != 0) {
-      ++stats_.errors;
-      if (error == kErrNoSpc) {
-        ++stats_.enospc_errors;
-      } else if (fault_state_ != nullptr && fault_state_->plan.permanent) {
-        ++stats_.faults_permanent;
-      } else {
-        // Hook-injected faults have no permanence semantics; they count as
-        // transient alongside plan errors in transient mode.
-        ++stats_.faults_transient;
-      }
-    }
-    dones.push_back({std::move(r.done), error, r.span});
+  ++transfer_serial_;
+  current_ = queue_.pop_front();
+  const DiskRequest& r = current_;
+  if (r.is_read) {
+    ++stats_.reads;
+    stats_.bytes_read += r.nbytes;
+  } else {
+    ++stats_.writes;
+    stats_.bytes_written += r.nbytes;
   }
-  sweep_pos_ = batch.front().offset + total;
+  int error = 0;
+  if (fault_hook_ && fault_hook_(r.offset, r.is_read)) {
+    error = kErrIo;
+  } else {
+    error = EvaluatePlanFault(r);
+  }
+  if (error != 0) {
+    ++stats_.errors;
+    if (error == kErrNoSpc) {
+      ++stats_.enospc_errors;
+    } else if (fault_state_ != nullptr && fault_state_->plan.permanent) {
+      ++stats_.faults_permanent;
+    } else {
+      // Hook-injected faults have no permanence semantics; they count as
+      // transient alongside plan errors in transient mode.
+      ++stats_.faults_transient;
+    }
+  }
+  current_error_ = error;
 
-  SimDuration service = ServiceTime(batch.front().offset, total, is_read);
+  SimDuration service = ServiceTime(r.offset, r.nbytes, r.is_read);
   if (fault_state_ != nullptr && fault_state_->plan.spike_rate > 0.0 &&
       fault_state_->rng.NextDouble() < fault_state_->plan.spike_rate) {
-    // One draw per physical transfer: the whole batch stalls together, as a
-    // firmware-level retry or recalibration would stall it.
+    // A firmware-level retry or recalibration stalls the transfer.
     service += fault_state_->plan.spike_delay;
     ++stats_.latency_spikes;
   }
   stats_.busy_time += service;
-  const int64_t serial = transfer_serial_;
-  // A merged transfer's dispatch/complete records carry the head request's
-  // span; each per-request completion callback runs under its own.
-  const SpanId head_span = dones.front().span;
   if (trace_ != nullptr) {
-    KspanScope scope("disk", head_span);
-    trace_->Record(sim_->Now(), TraceKind::kDiskDispatch, serial, total, params_.name.c_str());
+    KspanScope scope("disk", r.span);
+    trace_->Record(sim_->Now(), TraceKind::kDiskDispatch, transfer_serial_, r.nbytes,
+                   params_.name.c_str());
   }
-  sim_->After(service, [this, serial, total, head_span, dones = std::move(dones)]() mutable {
-    if (trace_ != nullptr) {
-      KspanScope scope("disk", head_span);
-      trace_->Record(sim_->Now(), TraceKind::kDiskComplete, serial, total, params_.name.c_str());
-    }
-    for (Done& d : dones) {
-      last_error_ = d.error;
-      if (d.cb) {
-        KspanScope scope("disk", d.span);
-        d.cb(d.error == 0);
-      }
-    }
-    StartNext();
-  });
+  sim_->After(service, [this] { Finish(); });
+}
+
+void DiskModel::Finish() {
+  if (trace_ != nullptr) {
+    KspanScope scope("disk", current_.span);
+    trace_->Record(sim_->Now(), TraceKind::kDiskComplete, transfer_serial_, current_.nbytes,
+                   params_.name.c_str());
+  }
+  last_error_ = current_error_;
+  if (current_.done) {
+    KspanScope scope("disk", current_.span);
+    InlineFn<void(bool)> done = std::move(current_.done);
+    done(current_error_ == 0);
+  }
+  // Still busy_ during the callback: a request it submitted queues behind
+  // this one and starts here.
+  StartNext();
 }
 
 SimDuration DiskModel::SeekTime(int64_t from_cyl, int64_t to_cyl) {

@@ -8,23 +8,9 @@
 //   RZ58: 5.6 ms average rotational latency, 12.5 ms average seek,
 //         ~2.7 MB/s media rate, 256 KB read-ahead cache in 4 segments.
 //
-// Requests are serviced one at a time; when several are queued, the next
-// one is chosen by a pluggable scheduler (DiskParams::sched):
-//
-//  * kFifo — strict arrival order, the pre-scheduler behaviour, for
-//    drivers that sort above the device (src/dev/disk_driver.h disksort).
-//  * kCLook (default) — circular LOOK: ascending offset from the end of
-//    the last transfer, wrapping to the lowest queued offset when nothing
-//    lies ahead.  This is what a command-queueing drive does internally
-//    and what the NetBSD bufq/disksort layer does in software.
-//
-// Queued requests physically adjacent to the one being started (same
-// direction) are coalesced into a single transfer up to
-// DiskParams::max_coalesce_bytes: one controller overhead and one
-// mechanical positioning for the whole run, with every merged request's
-// callback fired at the combined completion in transfer order.  Under
-// kFifo only a run at the queue front is merged, so completion order is
-// exactly arrival order in that mode.
+// The drive serves one request at a time, in arrival order.  Request
+// scheduling is the driver's job (src/dev/disk_driver.h disksort), and the
+// driver keeps at most one request at the hardware.
 //
 // Service time decomposes into controller overhead, seek, rotational delay,
 // and transfer:
@@ -48,14 +34,13 @@
 #define SRC_HW_DISK_H_
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "src/hw/fault.h"
+#include "src/sim/fifo.h"
 #include "src/sim/kspan.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -63,12 +48,6 @@
 #include "src/sim/trace.h"
 
 namespace ikdp {
-
-// Request scheduling policy for the queue in front of the mechanism.
-enum class DiskSched {
-  kFifo,   // strict arrival order (pre-scheduler behaviour)
-  kCLook,  // circular LOOK: ascending sweep, wrap to lowest queued offset
-};
 
 struct DiskParams {
   std::string name;
@@ -91,13 +70,6 @@ struct DiskParams {
 
   SimDuration controller_overhead = 0;  // fixed per-request cost
 
-  // Queue scheduling policy and the coalescing bound: queued requests
-  // physically adjacent to the one being started (same direction) merge
-  // into a single transfer of at most this many bytes.  0 disables
-  // coalescing.
-  DiskSched sched = DiskSched::kCLook;
-  int64_t max_coalesce_bytes = 64 * 1024;
-
   int64_t Cylinders() const {
     return bytes_per_cylinder > 0 ? capacity_bytes / bytes_per_cylinder : 1;
   }
@@ -111,10 +83,6 @@ DiskParams Rz56Params();
 
 // Parameters for Digital's RZ58 SCSI disk (1.38 GB, 5400 RPM).
 DiskParams Rz58Params();
-
-// An idealized very fast disk used in some property tests: negligible
-// mechanical delays, high transfer rate.
-DiskParams InstantDiskParams();
 
 // One outstanding transfer request.
 struct DiskRequest {
@@ -138,9 +106,9 @@ class DiskModel {
   DiskModel& operator=(const DiskModel&) = delete;
 
   // Enqueues a request.  Each request's callback fires exactly once, at the
-  // completion of the transfer that carried it; requests merged into one
-  // transfer complete together, callbacks in ascending-offset (transfer)
-  // order.  Under DiskSched::kFifo, completion order is arrival order.
+  // end of its transfer; requests complete in arrival order.  A request
+  // submitted from inside a completion callback starts after that callback
+  // returns.
   void Submit(DiskRequest req);
 
   const DiskParams& params() const { return params_; }
@@ -168,11 +136,10 @@ class DiskModel {
   // delivering.
   int last_error() const { return last_error_; }
 
-  // Attaches a trace log recording scheduler events: kDiskDispatch /
-  // kDiskComplete (paired by transfer serial), kDiskCoalesce, and
-  // kDiskSweepWrap.  nullptr detaches; default off.  DiskDriver refreshes
-  // this from the CPU's trace on every Strategy call, so attaching a log to
-  // a running machine picks up its disks automatically.
+  // Attaches a trace log recording kDiskDispatch / kDiskComplete pairs
+  // (matched by transfer serial).  nullptr detaches; default off.
+  // DiskDriver refreshes this from the CPU's trace on every Strategy call, so
+  // attaching a log to a running machine picks up its disks automatically.
   void set_trace(TraceLog* trace) { trace_ = trace; }
 
   // --- statistics ---
@@ -186,8 +153,6 @@ class DiskModel {
     uint64_t faults_transient = 0;  // media errors the next access outlives
     uint64_t faults_permanent = 0;  // grown-defect errors (plan.permanent)
     uint64_t latency_spikes = 0;    // transfers stretched by the fault plan
-    uint64_t coalesced = 0;         // requests merged into another transfer
-    uint64_t queue_sort_passes = 0; // scheduling scans of a multi-entry queue
     size_t max_queue_depth = 0;     // high-water mark incl. in-flight request
     int64_t bytes_read = 0;
     int64_t bytes_written = 0;
@@ -207,20 +172,15 @@ class DiskModel {
     SimTime fill_start_time = 0;
   };
 
+  // Starts the oldest queued request, or goes idle when there is none.
   void StartNext();
+  // The end of the current request's transfer.
+  void Finish();
 
   // Evaluates the fault plan for one request about to be serviced; returns
   // the errno it should complete with (0 = success).  Draws from the plan's
   // RNG, so it must be called exactly once per request, in issue order.
   int EvaluatePlanFault(const DiskRequest& r);
-
-  // Picks the next request per the scheduling policy and removes it from
-  // the queue.
-  DiskRequest ScheduleNext();
-
-  // Removes queued requests physically adjacent to `batch` (same direction)
-  // and appends them, bounded by max_coalesce_bytes.
-  void Coalesce(std::vector<DiskRequest>* batch);
 
   // Timing (and read-ahead segment bookkeeping) for one physical transfer
   // of [offset, offset+nbytes).
@@ -238,12 +198,13 @@ class DiskModel {
 
   Simulator* sim_;
   DiskParams params_;
-  std::deque<DiskRequest> queue_;
+  Fifo<DiskRequest> queue_;
   bool busy_ = false;
+  DiskRequest current_;     // the request being serviced while busy_
+  int current_error_ = 0;   // the errno it completes with
 
   int64_t head_cylinder_ = 0;
   int64_t last_end_offset_ = -1;  // end of the previous media access
-  int64_t sweep_pos_ = 0;         // C-LOOK sweep position (end of last issue)
   std::list<Segment> segments_;   // most recently used first
   FaultHook fault_hook_;
 

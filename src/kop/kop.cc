@@ -5,20 +5,6 @@
 
 namespace ikdp {
 
-const char* KopStageKindName(KopStageKind k) {
-  switch (k) {
-    case KopStageKind::kChecksum:
-      return "checksum";
-    case KopStageKind::kFilter:
-      return "filter";
-    case KopStageKind::kTransform:
-      return "transform";
-    case KopStageKind::kRoute:
-      return "route";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string Detail(const char* fmt, long long a, long long b) {

@@ -64,8 +64,6 @@ enum class KopStageKind : uint8_t {
   kRoute,         // pick sink = data[off] % n_sinks; must be the last stage
 };
 
-const char* KopStageKindName(KopStageKind k);
-
 enum class KopFilterMode : uint8_t {
   kKeepIfEq = 0,  // keep the chunk iff data[off] == arg, else drop
   kKeepIfNe,      // keep the chunk iff data[off] != arg, else drop

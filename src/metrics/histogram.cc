@@ -105,14 +105,4 @@ int64_t MetricsRegistry::GetCounter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-void MetricsRegistry::Print(std::ostream& os) const {
-  for (const auto& [name, value] : counters_) {
-    os << name << " = " << value << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << ":\n";
-    h.Print(os);
-  }
-}
-
 }  // namespace ikdp

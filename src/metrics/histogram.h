@@ -78,9 +78,6 @@ class MetricsRegistry {
   const std::map<std::string, int64_t>& counters() const { return counters_; }
   const std::map<std::string, LatencyHistogram>& histograms() const { return histograms_; }
 
-  // Human-readable dump of every counter and histogram.
-  void Print(std::ostream& os) const;
-
  private:
   std::map<std::string, int64_t> counters_;
   std::map<std::string, LatencyHistogram> histograms_;

@@ -75,14 +75,13 @@ void PrintMachineReport(std::ostream& os, Kernel& kernel) {
     }
     const DiskModel::Stats& m = drv->disk().stats();
     std::snprintf(line, sizeof(line),
-                  "disk:   %s (%s): %llu requests (%llu r / %llu w), %llu coalesced, "
-                  "%llu sort passes, depth %llu/%llu, busy %s, %llu errors\n",
+                  "disk:   %s (%s): %llu requests (%llu r / %llu w), %llu sort passes, "
+                  "depth %llu/%llu, busy %s, %llu errors\n",
                   fs->name().c_str(), drv->Name(),
                   static_cast<unsigned long long>(drv->stats().requests),
                   static_cast<unsigned long long>(m.reads),
                   static_cast<unsigned long long>(m.writes),
-                  static_cast<unsigned long long>(m.coalesced),
-                  static_cast<unsigned long long>(m.queue_sort_passes),
+                  static_cast<unsigned long long>(drv->stats().sort_passes),
                   static_cast<unsigned long long>(drv->stats().max_queue_depth),
                   static_cast<unsigned long long>(m.max_queue_depth),
                   FormatDuration(m.busy_time).c_str(),
@@ -102,20 +101,6 @@ void PrintMachineReport(std::ostream& os, Kernel& kernel) {
       os << line;
     }
   }
-}
-
-void PrintLinkReport(std::ostream& os, const std::string& name, const NetworkLink& link) {
-  char line[256];
-  const NetworkLink::Stats& s = link.stats();
-  std::snprintf(line, sizeof(line),
-                "link:   %s: %llu frames (%lld payload bytes), busy %s, %llu dropped, "
-                "%llu lost, %llu jittered\n",
-                name.c_str(), static_cast<unsigned long long>(s.frames_sent),
-                static_cast<long long>(s.payload_bytes), FormatDuration(s.busy_time).c_str(),
-                static_cast<unsigned long long>(s.frames_dropped),
-                static_cast<unsigned long long>(s.frames_lost),
-                static_cast<unsigned long long>(s.frames_jittered));
-  os << line;
 }
 
 }  // namespace ikdp

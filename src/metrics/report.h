@@ -9,9 +9,7 @@
 #define SRC_METRICS_REPORT_H_
 
 #include <iosfwd>
-#include <string>
 
-#include "src/hw/link.h"
 #include "src/os/kernel.h"
 
 namespace ikdp {
@@ -20,11 +18,6 @@ namespace ikdp {
 // trace line (events written / dropped) when a TraceLog is attached and a
 // per-disk fault line when injected faults fired.
 void PrintMachineReport(std::ostream& os, Kernel& kernel);
-
-// One iostat-style line for a network link.  Separate from the machine
-// report because links live outside the Kernel (workloads wire sockets to
-// links directly).
-void PrintLinkReport(std::ostream& os, const std::string& name, const NetworkLink& link);
 
 // The CPU accounting identity: process work + context switches + interrupt
 // work must not exceed elapsed time (the remainder is idle).  Returns the

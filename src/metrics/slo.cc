@@ -1,7 +1,6 @@
 #include "src/metrics/slo.h"
 
 #include <algorithm>
-#include <ostream>
 
 namespace ikdp {
 
@@ -66,15 +65,6 @@ SloReport SloMonitor::Report(SimTime now) const {
   r.goodput_bps = window > 0 ? static_cast<double>(bytes_) * 1e9 / static_cast<double>(window)
                              : 0.0;
   return r;
-}
-
-void SloMonitor::PrintSummary(std::ostream& os, SimTime now) const {
-  const SloReport r = Report(now);
-  os << "slo: n=" << r.completed << " err=" << r.errors << " open=" << r.open
-     << " stalls=" << r.stall_flags << " p50=" << static_cast<double>(r.p50_ns) / 1e6
-     << "ms p99=" << static_cast<double>(r.p99_ns) / 1e6
-     << "ms p999=" << static_cast<double>(r.p999_ns) / 1e6
-     << "ms goodput=" << r.goodput_bps / 1e6 << "MB/s\n";
 }
 
 }  // namespace ikdp

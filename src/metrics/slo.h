@@ -19,7 +19,6 @@
 #define SRC_METRICS_SLO_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -80,9 +79,6 @@ class SloMonitor {
   size_t open() const { return open_.size(); }
 
   SloReport Report(SimTime now) const;
-
-  // One-line human-readable summary ("n=... p50=...ms p99=...ms ...").
-  void PrintSummary(std::ostream& os, SimTime now) const;
 
  private:
   struct Open {

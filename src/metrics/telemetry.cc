@@ -167,27 +167,12 @@ void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel) {
     registry->SetCounter(prefix + "faults_permanent",
                          static_cast<int64_t>(m.faults_permanent));
     registry->SetCounter(prefix + "latency_spikes", static_cast<int64_t>(m.latency_spikes));
-    registry->SetCounter(prefix + "coalesced", static_cast<int64_t>(m.coalesced));
-    registry->SetCounter(prefix + "queue_sort_passes",
-                         static_cast<int64_t>(m.queue_sort_passes));
     registry->SetCounter(prefix + "hw_max_queue_depth",
                          static_cast<int64_t>(m.max_queue_depth));
     registry->SetCounter(prefix + "bytes_read", m.bytes_read);
     registry->SetCounter(prefix + "bytes_written", m.bytes_written);
     registry->SetCounter(prefix + "busy_time_ns", m.busy_time);
   }
-}
-
-void CaptureLinkCounters(MetricsRegistry* registry, const std::string& name,
-                         const NetworkLink& link) {
-  const std::string prefix = "net." + name + ".";
-  const NetworkLink::Stats& s = link.stats();
-  registry->SetCounter(prefix + "frames_sent", static_cast<int64_t>(s.frames_sent));
-  registry->SetCounter(prefix + "frames_dropped", static_cast<int64_t>(s.frames_dropped));
-  registry->SetCounter(prefix + "frames_lost", static_cast<int64_t>(s.frames_lost));
-  registry->SetCounter(prefix + "frames_jittered", static_cast<int64_t>(s.frames_jittered));
-  registry->SetCounter(prefix + "payload_bytes", s.payload_bytes);
-  registry->SetCounter(prefix + "busy_time_ns", s.busy_time);
 }
 
 }  // namespace ikdp

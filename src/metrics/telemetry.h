@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/hw/link.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/intervals.h"
 #include "src/os/kernel.h"
@@ -65,17 +64,11 @@ class TelemetryCollector {
 
 // Samples every kernel Stats struct into `registry` counters under stable
 // dotted names ("cpu.switches", "cache.delwri_write_errors",
-// "disk.<mount>.coalesced", ...).  Idempotent: sampling twice overwrites.
+// "disk.<mount>.sort_passes", ...).  Idempotent: sampling twice overwrites.
 // Includes trace.dropped_events (ring-buffer evictions of the attached
 // TraceLog; 0 when none is attached) and the per-disk fault-injection
 // counters (errors, ENOSPC hits, transient/permanent split, latency spikes).
 void CaptureKernelCounters(MetricsRegistry* registry, Kernel& kernel);
-
-// Samples one network link's Stats under "net.<name>.*" ("net.<name>.frames_dropped",
-// ...).  Separate from CaptureKernelCounters because links live outside the
-// Kernel (the workload wires sockets to links directly).
-void CaptureLinkCounters(MetricsRegistry* registry, const std::string& name,
-                         const NetworkLink& link);
 
 }  // namespace ikdp
 

@@ -619,25 +619,24 @@ Task<int64_t> Kernel::SpliceMulti(Process& p, int src_fd, const std::vector<int>
   co_await SyscallEnter(p, "splice_multi");
   std::shared_ptr<File> src = GetFile(p, src_fd);
   std::vector<std::shared_ptr<File>> dsts;
-  bool ok = src != nullptr && SpliceLengthOk(nbytes) && !dst_fds.empty();
-  if (ok) {
-    for (const int fd : dst_fds) {
-      std::shared_ptr<File> d = GetFile(p, fd);
-      // Routing leaves per-sink byte positions undefined, so seekable
-      // destinations are refused up front.
-      if (d == nullptr || d->kind() == File::Kind::kRegular) {
-        ok = false;
-        break;
-      }
-      dsts.push_back(std::move(d));
-    }
+  bool ok = src != nullptr && SpliceLengthOk(nbytes);
+  for (const int fd : dst_fds) {
+    dsts.push_back(GetFile(p, fd));
+    ok = ok && dsts.back() != nullptr;
   }
-  // The fan-out is driven by a route-stage program on the source; the bind
-  // check matches its declared sink count to the destination list.
-  if (!ok || src->kop_program == nullptr) {
-    if (src != nullptr) {  // with no source, no destination was looked up
-      SetSpliceError(*src, dsts, kErrInval);
-    }
+  // Argument refusals record no errno, as in splice(2) and the ring.
+  if (!ok) {
+    SyscallExit(p, "splice_multi");
+    co_return -1;
+  }
+  // Routing leaves per-sink byte positions undefined, so seekable
+  // destinations are refused up front, recording EINVAL on the source.  The
+  // fan-out is driven by a route-stage program on the source; the bind check
+  // in SpliceFiles matches its declared sink count to the destination list.
+  if (dsts.empty() || src->kop_program == nullptr ||
+      std::any_of(dsts.begin(), dsts.end(),
+                  [](const auto& d) { return d->kind() == File::Kind::kRegular; })) {
+    src->splice_error = kErrInval;
     SyscallExit(p, "splice_multi");
     co_return -1;
   }

@@ -5,7 +5,8 @@
 // pair allocates forever.  The ring grows only when the queue is longer than
 // it has ever been, so a steady stream costs no allocation, and an idle
 // queue holds no storage at all (a deque holds a chunk).  Used for the
-// interrupt queue, the link's transmit queue and the socket queues.
+// interrupt queue, the link's transmit queue, the socket queues, the disk's
+// request queue and the splice ring's submission and completion queues.
 
 #ifndef SRC_SIM_FIFO_H_
 #define SRC_SIM_FIFO_H_
@@ -25,6 +26,13 @@ class Fifo {
   explicit Fifo(size_t capacity = 0) : ring_(capacity) { assert((capacity & (capacity - 1)) == 0); }
 
   bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+
+  // The i-th oldest element.
+  const T& operator[](size_t i) const {
+    assert(i < size_);
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+  }
 
   void push_back(T v) {
     if (size_ == ring_.size()) {

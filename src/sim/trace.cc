@@ -46,10 +46,6 @@ const char* TraceKindName(TraceKind k) {
       return "disk-dispatch";
     case TraceKind::kDiskComplete:
       return "disk-complete";
-    case TraceKind::kDiskCoalesce:
-      return "disk-coalesce";
-    case TraceKind::kDiskSweepWrap:
-      return "disk-sweepwrap";
     case TraceKind::kCalloutArm:
       return "callout-arm";
     case TraceKind::kSoftclockRun:

@@ -53,12 +53,10 @@ enum class TraceKind : uint8_t {
   kBreadMiss,     // a = blkno, tag = device name
   kGetblkSleep,   // a = pid, b = blkno — getblk blocked (busy buf / no free)
   kDelwriFlush,   // a = blkno, tag = device name — dirty LRU victim pushed out
-  // --- disk driver / DiskModel scheduler ---
+  // --- disk driver / DiskModel ---
   kDiskEnqueue,   // a = byte offset, b = nbytes, tag = "read" / "write"
   kDiskDispatch,  // a = transfer serial, b = total bytes, tag = device name
   kDiskComplete,  // a = transfer serial, b = total bytes, tag = device name
-  kDiskCoalesce,  // a = transfer serial, b = bytes merged in, tag = device name
-  kDiskSweepWrap, // a = wrap-to offset, b = sweep position before the wrap
   // --- callout table ---
   kCalloutArm,    // a = callout id, b = ticks ahead (0 = head of list)
   kSoftclockRun,  // a = callouts run on this tick

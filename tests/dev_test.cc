@@ -235,6 +235,12 @@ TEST_F(DevTest, DiskDriverPipelinesQueuedRequests) {
   // Sequential stream of 16 blocks: after the first seek+rotation the rest
   // ride the media/cache, so well under 16 * (seek + rotation).
   EXPECT_LT(sim_.Now() - t0, Milliseconds(120));
+  // Every request queued in the driver's disksort; the drive itself saw at
+  // most the one in service plus the next, submitted from its completion.
+  // A driver that queued deeper into the hardware would need a drive-side
+  // scheduler, which DiskModel does not have.
+  EXPECT_EQ(drv.stats().max_queue_depth, 16u);
+  EXPECT_LE(drv.disk().stats().max_queue_depth, 2u);
 }
 
 // The block-store contract, which both devices share (src/buf/buf.h).

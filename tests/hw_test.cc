@@ -110,10 +110,7 @@ TEST_F(DiskTest, WriteInvalidatesOverlappingSegment) {
 }
 
 TEST_F(DiskTest, RequestsServiceFifo) {
-  DiskParams p = Rz56Params();
-  p.sched = DiskSched::kFifo;
-  p.max_coalesce_bytes = 0;  // strict pre-scheduler behaviour
-  DiskModel disk(&sim_, p);
+  DiskModel disk(&sim_, Rz56Params());
   std::vector<int> order;
   disk.Submit(DiskRequest{0, kBlock, true, [&](bool) { order.push_back(0); }});
   disk.Submit(DiskRequest{50 * kBlock, kBlock, true, [&](bool) { order.push_back(1); }});
@@ -123,92 +120,6 @@ TEST_F(DiskTest, RequestsServiceFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(disk.Idle());
   EXPECT_EQ(disk.stats().max_queue_depth, 3u);
-  EXPECT_EQ(disk.stats().coalesced, 0u);
-  EXPECT_EQ(disk.stats().queue_sort_passes, 0u);
-}
-
-TEST_F(DiskTest, CLookServicesAscendingWithWrap) {
-  DiskParams p = Rz56Params();
-  ASSERT_EQ(p.sched, DiskSched::kCLook);  // the default policy
-  DiskModel disk(&sim_, p);
-  std::vector<int> order;
-  // Request 0 starts immediately; 1 (far) and 2 (near, but arrives later)
-  // queue behind it.  C-LOOK resumes the sweep at the end of request 0, so
-  // the near request is picked before the far one despite arriving last.
-  disk.Submit(DiskRequest{0, kBlock, true, [&](bool) { order.push_back(0); }});
-  disk.Submit(DiskRequest{50 * kBlock, kBlock, true, [&](bool) { order.push_back(1); }});
-  disk.Submit(DiskRequest{10 * kBlock, kBlock, true, [&](bool) { order.push_back(2); }});
-  sim_.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-  EXPECT_GT(disk.stats().queue_sort_passes, 0u);
-
-  // Wrap: with the sweep position past both, the lowest offset goes first.
-  order.clear();
-  disk.Submit(DiskRequest{200 * kBlock, kBlock, true, [&](bool) { order.push_back(0); }});
-  disk.Submit(DiskRequest{30 * kBlock, kBlock, true, [&](bool) { order.push_back(1); }});
-  disk.Submit(DiskRequest{20 * kBlock, kBlock, true, [&](bool) { order.push_back(2); }});
-  sim_.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
-}
-
-TEST_F(DiskTest, AdjacentReadsCoalesceIntoOneTransfer) {
-  DiskParams p = Rz56Params();
-  p.cache_bytes = 0;  // keep timing on the media path for exact math
-  DiskModel disk(&sim_, p);
-  std::vector<SimTime> done(3, -1);
-  std::vector<int> order;
-  disk.Submit(DiskRequest{100 * kBlock, kBlock, true, [&](bool) {
-    done[0] = sim_.Now();
-    order.push_back(0);
-  }});
-  disk.Submit(DiskRequest{101 * kBlock, kBlock, true, [&](bool) {
-    done[1] = sim_.Now();
-    order.push_back(1);
-  }});
-  disk.Submit(DiskRequest{102 * kBlock, kBlock, true, [&](bool) {
-    done[2] = sim_.Now();
-    order.push_back(2);
-  }});
-  sim_.Run();
-  // Request 0 went out alone; 1 and 2 were queued adjacent to it and merge
-  // into a single physical transfer: one completion time for both, in
-  // ascending-offset order, with one controller overhead and no extra
-  // rotation (sequential to the first transfer).
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(done[1], done[2]);
-  EXPECT_EQ(disk.stats().coalesced, 1u);
-  EXPECT_EQ(done[2] - done[0],
-            p.controller_overhead + TransferTime(2 * kBlock, p.media_rate_bps));
-}
-
-TEST_F(DiskTest, CoalescingRespectsDirectionAndBound) {
-  DiskParams p = Rz56Params();
-  p.cache_bytes = 0;
-  p.max_coalesce_bytes = 2 * kBlock;  // at most one extra block per transfer
-  DiskModel disk(&sim_, p);
-  int completions = 0;
-  auto count = [&](bool) { ++completions; };
-  // A write wedged between adjacent reads must not merge with them.
-  disk.Submit(DiskRequest{100 * kBlock, kBlock, true, count});
-  disk.Submit(DiskRequest{101 * kBlock, kBlock, false, count});
-  disk.Submit(DiskRequest{101 * kBlock, kBlock, true, count});
-  sim_.Run();
-  EXPECT_EQ(completions, 3);
-  EXPECT_EQ(disk.stats().coalesced, 0u);
-
-  // Four adjacent reads behind a busy disk: the bound caps each transfer at
-  // two blocks, so they go out as two coalesced pairs.
-  disk.ResetStats();
-  completions = 0;
-  disk.Submit(DiskRequest{200 * kBlock, kBlock, true, count});
-  disk.Submit(DiskRequest{300 * kBlock, kBlock, true, count});
-  disk.Submit(DiskRequest{301 * kBlock, kBlock, true, count});
-  disk.Submit(DiskRequest{302 * kBlock, kBlock, true, count});
-  disk.Submit(DiskRequest{303 * kBlock, kBlock, true, count});
-  sim_.Run();
-  EXPECT_EQ(completions, 5);
-  EXPECT_EQ(disk.stats().coalesced, 2u);
-  EXPECT_EQ(disk.stats().max_queue_depth, 5u);
 }
 
 TEST_F(DiskTest, StatsAccumulate) {

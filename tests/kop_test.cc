@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/dev/disk_driver.h"
+#include "src/dev/null_device.h"
 #include "src/dev/ram_disk.h"
 #include "src/hw/costs.h"
 #include "src/hw/disk.h"
@@ -732,6 +733,49 @@ TEST_F(KopTest, SpliceMultiRefusesMismatchedSinkSets) {
   EXPECT_EQ(wrong_fanout, -1);
   EXPECT_EQ(file_sink, -1);
   EXPECT_EQ(kernel_.splice_engine().stats().splices_started, 0u);
+}
+
+TEST_F(KopTest, FasyncSpliceMultiSignalsAndSettlesEveryEnd) {
+  // FASYNC on the source makes splice_multi asynchronous: the call returns 0
+  // at once, and the completion records its outcome and clears the
+  // in-flight flag on the source and on every destination before SIGIO.
+  constexpr int kBlocks = 8;
+  fs_rama_->CreateFileInstant("src", kBlocks * kBlockSize, [](int64_t i) -> uint8_t {
+    return i % kBlockSize == 0 ? static_cast<uint8_t>((i / kBlockSize) % 2) : Fill(i);
+  });
+  NullDevice null0(&sim_);
+  NullDevice null1(&sim_);
+  kernel_.RegisterCharDev("null0", &null0);
+  kernel_.RegisterCharDev("null1", &null1);
+  int sigio = 0;
+  int64_t rval = -1;
+  int in_flight = -1;
+  std::vector<int> errors;
+  std::vector<int> status;
+  Run([&](Process& p) -> Task<> {
+    kernel_.Sigaction(p, kSigIo, [&] { ++sigio; });
+    const int src = co_await kernel_.Open(p, "rama:src", kOpenRead);
+    const int d0 = co_await kernel_.Open(p, "/dev/null0", kOpenWrite);
+    const int d1 = co_await kernel_.Open(p, "/dev/null1", kOpenWrite);
+    const int id = co_await kernel_.KopLoad(p, RouteProgram(2));
+    EXPECT_EQ(co_await kernel_.KopAttach(p, src, id), 0);
+    co_await kernel_.Fcntl(p, src, /*fasync=*/true);
+    const std::vector<int> dsts = {d0, d1};
+    rval = co_await kernel_.SpliceMulti(p, src, dsts, kSpliceEof);
+    in_flight = co_await kernel_.SpliceStatus(p, d1);
+    co_await kernel_.Pause(p);
+    for (const int fd : {src, d0, d1}) {
+      errors.push_back(co_await kernel_.SpliceError(p, fd));
+      status.push_back(co_await kernel_.SpliceStatus(p, fd));
+    }
+  });
+  EXPECT_EQ(rval, 0);
+  EXPECT_EQ(in_flight, 1);
+  EXPECT_EQ(sigio, 1);
+  EXPECT_EQ(errors, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(status, (std::vector<int>{0, 0, 0}));
+  EXPECT_EQ(null0.bytes_sunk(), 4 * kBlockSize);
+  EXPECT_EQ(null1.bytes_sunk(), 4 * kBlockSize);
 }
 
 TEST_F(KopTest, AttributionClosureHoldsWithOperatorsAttached) {

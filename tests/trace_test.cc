@@ -317,7 +317,7 @@ TEST_F(TraceKernelTest, RunnablePairsWithDispatch) {
   }
 }
 
-TEST(TraceDiskSchedTest, DispatchCompletePairsAndCoalesce) {
+TEST(TraceDiskTest, DispatchCompletePairs) {
   TraceLog log(4096);
   Simulator sim;
   DiskModel disk(&sim, Rz56Params());
@@ -325,7 +325,7 @@ TEST(TraceDiskSchedTest, DispatchCompletePairsAndCoalesce) {
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     DiskRequest r;
-    r.offset = i * 8192;  // physically adjacent: the scheduler coalesces
+    r.offset = i * 8192;
     r.nbytes = 8192;
     r.is_read = true;
     r.done = [&done](bool ok) { done += ok ? 1 : 0; };
@@ -337,50 +337,16 @@ TEST(TraceDiskSchedTest, DispatchCompletePairsAndCoalesce) {
       log.Filter([](const TraceRecord& r) { return r.kind == TraceKind::kDiskDispatch; });
   const auto completes =
       log.Filter([](const TraceRecord& r) { return r.kind == TraceKind::kDiskComplete; });
-  ASSERT_EQ(dispatches.size(), completes.size());
-  ASSERT_GE(dispatches.size(), 1u);
+  // One transfer per request.
+  ASSERT_EQ(dispatches.size(), 4u);
+  ASSERT_EQ(completes.size(), 4u);
   for (size_t i = 0; i < dispatches.size(); ++i) {
     // Serial and byte totals match within the pair; completion is later.
     EXPECT_EQ(dispatches[i].a, completes[i].a);
     EXPECT_EQ(dispatches[i].b, completes[i].b);
+    EXPECT_EQ(dispatches[i].b, 8192);
     EXPECT_LT(dispatches[i].time, completes[i].time);
   }
-  // The adjacent requests merged: fewer transfers than requests, and the
-  // merges are visible.
-  const auto coalesces =
-      log.Filter([](const TraceRecord& r) { return r.kind == TraceKind::kDiskCoalesce; });
-  EXPECT_EQ(dispatches.size() + coalesces.size(), 4u);
-  EXPECT_GE(coalesces.size(), 1u);
-}
-
-TEST(TraceDiskSchedTest, SweepWrapRecorded) {
-  TraceLog log(4096);
-  Simulator sim;
-  DiskParams params = Rz56Params();
-  params.max_coalesce_bytes = 0;  // keep every request distinct
-  DiskModel disk(&sim, params);
-  disk.set_trace(&log);
-  int done = 0;
-  auto submit = [&](int64_t offset) {
-    DiskRequest r;
-    r.offset = offset;
-    r.nbytes = 8192;
-    r.is_read = true;
-    r.done = [&done](bool) { ++done; };
-    disk.Submit(std::move(r));
-  };
-  // First request puts the sweep position past the low offsets; the queued
-  // low requests then force a C-LOOK wrap.
-  submit(100 * 1024 * 1024);
-  submit(8192);
-  submit(0);
-  sim.Run();
-  ASSERT_EQ(done, 3);
-  const auto wraps =
-      log.Filter([](const TraceRecord& r) { return r.kind == TraceKind::kDiskSweepWrap; });
-  ASSERT_GE(wraps.size(), 1u);
-  EXPECT_EQ(wraps[0].a, 0);  // wrapped to the lowest queued offset
-  EXPECT_GT(wraps[0].b, 0);  // from a sweep position beyond it
 }
 
 // --- exporter round-trips ---

@@ -230,8 +230,8 @@ BENCHES = {
             ("win condition failed: inkernel syscall_traps not below user",
              lambda m: m["inkernel"]["syscall_traps"] < m["user"]["syscall_traps"]),
         ]),
-    # Host wall-clock sweeps: a cache row carries nbufs, a queue row sched.
-    "cache_scaling": dict(key=("nbufs", "sched", "depth"), nums=["sim_ms"]),
+    # Host wall-clock sweep: one row per cache size.
+    "cache_scaling": dict(key=("nbufs",), nums=["sim_ms"]),
     # One row per run of the mechanism and sizing ablation sweeps.
     "ablate": dict(
         key=("sweep", "disk", "setting", "path"),

@@ -136,9 +136,6 @@ def clean_kop_bench():
 def clean_cache_bench():
     rows = [{"nbufs": n, "ops": 1000, "wall_ms": 1.5, "sim_ms": 0.0,
              "hits": 990, "misses": 10} for n in (64, 512)]
-    rows += [{"sched": s, "depth": 4, "requests": 2000, "sim_ms": 120.5,
-              "coalesced": 3, "sort_passes": 7, "max_depth": 4}
-             for s in ("fifo", "clook")]
     return bench_doc("cache_scaling", {}, rows)
 
 
