@@ -8,16 +8,47 @@
 
 namespace ikdp {
 
-// Ring krace probes are plain WRITEs: the op lists are read-modify-write
-// (erase-by-pointer, FIFO group scans) and every legal handoff has a real
-// ordering edge — admission and harvest are schedule descendants of the
-// process's dispatch, completions run in the serialized interrupt engine,
-// and the retired_ -> Reap handoff rides the `reaper` ordering channel.
-// An unordered same-timestamp pair here would be a genuine bug.
+// Ring krace probes are plain WRITEs: the FIFOs are read-modify-write
+// (mid-queue erase, group pops) and every legal handoff has a real ordering
+// edge — admission and harvest are schedule descendants of the process's
+// dispatch, completions run in the serialized interrupt engine, and the
+// retired FIFO -> Reap handoff rides the `reaper` ordering channel.  An
+// unordered same-timestamp pair here would be a genuine bug.
 
 SpliceRing::SpliceRing(int id, CpuSystem* cpu, CalloutTable* callouts, SpliceEngine* engine,
                        RingConfig config)
     : id_(id), cpu_(cpu), callouts_(callouts), engine_(engine), config_(config) {}
+
+void SpliceRing::OpFifo::push_back(Op* op) {
+  op->next = nullptr;
+  if (tail == nullptr) {
+    head = op;
+  } else {
+    tail->next = op;
+  }
+  tail = op;
+}
+
+SpliceRing::Op* SpliceRing::OpFifo::pop_front() {
+  Op* op = head;
+  head = op->next;
+  if (head == nullptr) {
+    tail = nullptr;
+  }
+  return op;
+}
+
+void SpliceRing::OpFifo::Erase(Op* op) {
+  Op* prev = nullptr;
+  for (Op* o = head; o != op; o = o->next) {
+    assert(o != nullptr);
+    prev = o;
+  }
+  (prev == nullptr ? head : prev->next) = op->next;
+  if (tail == op) {
+    tail = prev;
+  }
+}
 
 void SpliceRing::Trace(TraceKind kind, int64_t b) {
   if (cpu_->trace() != nullptr) {
@@ -38,20 +69,26 @@ int SpliceRing::NextGroupSize() const {
   return static_cast<int>(i) + 1;
 }
 
-SpliceSqe SpliceRing::PopPrepared() {
-  assert(!prepared_.empty());
-  IKDP_KRACE_WRITE(this, "SpliceRing::prepared_");
-  return prepared_.pop_front();
+SpliceRing::Op* SpliceRing::ClaimGroup(int n) {
+  assert(n > 0 && static_cast<size_t>(n) <= prepared_.size());
+  Op* first = nullptr;
+  Op* prev = nullptr;
+  lock_.Acquire();
+  for (int i = 0; i < n; ++i) {
+    Op* op = free_.empty() ? &ops_.emplace_back() : free_.pop_front();
+    IKDP_KRACE_WRITE(this, "SpliceRing::prepared_");
+    op->sqe = prepared_.pop_front();
+    op->st = Op::St::kClaimed;
+    op->group_prev = prev;
+    (prev == nullptr ? first : prev->group_next) = op;
+    prev = op;
+  }
+  lock_.Release();
+  return first;
 }
 
-void SpliceRing::AdmitGroup(std::vector<PreparedOp> group) {
-  const int gid = next_group_++;
-  for (PreparedOp& prep : group) {
-    auto op = std::make_unique<Op>();
-    op->sqe = prep.sqe;
-    op->group = gid;
-    op->ends = std::move(prep.ends);
-    op->opts = prep.opts;
+void SpliceRing::AdmitGroup(Op* group, const Op* bad, int error) {
+  for (Op* op = group; op != nullptr; op = op->group_next) {
     op->submitted_at = cpu_->sim()->Now();
     op->span_owned = KspanOwned();
     op->span = KspanBegin(op->submitted_at, "aio.op", static_cast<int64_t>(op->sqe.cookie));
@@ -60,31 +97,21 @@ void SpliceRing::AdmitGroup(std::vector<PreparedOp> group) {
     Trace(TraceKind::kRingOpSubmit, static_cast<int64_t>(op->sqe.cookie));
     IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
     lock_.Acquire();
-    queued_.push_back(std::move(op));
+    if (bad == nullptr) {
+      op->st = Op::St::kQueued;
+      queued_.push_back(op);
+    }
+    stats_.sq_depth_max = std::max(stats_.sq_depth_max, ++live_);
     lock_.Release();
+    if (bad != nullptr) {
+      // A partial pipeline cannot run: the malformed SQE fails with its own
+      // error and the rest of its group with ECANCELED.
+      Retire(op, 0, op == bad ? error : kErrCanceled, cpu_->sim()->Now());
+    }
   }
-  lock_.Acquire();
-  stats_.sq_depth_max = std::max(stats_.sq_depth_max, UnfinishedLocked());
-  lock_.Release();
-  Pump();
-}
-
-void SpliceRing::FailSqe(const SpliceSqe& sqe, int error) {
-  auto op = std::make_unique<Op>();
-  op->sqe = sqe;
-  op->submitted_at = cpu_->sim()->Now();
-  op->span_owned = KspanOwned();
-  op->span = KspanBegin(op->submitted_at, "aio.op", static_cast<int64_t>(sqe.cookie));
-  ++stats_.submitted;
-  KspanScope scope("aio", op->span);
-  Trace(TraceKind::kRingOpSubmit, static_cast<int64_t>(sqe.cookie));
-  Op* raw = op.get();
-  IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
-  lock_.Acquire();
-  queued_.push_back(std::move(op));
-  stats_.sq_depth_max = std::max(stats_.sq_depth_max, UnfinishedLocked());
-  lock_.Release();
-  Retire(raw, 0, error);  // acquires the lock itself
+  if (bad == nullptr) {
+    Pump();
+  }
 }
 
 void SpliceRing::NoteSubmitBatch(int admitted) {
@@ -94,43 +121,42 @@ void SpliceRing::NoteSubmitBatch(int admitted) {
 
 void SpliceRing::Pump() {
   for (;;) {
-    // Lock per iteration: the head group is claimed (queued_ -> started_)
+    // Lock per iteration: the head group is claimed (queued -> started)
     // under the lock, then started with the lock dropped — StartOp can run
     // the whole splice synchronously and re-enter Retire.
     lock_.Acquire();
-    if (queued_.empty()) {
+    Op* const group = queued_.head;
+    if (group == nullptr) {
       lock_.Release();
       return;
     }
-    const int group = queued_.front()->group;
-    size_t gsize = 0;
-    while (gsize < queued_.size() && queued_[gsize]->group == group) {
+    // A queued group is queued whole and back to back, and the head op is
+    // its first member: cancelling a queued op retires its whole group.
+    int gsize = 0;
+    for (const Op* op = group; op != nullptr; op = op->group_next) {
       ++gsize;
     }
     // A group's stages start atomically (a pipeline member without its
     // consumer would wedge); a head group that doesn't fit blocks the line —
     // FIFO order is part of the submission contract.
-    if (static_cast<int>(started_.size() + gsize) > config_.max_inflight) {
+    if (started_ + gsize > config_.max_inflight) {
       lock_.Release();
       return;
     }
-    std::vector<Op*> batch;
-    batch.reserve(gsize);
-    for (size_t i = 0; i < gsize; ++i) {
+    for (Op* op = group; op != nullptr; op = op->group_next) {
       IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
-      std::unique_ptr<Op> owned = std::move(queued_.front());
-      queued_.pop_front();
-      Op* op = owned.get();
-      op->st = Op::St::kStarted;
-      batch.push_back(op);
-      IKDP_KRACE_WRITE(this, "SpliceRing::started_");
-      started_.push_back(std::move(owned));
+      assert(queued_.head == op);
+      queued_.pop_front()->st = Op::St::kStarted;
     }
+    IKDP_KRACE_WRITE(this, "SpliceRing::started_");
+    started_ += gsize;
     lock_.Release();
-    for (Op* op : batch) {
+    // The group chain changes only at a claim and at Reap, neither of which
+    // can run inside this loop.
+    for (Op* op = group; op != nullptr; op = op->group_next) {
       // A synchronously-failing sibling may have cancelled this member
-      // while an earlier batch member was starting.
-      if (op->st == Op::St::kStarted && !op->engine_called) {
+      // while an earlier member was starting.
+      if (op->st == Op::St::kStarted) {
         StartOp(op);
       }
     }
@@ -138,18 +164,16 @@ void SpliceRing::Pump() {
 }
 
 void SpliceRing::StartOp(Op* op) {
-  op->engine_called = true;
-  Op* raw = op;
   // The engine mints its "splice.stream" span as a child of the cursor's —
   // push the op span so the stream nests under this op.
   KspanScope scope("aio", op->span);
   SpliceDescriptor* d =
-      engine_->Start(std::move(op->ends.source), std::move(op->ends.sinks), op->opts,
-                     [this, raw](const SpliceCompletion& c) { OnEngineComplete(raw, c); });
+      engine_->Start(std::move(op->ends.source), std::move(op->ends.sinks), std::move(op->opts),
+                     [this, op](const SpliceCompletion& c) { OnEngineComplete(op, c); });
   // The splice can run to completion inside Start (synchronous devices);
   // only remember the descriptor while the op is still in flight.
-  if (raw->st == Op::St::kStarted) {
-    raw->desc = d;
+  if (op->st == Op::St::kStarted) {
+    op->desc = d;
   }
 }
 
@@ -164,28 +188,23 @@ void SpliceRing::OnEngineComplete(Op* op, const SpliceCompletion& c) {
   // media error); kErrIo only backstops a report with no errno attached.
   const int error =
       c.io_error ? (c.error != 0 ? c.error : kErrIo) : (c.cancelled ? kErrCanceled : 0);
-  const int group = op->group;
-  op->finished_at = c.finished_at;
-  op->kop_active = c.kop_active;
-  op->kop_checksum = c.kop_checksum;
-  op->kop_dropped = c.kop_dropped;
-  Retire(op, c.bytes_moved, error);
+  op->cqe.kop_active = c.kop_active;
+  op->cqe.kop_checksum = c.kop_checksum;
+  op->cqe.kop_dropped = c.kop_dropped;
+  Retire(op, c.bytes_moved, error, c.finished_at);
   // An I/O error tears down the rest of the pipeline group — a downstream
   // stage would otherwise wait forever for bytes that will never arrive.
   // Cancel-driven completions do NOT re-propagate (that would recurse).
   if (c.io_error) {
-    CancelGroupSiblings(group, op);
+    CancelGroupSiblings(op);
   }
 }
 
-void SpliceRing::Retire(Op* op, int64_t result, int error) {
-  op->result = result;
-  op->error = error;
-  if (op->finished_at == 0) {
-    op->finished_at = cpu_->sim()->Now();
-  }
-  op->st = Op::St::kRetired;
-  op->desc = nullptr;
+void SpliceRing::Retire(Op* op, int64_t result, int error, SimTime finished_at) {
+  op->cqe.cookie = op->sqe.cookie;
+  op->cqe.result = result;
+  op->cqe.error = error;
+  op->cqe.latency = finished_at - op->submitted_at;
   if (error == kErrCanceled) {
     ++stats_.cancelled;
   }
@@ -193,106 +212,70 @@ void SpliceRing::Retire(Op* op, int64_t result, int error) {
     KspanScope scope("aio", op->span);
     Trace(TraceKind::kRingOpComplete, static_cast<int64_t>(op->sqe.cookie));
   }
-  // Retire runs exactly once per op (the list scan below asserts the op is
-  // still owned), so the span closes exactly once — cancelled LINKED
-  // siblings included.
+  // Retire runs exactly once per op (it asserts the op has not retired), so
+  // the span closes exactly once — cancelled LINKED siblings included.
   if (op->span_owned) {
-    KspanEnd(op->finished_at, op->span, result, error != 0);
+    KspanEnd(finished_at, op->span, result, error != 0);
   }
-  std::unique_ptr<Op> owned;
-  lock_.Acquire();
-  IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
-  for (auto it = queued_.begin(); it != queued_.end(); ++it) {
-    if (it->get() == op) {
-      owned = std::move(*it);
-      queued_.erase(it);
-      break;
-    }
-  }
-  if (owned == nullptr) {
-    IKDP_KRACE_WRITE(this, "SpliceRing::started_");
-    for (auto it = started_.begin(); it != started_.end(); ++it) {
-      if (it->get() == op) {
-        owned = std::move(*it);
-        started_.erase(it);
-        break;
-      }
-    }
-  }
-  lock_.Release();
-  assert(owned != nullptr);
-  // retired_ is a completion -> reaper handoff riding the `reaper` ordering
-  // channel, not lock-guarded shared state (see the member comment).
   IKDP_KRACE_WRITE(this, "SpliceRing::retired_");
-  retired_.push_back(std::move(owned));
+  lock_.Acquire();
+  assert(op->st != Op::St::kFree && op->st != Op::St::kRetired);
+  if (op->st == Op::St::kQueued) {
+    IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
+    queued_.Erase(op);
+  } else if (op->st == Op::St::kStarted) {
+    IKDP_KRACE_WRITE(this, "SpliceRing::started_");
+    --started_;
+  }
+  op->st = Op::St::kRetired;
+  op->desc = nullptr;
+  retired_.push_back(op);
+  lock_.Release();
   if (KraceEnabled()) Krace().ChannelRelease(&retired_);
   ArmReaper();
 }
 
-void SpliceRing::CancelGroupSiblings(int group, const Op* except) {
-  if (group == 0) {
-    return;  // immediate-failure ops carry no group
+void SpliceRing::CancelGroupSiblings(Op* op) {
+  // The group chain changes only at a claim and at Reap, neither of which
+  // can run inside this loop, but Retire and engine_->Cancel change states
+  // (Cancel can complete a drained descriptor synchronously).
+  Op* m = op;
+  while (m->group_prev != nullptr) {
+    m = m->group_prev;
   }
-  // Collect first: Retire() and engine_->Cancel() both mutate the lists
-  // (Cancel can complete a drained descriptor synchronously), so the lock
-  // covers only the scan, never the per-member actions.
-  std::vector<Op*> members;
-  lock_.Acquire();
-  for (const auto& q : queued_) {
-    if (q->group == group && q.get() != except) {
-      members.push_back(q.get());
+  for (; m != nullptr; m = m->group_next) {
+    if (m == op || m->st == Op::St::kRetired) {
+      continue;
     }
-  }
-  for (const auto& s : started_) {
-    if (s->group == group && s.get() != except) {
-      members.push_back(s.get());
-    }
-  }
-  lock_.Release();
-  for (Op* op : members) {
-    if (op->st == Op::St::kQueued) {
-      Retire(op, 0, kErrCanceled);
-    } else if (op->st == Op::St::kStarted) {
-      if (op->desc != nullptr) {
-        // In flight: the engine drains it and the completion arrives with
-        // cancelled=true (partial bytes reported).
-        engine_->Cancel(op->desc);
-      } else {
-        Retire(op, 0, kErrCanceled);
-      }
+    if (m->desc != nullptr) {
+      // In flight: the engine drains it and the completion arrives with
+      // cancelled=true (partial bytes reported).
+      engine_->Cancel(m->desc);
+    } else {
+      Retire(m, 0, kErrCanceled, cpu_->sim()->Now());  // queued or not yet in the engine
     }
   }
 }
 
 int SpliceRing::Cancel(uint64_t cookie) {
-  // Find under the lock, act after release: Retire and CancelGroupSiblings
-  // take the lock themselves.
+  // Find under the lock, act after release: Retire takes the lock itself.
   Op* target = nullptr;
-  int group = 0;
   bool started = false;
   lock_.Acquire();
-  for (const auto& q : queued_) {
-    if (q->sqe.cookie == cookie) {
-      target = q.get();
-      group = target->group;
+  for (Op& op : ops_) {
+    if (op.sqe.cookie == cookie && op.st == Op::St::kQueued) {
+      target = &op;
       break;
     }
-  }
-  if (target == nullptr) {
-    for (const auto& s : started_) {
-      if (s->sqe.cookie == cookie) {
-        started = true;
-        break;
-      }
-    }
+    started = started || (op.sqe.cookie == cookie && op.st == Op::St::kStarted);
   }
   lock_.Release();
   if (target != nullptr) {
     Trace(TraceKind::kRingCancel, static_cast<int64_t>(cookie));
-    Retire(target, 0, kErrCanceled);
+    Retire(target, 0, kErrCanceled, cpu_->sim()->Now());
     // A partial pipeline cannot run: the queued group goes down together.
     // (Groups start atomically, so no sibling can be mid-flight here.)
-    CancelGroupSiblings(group, target);
+    CancelGroupSiblings(target);
     return 0;
   }
   return started ? -kErrBusy : -kErrNoent;
@@ -325,22 +308,13 @@ void SpliceRing::Reap() {
   ++stats_.reaps;
   if (KraceEnabled()) Krace().ChannelAcquire(&retired_);
   IKDP_KRACE_WRITE(this, "SpliceRing::retired_");
-  std::vector<std::unique_ptr<Op>> batch;
-  batch.swap(retired_);
   int posted = 0;
   // The CQ fill is one critical section; the lock drops before the wakeups
   // and the pump (Pump takes it per iteration).
   lock_.Acquire();
-  for (const std::unique_ptr<Op>& op : batch) {
-    SpliceCqe cqe;
-    cqe.cookie = op->sqe.cookie;
-    cqe.result = op->result;
-    cqe.error = op->error;
-    cqe.latency = op->finished_at - op->submitted_at;
-    cqe.kop_active = op->kop_active;
-    cqe.kop_checksum = op->kop_checksum;
-    cqe.kop_dropped = op->kop_dropped;
-    if (op->kop_active) {
+  while (!retired_.empty()) {
+    Op* op = retired_.pop_front();
+    if (op->cqe.kop_active) {
       // Publishing an operator's results (checksum, drop count) into the CQE
       // is operator work: charge the fixed finalization cost here so it lands
       // in the kop softclock bucket, per op, under the op's span.
@@ -348,7 +322,7 @@ void SpliceRing::Reap() {
       cpu_->ChargeKop(cpu_->costs().kop_stage_overhead);
     }
     IKDP_KRACE_WRITE(this, "SpliceRing::cq_");
-    cq_.push_back(cqe);
+    cq_.push_back(op->cqe);
     const int64_t staged = static_cast<int64_t>(cq_.size()) - config_.cq_entries;
     if (staged > 0) {
       ++stats_.overflows;
@@ -356,6 +330,17 @@ void SpliceRing::Reap() {
     }
     ++stats_.completed;
     ++posted;
+    // Recycle the slot: out of its group chain, back to a fresh op on the
+    // free list.
+    if (op->group_prev != nullptr) {
+      op->group_prev->group_next = op->group_next;
+    }
+    if (op->group_next != nullptr) {
+      op->group_next->group_prev = op->group_prev;
+    }
+    *op = Op{};
+    free_.push_back(op);
+    --live_;
   }
   lock_.Release();
   Trace(TraceKind::kRingReap, posted);

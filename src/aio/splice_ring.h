@@ -18,8 +18,8 @@
 // Backpressure: a ring admits at most `sq_entries` unfinished operations.
 // When the queue is full, RingEnter either returns EAGAIN or blocks until
 // the reaper frees slots (`block_on_full`) — both policies are modeled.
-// A full CQ never loses completions: they stage in an overflow list and
-// drain into the CQ as entries are harvested.
+// A full CQ never loses completions: they stage in an overflow tail and
+// move up into the CQ as entries are harvested.
 //
 // LINKED groups: an SQE carrying kSqeLinked chains with its successor into
 // a pipeline group (disk -> pipe -> net).  Unlike io_uring's sequential
@@ -29,17 +29,19 @@
 // start, and cancellation treat a group as one unit, and a member's failure
 // cancels its siblings.
 //
+// Each op lives in one slot of one table from RingEnter to Reap, and its
+// state is the only record of where it is.  Slots are recycled at Reap, so
+// the table holds the peak count of unfinished ops.
+//
 // This layer knows nothing about file descriptors: the syscall layer
-// (src/os/kernel.cc) resolves SQEs into endpoints and feeds them in as
-// PreparedOps.
+// (src/os/kernel.cc) claims a group's slots, resolves each SQE into engine
+// endpoints in place, and admits the group.
 
 #ifndef SRC_AIO_SPLICE_RING_H_
 #define SRC_AIO_SPLICE_RING_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <vector>
+#include <list>
 
 #include "src/hw/fault.h"
 #include "src/kern/cpu.h"
@@ -119,9 +121,32 @@ class SpliceRing {
     IKDP_KRACE_WRITE(this, "SpliceRing::prepared_");
     prepared_.push_back(sqe);
   }
-  int PreparedCount() const { return static_cast<int>(prepared_.size()); }
 
   // --- kernel-side admission (called by Kernel::RingEnter) ---
+
+  // One ring op, in one slot of the op table from RingEnter to Reap.  The
+  // syscall layer resolves a claimed op's `sqe` into `ends` and `opts`;
+  // every other field is the ring's.
+  struct Op {
+    enum class St : uint8_t { kFree, kClaimed, kQueued, kStarted, kRetired };
+    SpliceSqe sqe;
+    SpliceEndpoints ends;  // one sink, plus the sink-side file update
+    SpliceOptions opts;    // engine tuning for this op
+    // The op's LINKED group in SQE order.  Reap unlinks an op it recycles,
+    // so the chain holds exactly the group's members still in the table.
+    Op* group_prev = nullptr;
+    Op* group_next = nullptr;
+    St st = St::kFree;
+    Op* next = nullptr;  // link on the free, queued or retired FIFO, per `st`
+    SpliceDescriptor* desc = nullptr;  // valid while kStarted
+    // The op's kspan ("aio.op"), minted at admission as a child of the
+    // submitting process's span; ended exactly once at Retire — including
+    // cancelled LINKED siblings, which retire like any other op.
+    SpanId span = kNoSpan;
+    bool span_owned = false;  // minted (must End) vs inherited
+    SimTime submitted_at = 0;
+    SpliceCqe cqe;  // filled at Retire, posted by Reap
+  };
 
   // Length of the linked run at the head of the prepared queue (0 if empty).
   int NextGroupSize() const;
@@ -132,25 +157,17 @@ class SpliceRing {
     return UnfinishedLocked() + group_size <= config_.sq_entries;
   }
 
-  SpliceSqe PopPrepared();
+  // Pops the next `n` prepared SQEs into op slots, linked as one group in
+  // SQE order, and returns the first.  A claimed op is not unfinished until
+  // AdmitGroup takes it; its slot keeps its address until Reap recycles it.
+  IKDP_CTX_PROCESS Op* ClaimGroup(int n);
 
-  // An SQE the syscall layer resolved into engine endpoints.
-  struct PreparedOp {
-    SpliceSqe sqe;
-    SpliceEndpoints ends;  // one sink, plus the sink-side file update
-    SpliceOptions opts;    // engine tuning for this op
-  };
-
-  // Admits one resolved group: records submission, queues the ops, and
-  // starts whatever the in-flight cap allows (in the caller's context —
+  // Admits a claimed group: records each op's submission, then queues the
+  // group and starts what the in-flight cap allows (in the caller's context:
   // synchronous-device setup costs land in the engine's sync-charge ledger
-  // for the syscall layer to drain).
-  IKDP_CTX_PROCESS void AdmitGroup(std::vector<PreparedOp> group);
-
-  // Posts an immediate-failure completion for an SQE that failed validation
-  // (bad fd, unspliceable endpoint).  Routed through the reaper like any
-  // other completion.
-  IKDP_CTX_PROCESS void FailSqe(const SpliceSqe& sqe, int error);
+  // for the syscall layer to drain).  If `bad` is set nothing starts: `bad`
+  // fails with `error`, the rest with kErrCanceled, posted by the reaper.
+  IKDP_CTX_PROCESS void AdmitGroup(Op* group, const Op* bad, int error);
 
   // Records the batch-level trace events (kRingSubmit, kRingSqDepth) after
   // an admission loop; `admitted` counts SQEs, including failed ones.
@@ -198,29 +215,15 @@ class SpliceRing {
   void NoteEagain() { ++stats_.eagain_returns; }
 
  private:
-  struct Op {
-    SpliceSqe sqe;
-    int group = 0;
-    enum class St { kQueued, kStarted, kRetired } st = St::kQueued;
-    SpliceEndpoints ends;
-    SpliceOptions opts;
-    SimTime submitted_at = 0;
-    bool engine_called = false;        // handed to the splice engine
-    SpliceDescriptor* desc = nullptr;  // valid while kStarted
-    // The op's kspan ("aio.op"), minted at admission as a child of the
-    // submitting process's span; ended exactly once at Retire — including
-    // cancelled LINKED siblings, which retire like any other op.
-    SpanId span = kNoSpan;
-    bool span_owned = false;  // minted (must End) vs inherited
-    // Completion payload (filled at retire time).
-    int64_t result = 0;
-    int error = 0;
-    SimTime finished_at = 0;
-    // Operator results captured from the engine completion (kop_active is
-    // set from the options at retire so validation-failed ops report false).
-    bool kop_active = false;
-    uint64_t kop_checksum = 0;
-    int64_t kop_dropped = 0;
+  // A FIFO of ops threaded through their `next` links (meaningful only
+  // while the op's state puts it on one).
+  struct OpFifo {
+    Op* head = nullptr;
+    Op* tail = nullptr;
+    bool empty() const { return head == nullptr; }
+    void push_back(Op* op);
+    Op* pop_front();
+    void Erase(Op* op);  // unlinks `op`, which must be on this FIFO
   };
 
   // Starts queued groups FIFO while the in-flight cap has room for a whole
@@ -229,30 +232,29 @@ class SpliceRing {
 
   IKDP_CTX_ANY void StartOp(Op* op);
 
-  // Engine completion: fills the op's CQE payload, cancels group siblings
-  // on error, and arms the reaper.
+  // Engine completion: fills the op's CQE, cancels group siblings on error,
+  // and arms the reaper.
   IKDP_CTX_ANY void OnEngineComplete(Op* op, const SpliceCompletion& c);
 
-  // Moves an op from wherever it lives into retired_ with the given payload.
-  IKDP_CTX_ANY void Retire(Op* op, int64_t result, int error);
+  // Fills the op's CQE, ends its span and links it onto the retired FIFO.
+  IKDP_CTX_ANY void Retire(Op* op, int64_t result, int error, SimTime finished_at);
 
-  // Cancels every not-yet-retired member of `group` except `except`:
-  // queued members retire immediately, started members are cancelled in
-  // the engine (their completion arrives with cancelled=true).
-  IKDP_CTX_ANY void CancelGroupSiblings(int group, const Op* except);
+  // Cancels every not-yet-retired member of `op`'s group but `op`, in SQE
+  // order: queued members retire immediately, started members are
+  // cancelled in the engine (their completion arrives with cancelled=true).
+  IKDP_CTX_ANY void CancelGroupSiblings(Op* op);
 
   IKDP_CTX_ANY void ArmReaper();
 
   // Softclock reaper body: posts retired completions into the CQ (or the
-  // overflow stage), wakes waiters, and pumps newly-fitting queued ops.
+  // overflow stage), recycles their slots, wakes waiters, and pumps
+  // newly-fitting queued ops.
   IKDP_CTX_SOFTCLOCK void Reap();
 
   // Lock-held variant of unfinished() for internal admission-control sites.
   // IKDP_REQUIRES seeds the kcheck entry-held fixpoint and becomes
   // requires_capability under TSA.
-  IKDP_REQUIRES(ring) int UnfinishedLocked() const {
-    return static_cast<int>(queued_.size() + started_.size() + retired_.size());
-  }
+  IKDP_REQUIRES(ring) int UnfinishedLocked() const { return live_; }
 
   void Trace(TraceKind kind, int64_t b);
 
@@ -262,7 +264,7 @@ class SpliceRing {
   SpliceEngine* engine_;
   const RingConfig config_;
 
-  // The ring lock (docs/klock.md): guards the kernel-side op queues, the
+  // The ring lock (docs/klock.md): guards the op table and its FIFOs, the
   // completion queue, and the reaper latch.  It is fine-grained — never held
   // across engine_->Start / engine_->Cancel (both can complete an op
   // synchronously and re-enter Retire) — but IS held across ScheduleHead in
@@ -270,23 +272,27 @@ class SpliceRing {
   // callout table never calls back synchronously).  `mutable` lets const
   // accessors (unfinished, CqAvailable) lock.
   mutable SpinLock lock_ IKDP_LOCK_RANK(ring, 20) = SpinLock("ring", 20);
-  // The user-side SQ exists purely in process context (Prepare/PopPrepared
-  // never leave the submitting process) and stays context-guarded — no lock
-  // warranted.  The kernel-side queues are touched by admission (process),
-  // engine completions (interrupt), and the reaper (softclock).  retired_
-  // is handed from completion to reaper through the `reaper` ordering
-  // channel (a handoff, not shared state — also no lock); the completion
-  // queue is filled at softclock (Reap) and drained in process context
-  // (Harvest).
+  // The user-side SQ exists purely in process context (Prepare and
+  // ClaimGroup never leave the submitting process) and stays
+  // context-guarded — no lock warranted.  The op table and the FIFOs
+  // threaded through it are touched by admission (process), engine
+  // completions (interrupt), and the reaper (softclock); the retired FIFO's
+  // handoff from completion to reaper also rides the `reaper` krace ordering
+  // channel.  The completion queue is filled at softclock (Reap) and drained
+  // in process context (Harvest).
   Fifo<SpliceSqe> prepared_ IKDP_GUARDED_BY(process);  // user-side SQ
-  std::deque<std::unique_ptr<Op>> queued_ IKDP_GUARDED_BY(lock:ring);
-  std::vector<std::unique_ptr<Op>> started_ IKDP_GUARDED_BY(lock:ring);
-  std::vector<std::unique_ptr<Op>> retired_ IKDP_ORDERED_BY(reaper);
+  // The op table: a list, because the FIFO and group links and the engine's
+  // completion closures hold op addresses while the table grows.
+  std::list<Op> ops_ IKDP_GUARDED_BY(lock:ring);
+  OpFifo free_ IKDP_GUARDED_BY(lock:ring);
+  OpFifo queued_ IKDP_GUARDED_BY(lock:ring);
+  OpFifo retired_ IKDP_GUARDED_BY(lock:ring);
+  int started_ IKDP_GUARDED_BY(lock:ring) = 0;
+  int live_ IKDP_GUARDED_BY(lock:ring) = 0;  // queued, started or retired
   // Posted completions, oldest first: the first cq_entries are the CQ, the
   // rest the overflow stage.
   Fifo<SpliceCqe> cq_ IKDP_GUARDED_BY(lock:ring);
 
-  int next_group_ = 1;
   bool reaper_armed_ IKDP_GUARDED_BY(lock:ring) = false;
   char sq_space_chan_ = 0;  // address-only sleep channels
   char cq_chan_ = 0;

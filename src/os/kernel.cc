@@ -694,7 +694,8 @@ int Kernel::RingHarvest(Process& p, int ring_id, SpliceCqe* out, int max) {
   return ring->Harvest(out, max);
 }
 
-Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::PreparedOp* out) {
+Task<int> Kernel::ResolveSqe(Process& p, SpliceRing::Op* op) {
+  const SpliceSqe& sqe = op->sqe;
   std::shared_ptr<File> src = GetFile(p, sqe.src_fd);
   std::shared_ptr<File> dst = GetFile(p, sqe.dst_fd);
   if (src == nullptr || dst == nullptr) {
@@ -711,12 +712,11 @@ Task<int> Kernel::ResolveSqe(Process& p, const SpliceSqe& sqe, SpliceRing::Prepa
       (prog == nullptr && sqe.kop_id != 0) || !KopBinds(prog.get(), dsts)) {
     co_return -kErrInval;
   }
-  if (const int err = co_await BuildEndpoints(p, src, dsts, sqe.nbytes, &out->ends); err != 0) {
+  if (const int err = co_await BuildEndpoints(p, src, dsts, sqe.nbytes, &op->ends); err != 0) {
     co_return -err;
   }
-  out->sqe = sqe;
-  out->opts = splice_options_;
-  out->opts.kop_program = std::move(prog);
+  op->opts = splice_options_;
+  op->opts.kop_program = std::move(prog);
   co_return 0;
 }
 
@@ -741,34 +741,18 @@ Task<int> Kernel::RingEnter(Process& p, int ring_id, int to_submit, int min_comp
       sq_full = true;
       break;
     }
-    std::vector<SpliceSqe> sqes;
-    sqes.reserve(gsize);
-    for (int i = 0; i < gsize; ++i) {
-      sqes.push_back(ring->PopPrepared());
-    }
-    std::vector<SpliceRing::PreparedOp> ops;
-    int bad_index = -1;
+    // The group's SQEs go straight into ring op slots and resolve there.  A
+    // malformed SQE stops the resolution: nothing in its group starts.
+    SpliceRing::Op* const group = ring->ClaimGroup(gsize);
+    SpliceRing::Op* bad = nullptr;
     int bad_error = 0;
-    for (int i = 0; i < gsize; ++i) {
-      SpliceRing::PreparedOp op;
-      const int rc = co_await ResolveSqe(p, sqes[i], &op);
-      if (rc < 0) {
-        bad_index = i;
+    for (SpliceRing::Op* op = group; op != nullptr && bad == nullptr; op = op->group_next) {
+      if (const int rc = co_await ResolveSqe(p, op); rc < 0) {
+        bad = op;
         bad_error = -rc;
-        break;
       }
-      ops.push_back(std::move(op));
     }
-    if (bad_index >= 0) {
-      // The malformed SQE fails with its own error; a partial pipeline
-      // cannot run, so the rest of its group fails ECANCELED.  Nothing in
-      // the group starts.
-      for (int i = 0; i < gsize; ++i) {
-        ring->FailSqe(sqes[i], i == bad_index ? bad_error : kErrCanceled);
-      }
-    } else {
-      ring->AdmitGroup(std::move(ops));
-    }
+    ring->AdmitGroup(group, bad, bad_error);
     submitted += gsize;
   }
   if (submitted > 0) {

@@ -293,10 +293,9 @@ class Kernel {
                                              int64_t nbytes,
                                              std::shared_ptr<const KopProgram> prog);
 
-  // Resolves one SQE into engine endpoints (splice(2)'s refusals and setup).
-  // Returns 0 and fills `out`, or -errno.
-  IKDP_CTX_PROCESS Task<int> ResolveSqe(Process& p, const SpliceSqe& sqe,
-                                        SpliceRing::PreparedOp* out);
+  // Resolves a claimed ring op's SQE into its engine endpoints and options
+  // (splice(2)'s refusals and setup).  Returns 0, or -errno.
+  IKDP_CTX_PROCESS Task<int> ResolveSqe(Process& p, SpliceRing::Op* op);
 
   Simulator* sim_;
   CpuSystem cpu_;

@@ -74,6 +74,13 @@ std::string KraceDetector::Race::Describe() const {
   return std::string(buf);
 }
 
+KraceDetector::PendingAnc* KraceDetector::FindPending(EventId child) {
+  const auto end = pending_anc_.begin() + static_cast<std::ptrdiff_t>(n_pending_);
+  const auto it = std::lower_bound(pending_anc_.begin(), end, child,
+                                   [](const PendingAnc& e, EventId id) { return e.child < id; });
+  return it != end && it->child == child ? &*it : nullptr;
+}
+
 void KraceDetector::OnSchedule(EventId child, SimTime when) {
   if (!in_event_ || when != now_) {
     // Cross-timestamp scheduling is ordered by the clock; host-side
@@ -82,9 +89,13 @@ void KraceDetector::OnSchedule(EventId child, SimTime when) {
   }
   // Same-timestamp child: it inherits the creator's same-timestamp ancestor
   // chain plus the creator itself.
-  std::vector<EventId>& anc = pending_anc_[child];
-  anc.assign(cur_anc_.begin(), cur_anc_.end());
-  anc.push_back(cur_);
+  if (n_pending_ == pending_anc_.size()) {
+    pending_anc_.emplace_back();
+  }
+  PendingAnc& e = pending_anc_[n_pending_++];
+  e.child = child;
+  e.anc.assign(cur_anc_.begin(), cur_anc_.end());
+  e.anc.insert(std::upper_bound(e.anc.begin(), e.anc.end(), cur_), cur_);
 }
 
 void KraceDetector::OnEventBegin(EventId id, SimTime when) {
@@ -92,17 +103,15 @@ void KraceDetector::OnEventBegin(EventId id, SimTime when) {
     // Time advanced: everything recorded for the previous timestamp is
     // ordered before this event by the clock.  Same-timestamp children
     // always execute (or are cancelled) before time advances, so the
-    // pending map cannot carry live entries across timestamps.
+    // pending list cannot carry live entries across timestamps.
     now_ = when;
-    pending_anc_.clear();
+    n_pending_ = 0;
   }
   in_event_ = true;
   cur_ = id;
   cur_anc_.clear();
-  auto it = pending_anc_.find(id);
-  if (it != pending_anc_.end()) {
-    cur_anc_.insert(it->second.begin(), it->second.end());
-    pending_anc_.erase(it);
+  if (PendingAnc* e = FindPending(id)) {
+    cur_anc_.swap(e->anc);  // the entry keeps cur_anc_'s old (empty) storage
   }
 }
 
@@ -112,7 +121,11 @@ void KraceDetector::OnEventEnd() {
   cur_anc_.clear();
 }
 
-void KraceDetector::OnCancel(EventId id) { pending_anc_.erase(id); }
+void KraceDetector::OnCancel(EventId id) {
+  if (PendingAnc* e = FindPending(id)) {
+    e->anc.clear();
+  }
+}
 
 void KraceDetector::ChannelRelease(const void* chan) {
   if (!in_event_) {
@@ -127,7 +140,7 @@ void KraceDetector::ChannelRelease(const void* chan) {
   // release, not just the releasing event itself: record cur_'s
   // same-timestamp ancestors too, so X -schedule-> A -channel-> B composes
   // into X happens-before B.  Duplicates are harmless (ChannelAcquire
-  // inserts into a set).
+  // drops them).
   st.releasers.push_back(cur_);
   st.releasers.insert(st.releasers.end(), cur_anc_.begin(), cur_anc_.end());
 }
@@ -140,7 +153,10 @@ void KraceDetector::ChannelAcquire(const void* chan) {
   if (it == channels_.end() || it->second.time != now_) {
     return;  // releases at earlier timestamps are clock-ordered already
   }
-  cur_anc_.insert(it->second.releasers.begin(), it->second.releasers.end());
+  // std::sort, not a merge: inplace_merge may take a heap buffer.
+  cur_anc_.insert(cur_anc_.end(), it->second.releasers.begin(), it->second.releasers.end());
+  std::sort(cur_anc_.begin(), cur_anc_.end());
+  cur_anc_.erase(std::unique(cur_anc_.begin(), cur_anc_.end()), cur_anc_.end());
 }
 
 void KraceDetector::OnAccess(const void* obj, const char* field, KraceAccess kind,
@@ -174,7 +190,7 @@ void KraceDetector::OnAccess(const void* obj, const char* field, KraceAccess kin
     if (!conflicting) {
       continue;  // read/read, or two commuting updates
     }
-    if (cur_anc_.count(r.event) > 0) {
+    if (std::binary_search(cur_anc_.begin(), cur_anc_.end(), r.event)) {
       continue;  // schedule/channel chain orders r before us
     }
     ReportRace(FieldKey{obj, field}, r, cur);

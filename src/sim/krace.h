@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -194,10 +193,20 @@ class KraceDetector {
   EventId cur_ = 0;
   SimTime now_ = -1;
   // Same-timestamp happens-before ancestors of the current event (events at
-  // now_ whose schedule-edge chain leads to cur_).
-  std::unordered_set<EventId> cur_anc_;
-  // Ancestor sets prepared for same-timestamp children not yet begun.
-  std::unordered_map<EventId, std::vector<EventId>> pending_anc_;
+  // now_ whose schedule-edge chain leads to cur_), sorted and unique.
+  std::vector<EventId> cur_anc_;
+  // Ancestor sets for same-timestamp children, appended in schedule order
+  // (so `child` ascends) and emptied in place once begun or cancelled; the
+  // entries keep their storage across timestamps.
+  struct PendingAnc {
+    EventId child = 0;
+    std::vector<EventId> anc;
+  };
+  std::vector<PendingAnc> pending_anc_;
+  size_t n_pending_ = 0;  // live prefix of pending_anc_
+
+  // The live pending entry for `child`, or nullptr.
+  PendingAnc* FindPending(EventId child);
 
   std::unordered_map<const void*, ChannelState> channels_;
   std::unordered_map<FieldKey, FieldSlot, FieldKeyHash, FieldKeyEq> table_;

@@ -265,6 +265,119 @@ TEST_F(AioTest, CancelQueuedOpButNotStartedOrUnknown) {
   VerifyFile(fs_scsib_, "d0", kBigBytes);
 }
 
+// Waves through a four-entry ring with one op in flight: each wave queues
+// three ops behind a running one, cancels the middle of the queue, queues
+// one more op once the cancelled slots are reaped (a stale queue link would
+// lose it), then fails an SQE with a bad descriptor.  In one wave the
+// middle and tail ops are a LINKED pair, so the cancel takes the tail too.
+// The completions must come out in retire order, wave after wave, while the
+// ring recycles its op storage.
+TEST_F(AioTest, MidQueueCancelKeepsFifoAndRecyclesSlots) {
+  constexpr int kWaves = 12;     // 3 x sq_entries
+  constexpr int kGroupWave = 5;  // the wave whose tail two ops are LINKED
+  constexpr int64_t kBig = 32 * kBlockSize;
+  constexpr int64_t kSmall = 2 * kBlockSize;
+  fs_rama_->CreateFileInstant("big", kBig, Fill);
+  fs_rama_->CreateFileInstant("small", kSmall, Fill);
+  RingConfig cfg;
+  cfg.sq_entries = 4;
+  cfg.max_inflight = 1;
+  struct Seen {
+    uint64_t cookie;
+    int64_t result;
+    int error;
+    bool operator==(const Seen&) const = default;
+  };
+  std::vector<Seen> seen;
+  std::vector<Seen> want;
+  std::vector<int> cancels;
+  SpliceRing::Stats stats;
+  Run([&](Process& p) -> Task<> {
+    const int ring = co_await kernel_.RingSetup(p, cfg);
+    std::vector<int> fds;
+    // Prepares op `k` of a wave: op 0 is the long one, the rest are short.
+    auto prepare = [&](uint64_t base, int w, int k, uint32_t flags) -> Task<> {
+      const int src = co_await kernel_.Open(p, k == 0 ? "rama:big" : "rama:small", kOpenRead);
+      const int dst =
+          co_await kernel_.Open(p, Indexed("ramb:d", w * 5 + k), kOpenWrite | kOpenCreate);
+      fds.push_back(src);
+      fds.push_back(dst);
+      SpliceSqe sqe;
+      sqe.src_fd = src;
+      sqe.dst_fd = dst;
+      sqe.nbytes = k == 0 ? kBig : kSmall;
+      sqe.cookie = base + static_cast<uint64_t>(k);
+      sqe.flags = flags;
+      kernel_.RingPrepare(p, ring, sqe);
+    };
+    auto harvest = [&](int n) -> Task<> {
+      co_await kernel_.RingEnter(p, ring, 0, n);
+      SpliceCqe cqes[4];
+      const int got = kernel_.RingHarvest(p, ring, cqes, n);
+      for (int i = 0; i < got; ++i) {
+        seen.push_back({cqes[i].cookie, cqes[i].result, cqes[i].error});
+      }
+    };
+    for (int w = 0; w < kWaves; ++w) {
+      const uint64_t base = 100 * static_cast<uint64_t>(w + 1);
+      const bool group = w == kGroupWave;
+      for (int k = 0; k < 4; ++k) {
+        co_await prepare(base, w, k, group && k == 2 ? kSqeLinked : 0);
+      }
+      // Op 0 starts; ops 1..3 queue behind it.  Cancel op 2, the middle.
+      EXPECT_EQ(co_await kernel_.RingEnter(p, ring, 4, 0), 4);
+      cancels.push_back(co_await kernel_.RingCancel(p, ring, base + 2));
+      want.push_back({base + 2, 0, kErrCanceled});
+      if (group) {
+        want.push_back({base + 3, 0, kErrCanceled});
+      }
+      co_await harvest(group ? 2 : 1);
+      // Op 4 queues behind what is left, in slots the cancel gave back.
+      co_await prepare(base, w, 4, 0);
+      EXPECT_EQ(co_await kernel_.RingEnter(p, ring, 1, 0), 1);
+      want.push_back({base, kBig, 0});
+      want.push_back({base + 1, kSmall, 0});
+      if (!group) {
+        want.push_back({base + 3, kSmall, 0});
+      }
+      want.push_back({base + 4, kSmall, 0});
+      co_await harvest(group ? 3 : 4);
+      // A bad descriptor fails at admission with its own CQE.
+      SpliceSqe bad;
+      bad.src_fd = 999;
+      bad.dst_fd = fds[1];
+      bad.nbytes = kSmall;
+      bad.cookie = base + 9;
+      kernel_.RingPrepare(p, ring, bad);
+      EXPECT_EQ(co_await kernel_.RingEnter(p, ring, 1, 0), 1);
+      want.push_back({base + 9, 0, kErrBadf});
+      co_await harvest(1);
+      for (const int fd : fds) {
+        co_await kernel_.Close(p, fd);
+      }
+      fds.clear();
+    }
+    stats = kernel_.GetRing(p, ring)->stats();
+  });
+  ASSERT_EQ(seen.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(seen[i], want[i]) << "CQE " << i << ": cookie " << seen[i].cookie << " result "
+                                << seen[i].result << " error " << seen[i].error << ", want "
+                                << want[i].cookie;
+  }
+  EXPECT_EQ(cancels, std::vector<int>(kWaves, 0));
+  EXPECT_EQ(stats.submitted, 6u * kWaves);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.harvested, stats.submitted);
+  EXPECT_EQ(stats.cancelled, kWaves + 1u);  // one per wave, plus the LINKED sibling
+  EXPECT_EQ(stats.eagain_returns, 0u);
+  EXPECT_EQ(stats.sq_depth_max, 4);
+  for (int w = 0; w < kWaves; ++w) {
+    VerifyFile(fs_ramb_, Indexed("d", w * 5), kBig);
+    VerifyFile(fs_ramb_, Indexed("d", w * 5 + 4), kSmall);
+  }
+}
+
 TEST_F(AioTest, LinkedGroupRunsPipelineStagesConcurrently) {
   // file -> pipe -> file, with a transfer 8x the pipe's 32 KB capacity:
   // stage 1 can only finish if stage 2 drains the pipe while stage 1 is

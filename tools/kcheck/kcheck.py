@@ -74,15 +74,13 @@ fixpoint, so `// lock-held` helpers need no annotation.
                        holding <name>.  On a uniprocessor this is a
                        self-deadlock, not contention.
 
-Frontends
----------
-The default frontend is a built-in lightweight C++ parser (comment/string
+Frontend
+--------
+kcheck parses with a built-in lightweight C++ parser (comment/string
 stripping, brace-scope tracking, qualified-name call graph).  It needs no
-third-party packages and is what CI runs.  `--frontend=libclang` uses the
-clang python bindings when they are installed; it is optional and gated —
-kcheck exits with a clear message if the bindings are missing.
+third-party packages.
 
-Known approximations of the builtin frontend (see docs/kcheck.md):
+Known approximations of the parser (see docs/kcheck.md):
   * calls through an unresolvable receiver whose bare name matches more than
     one known function are skipped (no false positives, possible misses);
   * ChargeInterrupt domination is lexical: any earlier InInterrupt token in
@@ -98,7 +96,7 @@ comment on the offending line; use sparingly and justify next to it.
 Usage
 -----
   kcheck.py [--compile-commands build/compile_commands.json] [--root src]
-            [--frontend builtin|libclang] [--json] [--list-functions] [files...]
+            [--json] [--list-functions] [files...]
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -2186,19 +2184,6 @@ def run_builtin(srcs, cache=None):
     return model
 
 
-def run_libclang(files):
-    try:
-        import clang.cindex  # noqa: F401
-    except ImportError:
-        sys.exit("kcheck: --frontend=libclang requires the clang python "
-                 "bindings (package `libclang`); they are not installed in "
-                 "this environment.  Use the default --frontend=builtin.")
-    # The libclang frontend shares the rule engine: it only has to fill a
-    # Model.  Left as an optional path; the builtin frontend is canonical.
-    sys.exit("kcheck: libclang frontend not implemented in this build; "
-             "use --frontend=builtin")
-
-
 SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                     "master/Schemata/sarif-schema-2.1.0.json")
 
@@ -2249,8 +2234,6 @@ def main(argv=None):
     ap.add_argument("--root", metavar="DIR",
                     help="scan all C++ sources under DIR (default: src/ when "
                          "no files are given)")
-    ap.add_argument("--frontend", choices=("builtin", "libclang"),
-                    default="builtin")
     ap.add_argument("--json", action="store_true",
                     help="emit findings as JSON on stdout")
     ap.add_argument("--github", action="store_true",
@@ -2274,8 +2257,6 @@ def main(argv=None):
         args.root = "src" if os.path.isdir("src") else None
 
     files = collect_files(args)
-    if args.frontend == "libclang":
-        run_libclang(files)  # always exits (bindings missing / unimplemented)
 
     srcs = read_sources(files)
     cache = Cache(args.cache) if args.cache else None
