@@ -19,37 +19,6 @@ SpliceRing::SpliceRing(int id, CpuSystem* cpu, CalloutTable* callouts, SpliceEng
                        RingConfig config)
     : id_(id), cpu_(cpu), callouts_(callouts), engine_(engine), config_(config) {}
 
-void SpliceRing::OpFifo::push_back(Op* op) {
-  op->next = nullptr;
-  if (tail == nullptr) {
-    head = op;
-  } else {
-    tail->next = op;
-  }
-  tail = op;
-}
-
-SpliceRing::Op* SpliceRing::OpFifo::pop_front() {
-  Op* op = head;
-  head = op->next;
-  if (head == nullptr) {
-    tail = nullptr;
-  }
-  return op;
-}
-
-void SpliceRing::OpFifo::Erase(Op* op) {
-  Op* prev = nullptr;
-  for (Op* o = head; o != op; o = o->next) {
-    assert(o != nullptr);
-    prev = o;
-  }
-  (prev == nullptr ? head : prev->next) = op->next;
-  if (tail == op) {
-    tail = prev;
-  }
-}
-
 void SpliceRing::Trace(TraceKind kind, int64_t b) {
   if (cpu_->trace() != nullptr) {
     cpu_->trace()->Record(cpu_->sim()->Now(), kind, id_, b);
@@ -75,7 +44,7 @@ SpliceRing::Op* SpliceRing::ClaimGroup(int n) {
   Op* prev = nullptr;
   lock_.Acquire();
   for (int i = 0; i < n; ++i) {
-    Op* op = free_.empty() ? &ops_.emplace_back() : free_.pop_front();
+    Op* op = ops_.Acquire();
     IKDP_KRACE_WRITE(this, "SpliceRing::prepared_");
     op->sqe = prepared_.pop_front();
     op->st = Op::St::kClaimed;
@@ -125,7 +94,7 @@ void SpliceRing::Pump() {
     // under the lock, then started with the lock dropped — StartOp can run
     // the whole splice synchronously and re-enter Retire.
     lock_.Acquire();
-    Op* const group = queued_.head;
+    Op* const group = queued_.front();
     if (group == nullptr) {
       lock_.Release();
       return;
@@ -145,7 +114,7 @@ void SpliceRing::Pump() {
     }
     for (Op* op = group; op != nullptr; op = op->group_next) {
       IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
-      assert(queued_.head == op);
+      assert(queued_.front() == op);
       queued_.pop_front()->st = Op::St::kStarted;
     }
     IKDP_KRACE_WRITE(this, "SpliceRing::started_");
@@ -222,7 +191,8 @@ void SpliceRing::Retire(Op* op, int64_t result, int error, SimTime finished_at) 
   assert(op->st != Op::St::kFree && op->st != Op::St::kRetired);
   if (op->st == Op::St::kQueued) {
     IKDP_KRACE_WRITE(this, "SpliceRing::queued_");
-    queued_.Erase(op);
+    [[maybe_unused]] const bool queued = queued_.Erase(op);
+    assert(queued);
   } else if (op->st == Op::St::kStarted) {
     IKDP_KRACE_WRITE(this, "SpliceRing::started_");
     --started_;
@@ -262,13 +232,15 @@ int SpliceRing::Cancel(uint64_t cookie) {
   Op* target = nullptr;
   bool started = false;
   lock_.Acquire();
-  for (Op& op : ops_) {
-    if (op.sqe.cookie == cookie && op.st == Op::St::kQueued) {
-      target = &op;
-      break;
+  ops_.ForEach([&](Op& op) {
+    if (target != nullptr || op.sqe.cookie != cookie) {
+      return;
     }
-    started = started || (op.sqe.cookie == cookie && op.st == Op::St::kStarted);
-  }
+    if (op.st == Op::St::kQueued) {
+      target = &op;
+    }
+    started = started || op.st == Op::St::kStarted;
+  });
   lock_.Release();
   if (target != nullptr) {
     Trace(TraceKind::kRingCancel, static_cast<int64_t>(cookie));
@@ -330,16 +302,15 @@ void SpliceRing::Reap() {
     }
     ++stats_.completed;
     ++posted;
-    // Recycle the slot: out of its group chain, back to a fresh op on the
-    // free list.
+    // Recycle the slot: out of its group chain, back to a fresh op in the
+    // table's free slots.
     if (op->group_prev != nullptr) {
       op->group_prev->group_next = op->group_next;
     }
     if (op->group_next != nullptr) {
       op->group_next->group_prev = op->group_prev;
     }
-    *op = Op{};
-    free_.push_back(op);
+    ops_.Release(op);
     --live_;
   }
   lock_.Release();

@@ -41,7 +41,6 @@
 #define SRC_AIO_SPLICE_RING_H_
 
 #include <cstdint>
-#include <list>
 
 #include "src/hw/fault.h"
 #include "src/kern/cpu.h"
@@ -50,6 +49,7 @@
 #include "src/sim/callout.h"
 #include "src/sim/fifo.h"
 #include "src/sim/sim_state.h"
+#include "src/sim/slot_pool.h"
 #include "src/splice/splice_engine.h"
 
 #if IKDP_TSA_ENABLED
@@ -137,7 +137,7 @@ class SpliceRing {
     Op* group_prev = nullptr;
     Op* group_next = nullptr;
     St st = St::kFree;
-    Op* next = nullptr;  // link on the free, queued or retired FIFO, per `st`
+    Op* next = nullptr;  // link on the queued or retired FIFO, per `st`
     SpliceDescriptor* desc = nullptr;  // valid while kStarted
     // The op's kspan ("aio.op"), minted at admission as a child of the
     // submitting process's span; ended exactly once at Retire — including
@@ -215,17 +215,6 @@ class SpliceRing {
   void NoteEagain() { ++stats_.eagain_returns; }
 
  private:
-  // A FIFO of ops threaded through their `next` links (meaningful only
-  // while the op's state puts it on one).
-  struct OpFifo {
-    Op* head = nullptr;
-    Op* tail = nullptr;
-    bool empty() const { return head == nullptr; }
-    void push_back(Op* op);
-    Op* pop_front();
-    void Erase(Op* op);  // unlinks `op`, which must be on this FIFO
-  };
-
   // Starts queued groups FIFO while the in-flight cap has room for a whole
   // group (groups start atomically; a too-big head group blocks the line).
   IKDP_CTX_ANY void Pump();
@@ -281,12 +270,11 @@ class SpliceRing {
   // channel.  The completion queue is filled at softclock (Reap) and drained
   // in process context (Harvest).
   Fifo<SpliceSqe> prepared_ IKDP_GUARDED_BY(process);  // user-side SQ
-  // The op table: a list, because the FIFO and group links and the engine's
-  // completion closures hold op addresses while the table grows.
-  std::list<Op> ops_ IKDP_GUARDED_BY(lock:ring);
-  OpFifo free_ IKDP_GUARDED_BY(lock:ring);
-  OpFifo queued_ IKDP_GUARDED_BY(lock:ring);
-  OpFifo retired_ IKDP_GUARDED_BY(lock:ring);
+  // The op table: a slot pool, because the FIFO and group links and the
+  // engine's completion closures hold op addresses while the table grows.
+  SlotPool<Op> ops_ IKDP_GUARDED_BY(lock:ring);
+  IntrusiveFifo<Op, &Op::next> queued_ IKDP_GUARDED_BY(lock:ring);
+  IntrusiveFifo<Op, &Op::next> retired_ IKDP_GUARDED_BY(lock:ring);
   int started_ IKDP_GUARDED_BY(lock:ring) = 0;
   int live_ IKDP_GUARDED_BY(lock:ring) = 0;  // queued, started or retired
   // Posted completions, oldest first: the first cq_entries are the CQ, the

@@ -592,10 +592,8 @@ bool BufferCache::BreadAsync(BlockDevice* dev, int64_t blkno, InlineFn<void(Buf&
 }
 
 Buf* BufferCache::AllocTransientHeader(BlockDevice* dev, int64_t blkno) {
-  auto owned = std::make_unique<Buf>();
-  Buf* b = owned.get();
   lock_.Acquire();
-  transients_[b] = std::move(owned);
+  Buf* b = transients_.Acquire();
   lock_.Release();
   b->cache = this;
   b->dev = dev;
@@ -611,9 +609,7 @@ Buf* BufferCache::AllocTransientHeader(BlockDevice* dev, int64_t blkno) {
 void BufferCache::FreeTransientHeader(Buf* b) {
   assert(b->transient);
   SpinGuard g(lock_);
-  auto it = transients_.find(b);
-  assert(it != transients_.end());
-  transients_.erase(it);
+  transients_.Release(b);
 }
 
 void BufferCache::BawriteAsync(Buf* b, InlineFn<void(Buf&)> iodone) {

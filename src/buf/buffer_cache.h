@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +37,7 @@
 #include "src/kern/cpu.h"
 #include "src/kern/ctx.h"
 #include "src/kern/lock.h"
+#include "src/sim/slot_pool.h"
 #include "src/sim/task.h"
 
 #if IKDP_TSA_ENABLED
@@ -124,8 +124,8 @@ class BufferCache {
   IKDP_CTX_ANY bool BreadAsync(BlockDevice* dev, int64_t blkno, InlineFn<void(Buf&)> iodone);
 
   // Paper's modified getblk: a transient header with NO data area, for the
-  // splice write side.  Free with FreeTransientHeader (typically from the
-  // write-completion handler).
+  // splice write side, in a recycled slot of the transient pool.  Free with
+  // FreeTransientHeader (typically from the write-completion handler).
   IKDP_CTX_ANY Buf* AllocTransientHeader(BlockDevice* dev, int64_t blkno);
   IKDP_CTX_ANY void FreeTransientHeader(Buf* b);
 
@@ -213,7 +213,7 @@ class BufferCache {
   std::vector<std::unique_ptr<Buf>> pool_;
   int frames_ = 0;
   // The cache lock (docs/klock.md): guards the hash table, the LRU free
-  // list, the pending-write counts, and the transient-header registry.  It
+  // list, the pending-write counts, and the transient-header pool.  It
   // ranks outside diskq (completion handlers re-enter Strategy through the
   // cache) and is NEVER held across SubmitIo — a RAM-disk Strategy delivers
   // Biodone synchronously, which re-enters Brelse — nor across a co_await.
@@ -233,7 +233,9 @@ class BufferCache {
   Buf* free_tail_ IKDP_GUARDED_BY(lock:cache) = nullptr;
   int free_count_ IKDP_GUARDED_BY(lock:cache) = 0;
   std::map<const BlockDevice*, int> pending_writes_ IKDP_GUARDED_BY(lock:cache);
-  std::unordered_map<Buf*, std::unique_ptr<Buf>> transients_ IKDP_GUARDED_BY(lock:cache);
+  // Transient splice headers (AllocTransientHeader): recycled slots, so a
+  // warm splice write takes a bare header without allocating one.
+  SlotPool<Buf> transients_ IKDP_GUARDED_BY(lock:cache);
   int freelist_waiters_chan_ = 0;  // sleep channel for free-list exhaustion
   SimDuration pending_sync_charge_ = 0;
   Stats stats_;

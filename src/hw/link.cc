@@ -82,15 +82,8 @@ void NetworkLink::StartNext() {
   tx_on_sent_ = std::move(frame.on_sent);
   sim_->After(tx, [this] { FinishTx(); });
   if (!lost) {
-    uint32_t slot;
-    if (free_arrival_slots_.empty()) {
-      slot = static_cast<uint32_t>(arriving_.size());
-      arriving_.emplace_back();
-    } else {
-      slot = free_arrival_slots_.back();
-      free_arrival_slots_.pop_back();
-    }
-    arriving_[slot] = std::move(frame);
+    Frame* slot = arriving_.Acquire();
+    *slot = std::move(frame);
     sim_->After(tx + params_.propagation_delay + jitter, [this, slot] { Arrive(slot); });
   }
 }
@@ -103,9 +96,9 @@ void NetworkLink::FinishTx() {
   StartNext();
 }
 
-void NetworkLink::Arrive(uint32_t slot) {
-  Frame frame = std::move(arriving_[slot]);
-  free_arrival_slots_.push_back(slot);
+void NetworkLink::Arrive(Frame* slot) {
+  Frame frame = std::move(*slot);
+  arriving_.Release(slot);
   if (frame.deliver) {
     frame.deliver(frame.payload_bytes);
   }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/hw/fault.h"
 #include "src/kern/ctx.h"
@@ -20,6 +19,7 @@
 #include "src/sim/inline_fn.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "src/sim/slot_pool.h"
 #include "src/sim/time.h"
 
 namespace ikdp {
@@ -98,7 +98,7 @@ class NetworkLink {
   // The frame on the wire has left the interface.
   void FinishTx();
   // The frame propagating in arrival slot `slot` reaches the receiver.
-  void Arrive(uint32_t slot);
+  void Arrive(Frame* slot);
 
   Simulator* sim_;
   LinkParams params_;
@@ -106,10 +106,9 @@ class NetworkLink {
   // The sender callback of the frame on the wire.
   EventFn tx_on_sent_;
   // Frames propagating to the receiver (several at once, and reordered by
-  // jitter), by slot; freed slots are reused, so the events that deliver
-  // them carry a slot number instead of the callback.
-  std::vector<Frame> arriving_;
-  std::vector<uint32_t> free_arrival_slots_;
+  // jitter) in recycled slots, so the events that deliver them carry the
+  // slot's address instead of the callback.
+  SlotPool<Frame> arriving_;
   int queued_ = 0;
   bool busy_ = false;
   std::unique_ptr<FaultState> fault_state_;

@@ -53,16 +53,11 @@ SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
     ContractAbort("splice: kop program wants %d sinks, splice has %d", want_sinks,
                   static_cast<int>(sinks.size()));
   }
-  auto owned = std::make_unique<SpliceDescriptor>();
-  SpliceDescriptor* d = owned.get();
+  SpliceDescriptor* d = descriptors_.Acquire();
   d->source_ = std::move(source);
   d->sinks_ = std::move(sinks);
   d->opts_ = opts;
   d->on_complete_ = std::move(on_complete);
-  d->slots_.resize(static_cast<size_t>(std::max(opts.max_inflight_chunks, 0)));
-  for (SpliceDescriptor::ChunkSlot& slot : d->slots_) {
-    d->free_slots_.push_back(&slot);
-  }
   const int64_t total = d->source_->TotalBytes();
   int64_t chunks_total = -1;
   if (total >= 0) {
@@ -72,7 +67,6 @@ SpliceDescriptor* SpliceEngine::Start(std::unique_ptr<SpliceSource> source,
   d->lock_.Acquire();
   d->chunks_total_ = chunks_total;
   d->lock_.Release();
-  descriptors_[d] = std::move(owned);
   ++stats_.splices_started;
   d->serial_ = stats_.splices_started;
   d->started_at_ = cpu_->sim()->Now();
@@ -206,8 +200,9 @@ void SpliceEngine::ArmReadRetry(SpliceDescriptor* d) {
     KspanScope scope("splice", d->span_);
     cpu_->RunInterrupt(cpu_->costs().softclock_per_callout, [this, d, serial] {
       // Teardown cannot recall a callout that already fired: the descriptor
-      // may since have finished, or been freed and its address reused.
-      if (descriptors_.count(d) == 0 || d->serial_ != serial) {
+      // may since have finished and its slot been released (serial 0) or
+      // taken by a later splice (a later serial).
+      if (d->serial_ != serial) {
         return;
       }
       d->lock_.Acquire();
@@ -257,8 +252,9 @@ void SpliceEngine::ReadDone(SpliceDescriptor* d, SpliceChunk chunk) {
   }
   d->lock_.Release();
   // The flow control admits at most max_inflight_chunks, one slot each.
-  assert(!d->free_slots_.empty());
-  SpliceDescriptor::ChunkSlot* slot = d->free_slots_.pop_front();
+  assert(d->slots_held_ < d->opts_.max_inflight_chunks);
+  ++d->slots_held_;
+  SpliceDescriptor::ChunkSlot* slot = chunk_slots_.Acquire();
   slot->chunk = std::move(chunk);
   // "When a read completes, the read handler is invoked which in turn
   // schedules a write by placing a reference to the write handler at the
@@ -439,10 +435,11 @@ void SpliceEngine::WriteDone(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* s
 
 void SpliceEngine::ReleaseSlot(SpliceDescriptor* d, SpliceDescriptor::ChunkSlot* slot) {
   d->source_->Release(slot->chunk);
-  // Drop the data area too: while a free slot held it, the cache buffer's
-  // frame would stay shared, and its next write would have to clone it.
-  slot->chunk = SpliceChunk{};
-  d->free_slots_.push_back(slot);
+  // The release drops the data area too: while a free slot held it, the
+  // cache buffer's frame would stay shared, and its next write would have
+  // to clone it.
+  chunk_slots_.Release(slot);
+  --d->slots_held_;
 }
 
 void SpliceEngine::MaybeRefill(SpliceDescriptor* d) {
@@ -579,9 +576,9 @@ void SpliceEngine::MaybeFinish(SpliceDescriptor* d) {
     c.kop_dropped = d->kop_.chunks_dropped;
     cb(c);
   }
-  // Defer destruction: callers (e.g. the write-drain loop) may still hold
+  // Defer the release: callers (e.g. the write-drain loop) may still hold
   // `d` on their stack when the last chunk completes.
-  cpu_->sim()->After(0, [this, d] { descriptors_.erase(d); });
+  cpu_->sim()->After(0, [this, d] { descriptors_.Release(d); });
 }
 
 }  // namespace ikdp

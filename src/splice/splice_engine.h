@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,8 +39,10 @@
 #include "src/kern/lock.h"
 #include "src/kop/kop.h"
 #include "src/sim/callout.h"
+#include "src/sim/fifo.h"
 #include "src/sim/inline_fn.h"
 #include "src/sim/kspan.h"
+#include "src/sim/slot_pool.h"
 #include "src/sim/trace.h"
 #include "src/splice/endpoint.h"
 
@@ -209,52 +210,20 @@ class SpliceDescriptor {
   SimTime started_at_ = 0;
   CalloutId retry_callout_ = kInvalidCalloutId;
 
-  // A chunk between its read completion and its retirement.  Its address
-  // is stable: a sink keeps a reference to the chunk until the write's
-  // completion fires.
+  // A chunk between its read completion and its retirement, in a slot of
+  // the engine's chunk pool.  Its address is stable: a sink keeps a
+  // reference to the chunk until the write's completion fires.
   struct ChunkSlot {
     SpliceChunk chunk;
-    ChunkSlot* next = nullptr;
+    ChunkSlot* next = nullptr;  // link on ready_
   };
-  // Slots chained through `next`, oldest first.
-  struct SlotQueue {
-    ChunkSlot* head = nullptr;
-    ChunkSlot* tail = nullptr;
-
-    bool empty() const { return head == nullptr; }
-    void push_back(ChunkSlot* s) {
-      s->next = nullptr;
-      if (tail == nullptr) {
-        head = s;
-      } else {
-        tail->next = s;
-      }
-      tail = s;
-    }
-    void push_front(ChunkSlot* s) {
-      s->next = head;
-      head = s;
-      if (tail == nullptr) {
-        tail = s;
-      }
-    }
-    ChunkSlot* pop_front() {
-      ChunkSlot* s = head;
-      head = s->next;
-      if (head == nullptr) {
-        tail = nullptr;
-      }
-      return s;
-    }
-  };
-  // One slot per chunk the flow control lets in flight (max_inflight_chunks,
-  // sized at Start), so moving a chunk allocates nothing.
-  std::vector<ChunkSlot> slots_;
-  SlotQueue free_slots_;
+  // Chunk slots this descriptor holds: at most max_inflight_chunks, one per
+  // chunk the flow control lets in flight.
+  int slots_held_ = 0;
   // Chunks whose reads completed, awaiting the softclock write handler.
   // Produced by ReadDone (interrupt), consumed by DrainWrites (softclock);
   // the handoff is serialized by the callout list, not by a context rule.
-  SlotQueue ready_ IKDP_ORDERED_BY(callout);
+  IntrusiveFifo<ChunkSlot, &ChunkSlot::next> ready_ IKDP_ORDERED_BY(callout);
   SpliceCompletionFn on_complete_;
   Stats stats_;
 
@@ -292,7 +261,7 @@ class SpliceEngine {
   // in-flight chunks drain.
   IKDP_CTX_ANY void Cancel(SpliceDescriptor* d);
 
-  int active() const { return static_cast<int>(descriptors_.size()); }
+  int active() const { return static_cast<int>(descriptors_.live()); }
 
   struct Stats {
     uint64_t splices_started = 0;
@@ -381,7 +350,11 @@ class SpliceEngine {
 
   CpuSystem* cpu_;
   CalloutTable* callouts_;
-  std::unordered_map<SpliceDescriptor*, std::unique_ptr<SpliceDescriptor>> descriptors_;
+  // Descriptors and the chunk slots of every splice: recycled, so a warm
+  // splice allocates neither.  A descriptor's slot is released one event
+  // after its completion (see MaybeFinish).
+  SlotPool<SpliceDescriptor> descriptors_;
+  SlotPool<SpliceDescriptor::ChunkSlot> chunk_slots_;
   SimDuration pending_sync_charge_ = 0;
   SimDuration pending_sync_kop_charge_ = 0;
   Stats stats_;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -18,6 +17,7 @@
 #include "src/sim/fifo.h"
 #include "src/sim/kspan.h"
 #include "src/sim/random.h"
+#include "src/sim/slot_pool.h"
 
 namespace ikdp {
 
@@ -56,15 +56,13 @@ class Zipf {
   std::vector<double> cdf_;
 };
 
-// Index of a request's slot in the RequestTable.
-using Slot = uint32_t;
-inline constexpr Slot kNoSlot = UINT32_MAX;
-
-// One live request.  `next_queued` threads the client's request FIFO (front
-// is active) and `next_expected` its delivery FIFO (front is owed the next
-// datagram): the wire is FIFO and requests are serialized per client, so
-// crediting the front of the delivery FIFO attributes every datagram
-// correctly.
+// One live request, in a slot of the server's request pool from its arrival
+// until it has ended and the server is done with it, so the pool holds the
+// live requests, not the whole stream.  `next_queued` threads the client's
+// request FIFO (front is active) and `next_expected` its delivery FIFO
+// (front is owed the next datagram): the wire is FIFO and requests are
+// serialized per client, so crediting the front of the delivery FIFO
+// attributes every datagram correctly.
 struct Request {
   uint64_t id = 0;
   int client = 0;
@@ -78,102 +76,19 @@ struct Request {
   int64_t delivered = 0;
   int64_t remaining = 0;  // bytes still owed while on the delivery FIFO
   int src_fd = -1;        // server-side file fd while the stream is in flight
-  Slot next_queued = kNoSlot;
-  Slot next_expected = kNoSlot;
-};
-
-// A FIFO of requests threaded through their slots by one link member.
-struct SlotFifo {
-  Slot head = kNoSlot;
-  Slot tail = kNoSlot;
-  bool empty() const { return head == kNoSlot; }
-};
-
-// Live requests in recycled slots.  A slot is taken at arrival and given
-// back once the request has ended and the server is done with it, so the
-// table holds the live requests, not the whole stream.  Slots live in a
-// deque: references stay valid while the table grows, and the server
-// coroutines hold them across suspensions.
-class RequestTable {
- public:
-  Slot Take() {
-    Slot s;
-    if (free_.empty()) {
-      s = static_cast<Slot>(slots_.size());
-      slots_.emplace_back();
-    } else {
-      s = free_.back();
-      free_.pop_back();
-      slots_[s] = Request{};
-    }
-    peak_live_ = std::max(peak_live_, ++live_);
-    return s;
-  }
-
-  // Gives the slot back once both sides are done with its request.
-  void ReleaseIfDone(Slot s) {
-    if (slots_[s].ended && slots_[s].server_finished) {
-      free_.push_back(s);
-      --live_;
-    }
-  }
-
-  Request& operator[](Slot s) { return slots_[s]; }
-  uint64_t peak_live() const { return peak_live_; }
-
-  void Push(SlotFifo& f, Slot s, Slot Request::*next) {
-    slots_[s].*next = kNoSlot;
-    if (f.empty()) {
-      f.head = s;
-    } else {
-      slots_[f.tail].*next = s;
-    }
-    f.tail = s;
-  }
-
-  void PopFront(SlotFifo& f, Slot Request::*next) {
-    const Slot s = f.head;
-    f.head = slots_[s].*next;
-    if (f.head == kNoSlot) {
-      f.tail = kNoSlot;
-    }
-    slots_[s].*next = kNoSlot;
-  }
-
-  // Unlinks `s` from `f` if it is there.
-  void Erase(SlotFifo& f, Slot s, Slot Request::*next) {
-    if (f.head == s) {
-      PopFront(f, next);
-      return;
-    }
-    for (Slot c = f.head; c != kNoSlot; c = slots_[c].*next) {
-      if (slots_[c].*next == s) {
-        slots_[c].*next = slots_[s].*next;
-        if (f.tail == s) {
-          f.tail = c;
-        }
-        slots_[s].*next = kNoSlot;
-        return;
-      }
-    }
-  }
-
- private:
-  std::deque<Request> slots_;
-  std::vector<Slot> free_;
-  uint64_t live_ = 0;
-  uint64_t peak_live_ = 0;
+  Request* next_queued = nullptr;
+  Request* next_expected = nullptr;
 };
 
 // An idle client owns its two sockets and its wire; its requests live in
-// the RequestTable, threaded through their slots.
+// the request pool, threaded through their slots.
 struct ClientState {
   std::unique_ptr<UdpSocket> server_sock;
   std::unique_ptr<UdpSocket> client_sock;
   std::unique_ptr<NetworkLink> wire;
   int server_fd = -1;  // persistent fd (single-server modes only)
-  SlotFifo queue;      // assigned requests; front is active
-  SlotFifo expect;     // deliveries outstanding
+  IntrusiveFifo<Request, &Request::next_queued> queue;     // assigned; front is active
+  IntrusiveFifo<Request, &Request::next_expected> expect;  // deliveries outstanding
 };
 
 uint8_t ObjectByte(int object, int64_t i) {
@@ -222,7 +137,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     next_client = static_cast<int>(rng.Below(static_cast<uint64_t>(config.n_clients)));
     next_object = zipf.Sample(rng);
   };
-  RequestTable reqs;
+  SlotPool<Request> reqs;
 
   // One private wire per client, like the paper's per-stream interfaces; the
   // requests contend for the server's CPU, disk, and cache — never for each
@@ -235,7 +150,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     c.server_sock->ConnectTo(c.client_sock.get(), c.wire.get());
   }
 
-  Fifo<Slot> ready;  // requests whose client is idle, oldest first
+  Fifo<Request*> ready;  // requests whose client is idle, oldest first
   Process* single_server = nullptr;  // kFasyncSigio / kRing server process
   int served = 0;                    // requests fully handled server-side
   int done_total = 0;                // requests ended (either side)
@@ -243,7 +158,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   uint64_t sigio_handled = 0;
 
   const bool single_mode = config.mode != SubmitMode::kSyncLoop;
-  auto ready_push = [&](Slot k) {
+  auto ready_push = [&](Request* k) {
     ready.push_back(k);
     server.cpu().Wakeup(&ready);
     if (single_mode && single_server != nullptr) {
@@ -253,8 +168,15 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
   };
 
-  auto end_request = [&](Slot k, bool error) {
-    Request& r = reqs[k];
+  // Gives the slot back once both sides are done with its request.
+  auto release_if_done = [&](Request* k) {
+    if (k->ended && k->server_finished) {
+      reqs.Release(k);
+    }
+  };
+
+  auto end_request = [&](Request* k, bool error) {
+    Request& r = *k;
     if (r.ended) {
       return;
     }
@@ -275,33 +197,32 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
     ++done_total;
     ClientState& c = clients[static_cast<size_t>(r.client)];
-    if (c.queue.head == k) {
-      reqs.PopFront(c.queue, &Request::next_queued);
+    if (c.queue.front() == k) {
+      c.queue.pop_front();
     }
-    reqs.ReleaseIfDone(k);
+    release_if_done(k);
     if (!c.queue.empty()) {
-      ready_push(c.queue.head);
+      ready_push(c.queue.front());
     }
   };
 
   // The server holds nothing of request `k` any more (its stream finished,
   // failed or never started).
-  auto server_done = [&](Slot k) {
-    reqs[k].server_finished = true;
-    reqs.ReleaseIfDone(k);
+  auto server_done = [&](Request* k) {
+    k->server_finished = true;
+    release_if_done(k);
   };
 
   // The server starts streaming request `k`: its client is owed nbytes.
-  auto expect = [&](Slot k) {
-    Request& r = reqs[k];
-    r.remaining = r.nbytes;
-    reqs.Push(clients[static_cast<size_t>(r.client)].expect, k, &Request::next_expected);
+  auto expect = [&](Request* k) {
+    k->remaining = k->nbytes;
+    clients[static_cast<size_t>(k->client)].expect.push_back(k);
   };
 
   // An aborted stream delivers nothing further; drop the client's pending
   // byte count for it so later requests' datagrams are not mis-credited.
-  auto drop_expected = [&](Slot k) {
-    reqs.Erase(clients[static_cast<size_t>(reqs[k].client)].expect, k, &Request::next_expected);
+  auto drop_expected = [&](Request* k) {
+    clients[static_cast<size_t>(k->client)].expect.Erase(k);
   };
 
   // Clients: host-side datagram sinks, re-armed from the delivery interrupt.
@@ -310,15 +231,15 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   auto on_recv = [&](auto& self, int i, int64_t n) -> void {
     ClientState& me = clients[static_cast<size_t>(i)];
     if (n > 0 && !me.expect.empty()) {
-      const Slot k = me.expect.head;
-      Request& r = reqs[k];
+      Request* const k = me.expect.front();
+      Request& r = *k;
       r.delivered += n;
       r.remaining -= n;
       if (hooks.on_progress) {
         hooks.on_progress(r.id, sim.Now(), n);
       }
       if (r.remaining <= 0) {
-        reqs.PopFront(me.expect, &Request::next_expected);
+        me.expect.pop_front();
         end_request(k, /*error=*/false);
       }
     }
@@ -334,8 +255,8 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   // the request's root span, enqueue it, wake the server, and draw the next
   // arrival.
   auto arrive = [&](auto& self, int k) -> void {
-    const Slot slot = reqs.Take();
-    Request& r = reqs[slot];
+    Request* const slot = reqs.Acquire();
+    Request& r = *slot;
     r.id = static_cast<uint64_t>(k);
     r.client = next_client;
     r.object = next_object;
@@ -348,7 +269,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
     }
     ClientState& c = clients[static_cast<size_t>(r.client)];
     const bool idle = c.queue.empty();
-    reqs.Push(c.queue, slot, &Request::next_queued);
+    c.queue.push_back(slot);
     if (idle) {
       ready_push(slot);
     }
@@ -399,8 +320,8 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
                   co_await server.cpu().Sleep(p, &ready, kPriWait, /*interruptible=*/false);
                   continue;
                 }
-                const Slot k = ready.pop_front();
-                Request& r = reqs[k];
+                Request* const k = ready.pop_front();
+                Request& r = *k;
                 ClientState& c = clients[static_cast<size_t>(r.client)];
                 server.cpu().SetSpan(p, r.span);
                 const int sfd = co_await open_object(p, r);
@@ -444,14 +365,14 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
           c.server_fd = server.OpenSocket(p, c.server_sock.get());
           co_await server.Fcntl(p, c.server_fd, /*fasync=*/true);
         }
-        std::vector<Slot> inflight;
+        std::vector<Request*> inflight;
         while (served < total || !inflight.empty()) {
           bool progressed = false;
           // Probe completions first: SIGIO says "something finished", and
           // SpliceStatus (one trap per probe — sockets have no offset for
           // Tell) says which.
           for (auto it = inflight.begin(); it != inflight.end();) {
-            Request& r = reqs[*it];
+            Request& r = **it;
             ClientState& c = clients[static_cast<size_t>(r.client)];
             server.cpu().SetSpan(p, r.span);
             const int active = co_await server.SpliceStatus(p, c.server_fd);
@@ -472,8 +393,8 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
             progressed = true;
           }
           while (!ready.empty()) {
-            const Slot k = ready.pop_front();
-            Request& r = reqs[k];
+            Request* const k = ready.pop_front();
+            Request& r = *k;
             ClientState& c = clients[static_cast<size_t>(r.client)];
             server.cpu().SetSpan(p, r.span);
             r.src_fd = co_await open_object(p, r);
@@ -533,13 +454,13 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
         const int ring = co_await server.RingSetup(p, rc);
         std::vector<SpliceCqe> cqes(static_cast<size_t>(config.n_clients) + 8);
         // CQE cookies are request ids; this finds each in-flight op's slot.
-        std::unordered_map<uint64_t, Slot> ring_slot;
+        std::unordered_map<uint64_t, Request*> ring_slot;
         ring_slot.reserve(static_cast<size_t>(rc.sq_entries));
         int inflight = 0;
         while (served < total || inflight > 0) {
           while (!ready.empty()) {
-            const Slot k = ready.pop_front();
-            Request& r = reqs[k];
+            Request* const k = ready.pop_front();
+            Request& r = *k;
             ClientState& c = clients[static_cast<size_t>(r.client)];
             server.cpu().SetSpan(p, r.span);
             r.src_fd = co_await open_object(p, r);
@@ -581,8 +502,8 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
           for (int i = 0; i < got; ++i) {
             auto op = ring_slot.extract(cqes[static_cast<size_t>(i)].cookie);
             assert(!op.empty() && "CQE for an op this server never submitted");
-            const Slot k = op.mapped();
-            Request& r = reqs[k];
+            Request* const k = op.mapped();
+            Request& r = *k;
             server.cpu().SetSpan(p, r.span);
             co_await server.Close(p, r.src_fd);
             server.cpu().SetSpan(p, kNoSpan);
@@ -604,7 +525,7 @@ SpliceServerResult RunSpliceServer(const SpliceServerConfig& config,
   sim.Run();
 
   result.end_time = last_end;
-  result.peak_live_requests = reqs.peak_live();
+  result.peak_live_requests = reqs.peak();
   result.sigio_handled = sigio_handled;
   for (const Process* p : procs) {
     result.server_traps += p->stats().syscall_traps;

@@ -352,5 +352,100 @@ TEST_F(EngineTest, EngineStatsAccumulateAcrossSplices) {
   EXPECT_EQ(engine_.active(), 0);
 }
 
+// A source that also records when each accepted read was issued.
+class TimedSource : public ScriptedSource {
+ public:
+  TimedSource(Simulator* sim, std::vector<SimTime>* times, int64_t total_chunks, int refusals)
+      : ScriptedSource(total_chunks, 1000, refusals), sim_(sim), times_(times) {}
+
+  bool StartRead(int64_t index, Done done) override {
+    const SimTime now = sim_->Now();
+    const bool ok = ScriptedSource::StartRead(index, std::move(done));
+    if (ok) {
+      times_->push_back(now);
+    }
+    return ok;
+  }
+
+ private:
+  Simulator* sim_;
+  std::vector<SimTime>* times_;
+};
+
+// What a second splice saw after the first one was torn down.
+struct SecondSplice {
+  SpliceDescriptor* first = nullptr;
+  SpliceDescriptor* second = nullptr;
+  std::vector<SimTime> reads;
+  SinkObs writes;
+  int completions = 0;
+  SpliceCompletion done;
+  SpliceDescriptor::Stats stats;
+};
+
+// The first splice's only reads are refused, which arms a read retry for the
+// first tick, and interrupt work keeps the CPU busy across that tick.  The
+// first splice is cancelled before the tick (`retry_fired` false: the
+// teardown recalls the callout) or after it (true: the callout has fired and
+// its body waits in the interrupt queue, where teardown cannot reach it).
+// Either way its descriptor slot is released at once, and a second splice,
+// whose first read is refused too, takes the slot before the busy spell
+// ends.
+SecondSplice RunAfterFirstSpliceRetry(bool retry_fired) {
+  Simulator sim;
+  CpuSystem cpu(&sim, DecStation5000Costs());
+  CalloutTable callouts(&sim, 256);
+  SpliceEngine engine(&cpu, &callouts);
+  const SimDuration tick = callouts.TickDuration();
+  SecondSplice out;
+  std::vector<SimTime> first_reads;
+  out.first = engine.Start(std::make_unique<TimedSource>(&sim, &first_reads, 4, /*refusals=*/100),
+                           OneSink(std::make_unique<ScriptedSink>(&sim, nullptr)),
+                           SpliceOptions{}, [](const SpliceCompletion&) {});
+  sim.At(tick - tick / 4, [&cpu, tick] { cpu.RunInterrupt(tick / 2, [] {}); });
+  sim.At(retry_fired ? tick + tick / 8 : tick - tick / 8, [&] { engine.Cancel(out.first); });
+  sim.At(tick + tick / 8 + 1, [&] {
+    out.second = engine.Start(
+        std::make_unique<TimedSource>(&sim, &out.reads, 6, /*refusals=*/1),
+        OneSink(std::make_unique<ScriptedSink>(&sim, &out.writes)), SpliceOptions{},
+        [&out](const SpliceCompletion& c) {
+          ++out.completions;
+          out.done = c;
+          out.stats = out.second->stats();
+        });
+  });
+  sim.Run();
+  EXPECT_TRUE(first_reads.empty());
+  EXPECT_EQ(engine.active(), 0);
+  return out;
+}
+
+// A retry callout that fired for a finished splice must leave the splice
+// that reuses its descriptor slot alone: the callout body compares the
+// serial it was armed for with the descriptor's.
+TEST(EngineStaleRetryTest, FiredRetryOfAFinishedSpliceSkipsItsSlotsNextSplice) {
+  const SecondSplice want = RunAfterFirstSpliceRetry(/*retry_fired=*/false);
+  const SecondSplice got = RunAfterFirstSpliceRetry(/*retry_fired=*/true);
+  for (const SecondSplice* s : {&want, &got}) {
+    EXPECT_EQ(s->second, s->first) << "the second splice must reuse the first one's slot";
+    EXPECT_EQ(s->completions, 1);
+    EXPECT_EQ(s->done.serial, 2u);
+    EXPECT_EQ(s->done.bytes_moved, 6000);
+    EXPECT_EQ(s->reads.size(), 6u);
+  }
+  // The second splice's own retry reads at the tick after it started; a
+  // stale body taken for its own would have read everything early.
+  EXPECT_EQ(got.reads, want.reads);
+  EXPECT_EQ(got.writes.write_times, want.writes.write_times);
+  EXPECT_EQ(got.writes.indices, want.writes.indices);
+  EXPECT_EQ(got.done.started_at, want.done.started_at);
+  EXPECT_EQ(got.done.finished_at, want.done.finished_at);
+  EXPECT_EQ(got.stats.read_retries, want.stats.read_retries);
+  EXPECT_EQ(got.stats.write_retries, want.stats.write_retries);
+  EXPECT_EQ(got.stats.refills, want.stats.refills);
+  EXPECT_EQ(got.stats.max_pending_reads, want.stats.max_pending_reads);
+  EXPECT_EQ(got.stats.max_pending_writes, want.stats.max_pending_writes);
+}
+
 }  // namespace
 }  // namespace ikdp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/hw/costs.h"
@@ -433,6 +434,50 @@ TEST(LinkTest, FaultPlanJitterDelaysDeliveryDeterministically) {
     if (a[i] > base[i]) ++jittered;
   }
   EXPECT_GT(jittered, 0u);
+}
+
+// Frame `i` of the identity test carries its own payload size.
+int64_t IdentityFrameBytes(int i) { return 200 + 37 * static_cast<int64_t>(i); }
+
+// Every frame's own callback fires once with its own size, although jitter
+// reorders frames in flight and each wave's frames reuse the arrival slots
+// of the wave before it.
+TEST(LinkTest, JitteredFramesEachDeliverTheirOwnCallbackOnce) {
+  LinkFaultPlan plan;
+  plan.jitter_rate = 1.0;
+  plan.jitter_max = Milliseconds(5);
+  plan.seed = 11;
+  Simulator sim;
+  NetworkLink link(&sim, EthernetParams());
+  link.SetFaultPlan(plan);
+  constexpr int kWaves = 3;
+  constexpr int kPerWave = 8;
+  std::vector<int> calls(kWaves * kPerWave, 0);
+  std::vector<int64_t> bytes(kWaves * kPerWave, -1);
+  std::vector<int> arrival_order;
+  // A wave is on the wire for under 20 ms, jitter included, so each wave
+  // starts once the one before it has fully arrived.
+  for (int w = 0; w < kWaves; ++w) {
+    sim.At(w * Milliseconds(50), [&, w] {
+      for (int i = w * kPerWave; i < (w + 1) * kPerWave; ++i) {
+        EXPECT_TRUE(link.Send(IdentityFrameBytes(i), [&, i](int64_t n) {
+          ++calls[i];
+          bytes[i] = n;
+          arrival_order.push_back(i);
+        }));
+      }
+    });
+  }
+  sim.Run();
+  for (int i = 0; i < kWaves * kPerWave; ++i) {
+    EXPECT_EQ(calls[i], 1) << "frame " << i;
+    EXPECT_EQ(bytes[i], IdentityFrameBytes(i)) << "frame " << i;
+  }
+  ASSERT_EQ(arrival_order.size(), static_cast<size_t>(kWaves * kPerWave));
+  for (int w = 0; w < kWaves; ++w) {
+    const auto first = arrival_order.begin() + w * kPerWave;
+    EXPECT_FALSE(std::is_sorted(first, first + kPerWave)) << "wave " << w << " not reordered";
+  }
 }
 
 TEST(LinkTest, NoFaultPlanMeansNoRandomDraws) {

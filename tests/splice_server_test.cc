@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/kop/kop.h"
 #include "src/metrics/slo.h"
 #include "src/sim/kspan.h"
 #include "src/sim/time.h"
@@ -221,6 +222,51 @@ TEST_P(SpliceServerModes, LiveRequestsStayBoundedAsTheStreamGrows) {
   EXPECT_GT(one.peak_live_requests, 0u);
   EXPECT_LE(four.peak_live_requests * 2, one.peak_live_requests * 3);
   EXPECT_LE(four.peak_live_requests * 20, 800u);
+}
+
+// Every request is short-delivered: objects are a block and a half, and the
+// filter reads the last byte of a full block, so each object's first chunk
+// passes and the operator rejects the stream at its short second chunk.
+// Each request ends through the server's error path, which unlinks it from
+// its client's delivery FIFO, and its slot is recycled like a served one.
+// (A filter that only drops chunks ends a splice cleanly, and a FASYNC
+// server has no byte count to see it was short by.)
+TEST_P(SpliceServerModes, FilteredStreamsErrorEveryRequest) {
+  SpliceServerConfig cfg = SmallConfig(GetParam());
+  cfg.object_bytes = kBlockSize + kBlockSize / 2;
+  KopStage filter;
+  filter.kind = KopStageKind::kFilter;
+  filter.filter_mode = KopFilterMode::kKeepIfNe;
+  filter.off = kBlockSize - 1;
+  filter.len = 1;
+  filter.arg = 0;
+  cfg.kop_program.stages.push_back(filter);
+  auto run = [&cfg](int64_t* received) {
+    SpliceServerHooks hooks;
+    hooks.on_progress = [received](uint64_t, SimTime, int64_t n) { *received += n; };
+    return RunSpliceServer(cfg, hooks);
+  };
+  int64_t received = 0;
+  const SpliceServerResult r = run(&received);
+  EXPECT_EQ(r.errored, static_cast<uint64_t>(cfg.total_requests));
+  EXPECT_EQ(r.completed, 0u);
+  EXPECT_EQ(r.bytes, received);
+  EXPECT_GT(received, 0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.closure_ok) << r.closure_err;
+  EXPECT_GT(r.end_time, 0);
+  EXPECT_GT(r.peak_live_requests, 0u);
+  EXPECT_LE(r.peak_live_requests, static_cast<uint64_t>(cfg.n_clients));
+
+  int64_t received_again = 0;
+  const SpliceServerResult again = run(&received_again);
+  EXPECT_EQ(again.end_time, r.end_time);
+  EXPECT_EQ(again.errored, r.errored);
+  EXPECT_EQ(again.bytes, r.bytes);
+  EXPECT_EQ(received_again, received);
+  EXPECT_EQ(again.server_traps, r.server_traps);
+  EXPECT_EQ(again.server_cpu.process_work, r.server_cpu.process_work);
+  EXPECT_EQ(again.peak_live_requests, r.peak_live_requests);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, SpliceServerModes,
